@@ -23,6 +23,8 @@ from repro.sim.simulation import Simulation
 class DeauthEmitter:
     """Periodically broadcast spoofed deauth frames for victim BSSIDs."""
 
+    hears_probe_requests = False  # transmit-only
+
     def __init__(
         self,
         position: Point,

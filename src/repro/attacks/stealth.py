@@ -40,6 +40,8 @@ class _AliasStation:
 
     __slots__ = ("mac", "owner")
 
+    hears_probe_requests = False  # the hunter's own station answers probes
+
     def __init__(self, mac: MacAddress, owner: "StealthCityHunter"):
         self.mac = mac
         self.owner = owner

@@ -40,6 +40,7 @@ class MultiSsidDetector:
     """
 
     max_speed_mps = 0.0  # fixed observation post: spatial-index eligible
+    hears_probe_requests = False  # counts probe responses only
 
     def __init__(
         self,
@@ -106,6 +107,7 @@ class CanaryProbeDetector:
     """
 
     max_speed_mps = 0.0  # fixed observation post: spatial-index eligible
+    hears_probe_requests = False  # checks probe responses only
 
     def __init__(
         self,

@@ -67,6 +67,8 @@ class Phone:
     CONNECTED = "connected"
     DEPARTED = "departed"
 
+    hears_probe_requests = False  # receive() drops other phones' probes
+
     def __init__(
         self,
         mac: MacAddress,

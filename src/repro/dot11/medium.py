@@ -52,9 +52,30 @@ around the sender instead.  The index is *provably a pure accelerator*:
   consume one RNG draw per *candidate*, so the index automatically
   falls back to the brute-force scan for them.
 
+Probe-request listeners
+-----------------------
+
+Most stations drop every probe request they hear: phones, detectors,
+alias BSSIDs and the deauth emitter declare so with the class attribute
+``hears_probe_requests = False``; stations without it hear them.  The
+index keeps two populations, listeners and the rest, each with its own
+grid, side set and refresh clock.  A broadcast ``ProbeRequest`` is
+resolved against the listeners alone whenever the channel draws no
+randomness per recipient (deterministic propagation, ``loss_rate`` 0,
+no Gilbert–Elliott chain): then the stations it skips would only have
+dropped the frame, so every receive that does something, every RNG draw
+and every metric is unchanged.  On a lossy or stochastic channel each
+recipient takes its loss or propagation draw whether or not it listens,
+so skipping one would shift every later draw; there, and for every
+other broadcast frame, both populations are merged in attach order.
+Skipped deliveries are not counted in ``frames_delivered`` and leave no
+lineage record.
+
 ``REPRO_MEDIUM_INDEX=off`` (or the ``index=False`` argument) forces the
-brute-force path; the differential test suite pins the two paths to
-bit-identical recipient sets, loss draws and run metrics.
+brute-force path, which hands every probe request to every station in
+range; the differential test suite pins the two paths to bit-identical
+deliveries to every station that acts on them, loss draws and run
+metrics.
 """
 
 from __future__ import annotations
@@ -63,7 +84,7 @@ import os
 from contextlib import nullcontext
 from typing import ContextManager, Dict, List, Optional, Protocol, Sequence
 
-from repro.dot11.frames import Frame, ProbeResponse
+from repro.dot11.frames import Frame, ProbeRequest, ProbeResponse
 from repro.dot11.mac import BROADCAST_MAC, MacAddress
 from repro.dot11.propagation import DiscPropagation, Propagation
 from repro.faults.gilbert import GilbertElliottChannel
@@ -115,6 +136,10 @@ class Station(Protocol):
     Stations *may* additionally expose ``max_speed_mps`` (metres per
     second, or None when unbounded); the spatial index only bins
     stations whose displacement it can bound, and scans the rest.
+    They *may* also set ``hears_probe_requests = False`` when their
+    ``receive`` drops every :class:`~repro.dot11.frames.ProbeRequest`;
+    the index then skips them for broadcast probe requests on channels
+    that draw no randomness per recipient (see the module docstring).
     """
 
     mac: MacAddress
@@ -126,6 +151,77 @@ class Station(Protocol):
     def receive(self, frame: Frame, time: float) -> None:
         """Handle one delivered frame."""
         ...
+
+
+def _speed_bound(station: Station) -> Optional[float]:
+    bound = getattr(station, "max_speed_mps", None)
+    if bound is None:
+        return None
+    bound = float(bound)
+    if bound < 0 or bound != bound or bound == float("inf"):
+        return None
+    return bound
+
+
+class _Population:
+    """Attached stations binned in one spatial grid with its own clock.
+
+    Stations with a speed bound are binned at their position at the last
+    refresh; the rest live in an always-scanned side set.
+    """
+
+    __slots__ = ("grid", "speeds", "unindexed", "vmax", "grid_time")
+
+    def __init__(self, cell_m: float):
+        self.grid: MutableSpatialGrid[MacAddress] = MutableSpatialGrid(cell_m)
+        self.speeds: Dict[MacAddress, float] = {}
+        self.unindexed: Dict[MacAddress, Station] = {}
+        self.vmax = 0.0
+        self.grid_time = float("-inf")
+
+    def add(self, station: Station, now: float) -> None:
+        bound = _speed_bound(station)
+        if bound is None:
+            self.unindexed[station.mac] = station
+            return
+        self.speeds[station.mac] = bound
+        if bound > self.vmax:
+            self.vmax = bound
+        # Binned at now (>= the last refresh time), so the refresh-based
+        # radius inflation also covers stations binned between sweeps.
+        self.grid.insert(station.mac, station.position_at(now))
+
+    def discard(self, mac: MacAddress) -> None:
+        self.unindexed.pop(mac, None)
+        if self.speeds.pop(mac, None) is not None:
+            self.grid.remove(mac)
+        # vmax stays conservative until the next refresh recomputes it.
+
+    def refresh(
+        self, stations: Dict[MacAddress, Station], now: float, every_s: float
+    ) -> bool:
+        """Rebin moving stations unless the last sweep is under
+        ``every_s`` old; True when it swept."""
+        if now - self.grid_time < every_s:
+            return False
+        grid = self.grid
+        vmax = 0.0
+        for mac, bound in self.speeds.items():
+            if bound > 0.0:
+                grid.move(mac, stations[mac].position_at(now))
+                if bound > vmax:
+                    vmax = bound
+        self.vmax = vmax
+        self.grid_time = now
+        return True
+
+    def candidates(self, pos: Point, reach: float, now: float) -> List[MacAddress]:
+        """A superset of the members within ``reach`` of ``pos`` at ``now``."""
+        radius = reach_with_motion(reach, self.vmax, now - self.grid_time)
+        macs = self.grid.candidates(pos, radius)
+        if self.unindexed:
+            macs.extend(self.unindexed)
+        return macs
 
 
 class Medium:
@@ -179,14 +275,10 @@ class Medium:
         self._index_on = resolve_medium_index(index) and deterministic
         self._seq: Dict[MacAddress, int] = {}
         self._seq_next = 0
-        self._grid: Optional[MutableSpatialGrid[MacAddress]] = None
-        self._speeds: Dict[MacAddress, float] = {}
-        self._unindexed: Dict[MacAddress, Station] = {}
-        self._vmax = 0.0
-        self._grid_time = float("-inf")
         self._refresh_s = index_refresh_s
-        if self._index_on:
-            self._grid = MutableSpatialGrid(index_cell_m)
+        # Probe-request listeners, and every other station.
+        self._listeners = _Population(index_cell_m)
+        self._others = _Population(index_cell_m)
         self.index_queries = 0
         self.index_candidates = 0
         self.index_refreshes = 0
@@ -225,8 +317,12 @@ class Medium:
         if promiscuous:
             self._monitors[mac] = station
         if self._index_on:
-            self._index_discard(mac)
-            self._index_add(station)
+            self._listeners.discard(mac)
+            self._others.discard(mac)
+            if getattr(station, "hears_probe_requests", True):
+                self._listeners.add(station, self.sim.now)
+            else:
+                self._others.add(station, self.sim.now)
 
     def detach(self, mac: MacAddress) -> None:
         """Remove a station; unknown MACs are ignored (already gone)."""
@@ -235,7 +331,8 @@ class Medium:
         self._monitors.pop(mac, None)
         self._seq.pop(mac, None)
         if self._index_on:
-            self._index_discard(mac)
+            self._listeners.discard(mac)
+            self._others.discard(mac)
 
     def is_attached(self, mac: MacAddress) -> bool:
         """Whether a station with this MAC is currently registered."""
@@ -245,51 +342,6 @@ class Medium:
     def station_count(self) -> int:
         """Number of attached stations."""
         return len(self._stations)
-
-    # -- spatial index ----------------------------------------------------
-
-    @staticmethod
-    def _speed_bound(station: Station) -> Optional[float]:
-        bound = getattr(station, "max_speed_mps", None)
-        if bound is None:
-            return None
-        bound = float(bound)
-        if bound < 0 or bound != bound or bound == float("inf"):
-            return None
-        return bound
-
-    def _index_add(self, station: Station) -> None:
-        bound = self._speed_bound(station)
-        if bound is None:
-            self._unindexed[station.mac] = station
-            return
-        self._speeds[station.mac] = bound
-        if bound > self._vmax:
-            self._vmax = bound
-        # Cached now (>= the last refresh time), so the refresh-based
-        # radius inflation also covers stations binned between sweeps.
-        self._grid.insert(station.mac, station.position_at(self.sim.now))
-
-    def _index_discard(self, mac: MacAddress) -> None:
-        self._unindexed.pop(mac, None)
-        if self._speeds.pop(mac, None) is not None:
-            self._grid.remove(mac)
-        # _vmax stays conservative until the next refresh recomputes it.
-
-    def _refresh_index(self, now: float) -> None:
-        if now - self._grid_time < self._refresh_s:
-            return
-        grid = self._grid
-        stations = self._stations
-        vmax = 0.0
-        for mac, bound in self._speeds.items():
-            if bound > 0.0:
-                grid.move(mac, stations[mac].position_at(now))
-                if bound > vmax:
-                    vmax = bound
-        self._vmax = vmax
-        self._grid_time = now
-        self.index_refreshes += 1
 
     # -- propagation ------------------------------------------------------
 
@@ -317,7 +369,16 @@ class Medium:
             return self._uniform.next() < self.loss_rate
         return self._rng.random() < self.loss_rate
 
-    def _broadcast_recipients(self, sender: Station, time: float) -> List[Station]:
+    def _candidates(
+        self, population: _Population, pos: Point, reach: float, now: float
+    ) -> List[MacAddress]:
+        if population.refresh(self._stations, now, self._refresh_s):
+            self.index_refreshes += 1
+        return population.candidates(pos, reach, now)
+
+    def _broadcast_recipients(
+        self, sender: Station, frame: Frame, time: float
+    ) -> List[Station]:
         """Every station (sender excluded) in range, in attach order."""
         sender_mac = sender.mac
         reach = self._ranges[sender_mac]
@@ -332,11 +393,15 @@ class Medium:
                 if mac != sender_mac
                 and delivered(pos.distance_to(st.position_at(time)), reach, rng)
             ]
-        self._refresh_index(time)
-        radius = reach_with_motion(reach, self._vmax, time - self._grid_time)
-        macs = self._grid.candidates(pos, radius)
-        if self._unindexed:
-            macs.extend(self._unindexed)
+        macs = self._candidates(self._listeners, pos, reach, time)
+        if not (
+            isinstance(frame, ProbeRequest)
+            and self.loss_rate <= 0.0
+            and self._burst_loss is None
+        ):
+            # Every recipient takes a loss draw here, or may act on the
+            # frame, so the stations that drop probe requests count too.
+            macs.extend(self._candidates(self._others, pos, reach, time))
         # Re-establish attach order so loss draws and receive callbacks
         # fire in the exact sequence of the brute-force scan.
         macs.sort(key=self._seq.__getitem__)
@@ -368,7 +433,7 @@ class Medium:
                 ):
                     out.append(monitor)
             return out
-        return self._broadcast_recipients(sender, time)
+        return self._broadcast_recipients(sender, frame, time)
 
     def transmit(
         self,

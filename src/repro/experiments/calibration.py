@@ -128,8 +128,13 @@ def all_profiles() -> dict:
     return dict(_PROFILES)
 
 
-@functools.lru_cache(maxsize=4)
 def default_city(seed: int = 42) -> City:
-    """The shared city instance used by tests/benches (cached — city
+    """The shared city instance used by tests/benches (cached per seed
+    value, so ``default_city()`` and ``default_city(42)`` are one city —
     generation is ~1 s and the city is immutable in practice)."""
+    return _city(seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _city(seed: int) -> City:
     return build_city(rng=np.random.default_rng(seed))

@@ -61,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import time
@@ -302,33 +303,30 @@ def replicates(
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, else ``REPRO_WORKERS``, else
     ``os.cpu_count()``."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    "%s must be an integer, got %r" % (WORKERS_ENV, env)
-                ) from None
-        else:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("worker count must be >= 1, got %r" % workers)
-    return workers
+    if workers is not None:
+        return parse_int_setting("workers", workers, 1)
+    return resolve_int_env(WORKERS_ENV, os.cpu_count() or 1, 1)
 
 
-def _resolve_int_env(env: str, default: int, minimum: int) -> int:
+def parse_int_setting(name: str, value: Union[str, int], minimum: int) -> int:
+    """``value`` as an integer of at least ``minimum``; anything else
+    raises a ValueError naming ``name``, the variable it came from."""
+    try:
+        parsed = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+    if parsed < minimum:
+        raise ValueError("%s must be >= %d, got %r" % (name, minimum, parsed))
+    return parsed
+
+
+def resolve_int_env(env: str, default: int, minimum: int) -> int:
+    """The integer in environment variable ``env`` (``default`` when
+    unset or blank), checked by :func:`parse_int_setting`."""
     value = os.environ.get(env, "").strip()
     if not value:
         return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (env, value)) from None
-    if parsed < minimum:
-        raise ValueError("%s must be >= %d, got %r" % (env, minimum, parsed))
-    return parsed
+    return parse_int_setting(env, value, minimum)
 
 
 def _resolve_float_env(env: str, default: float) -> float:
@@ -347,10 +345,8 @@ def _resolve_float_env(env: str, default: float) -> float:
 def resolve_retries(retries: Optional[int] = None) -> int:
     """Retry budget per spec on worker death (``REPRO_RETRIES``)."""
     if retries is not None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0, got %r" % retries)
-        return retries
-    return _resolve_int_env(RETRIES_ENV, DEFAULT_RETRIES, 0)
+        return parse_int_setting("retries", retries, 0)
+    return resolve_int_env(RETRIES_ENV, DEFAULT_RETRIES, 0)
 
 
 def resolve_backoff(backoff: Optional[float] = None) -> float:

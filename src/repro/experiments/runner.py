@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,19 +61,29 @@ class ExperimentResult:
         return self.summary.broadcast_hit_rate
 
 
-@functools.lru_cache(maxsize=4)
 def shared_wigle(city_seed: int = 42) -> WigleDatabase:
     """WiGLE registry over the shared default city.
 
-    Cached *per process*: parallel workers each build (or fork) their
-    own instance, so no registry object is ever shared across process
-    boundaries.  Within a process the cached instance is shared across
-    runs, which is safe because :class:`WigleDatabase` is immutable —
-    attackers that adapt SSID weights online do so in their own
-    per-attacker :class:`~repro.core.ssid_database.WeightedSsidDatabase`
-    and can never write back into this registry.
+    Cached *per process* and per seed value: parallel workers each build
+    (or fork) their own instance, so no registry object is ever shared
+    across process boundaries.  Within a process the cached instance is
+    shared across runs, which is safe because :class:`WigleDatabase` is
+    immutable — attackers that adapt SSID weights online do so in their
+    own per-attacker
+    :class:`~repro.core.ssid_database.WeightedSsidDatabase` and can
+    never write back into this registry.
     """
-    return WigleDatabase.from_access_points(default_city(city_seed).aps)
+    return _wigle(city_seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _wigle(city_seed: int) -> WigleDatabase:
+    wigle = WigleDatabase.from_access_points(default_city(city_seed).aps)
+    # The city and this registry are immutable and never evicted, so every
+    # full collection would re-scan them for nothing: move everything
+    # alive now into the collector's permanent generation.
+    gc.freeze()
+    return wigle
 
 
 def run_experiment(

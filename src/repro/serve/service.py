@@ -44,6 +44,7 @@ import os
 import time as _time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.experiments.parallel import parse_int_setting, resolve_int_env
 from repro.obs.registry import (
     METRICS_SCHEMA,
     MetricsRegistry,
@@ -80,29 +81,19 @@ before the overflow bucket.  Wall-clock, like the select histogram."""
 
 
 def resolve_serve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit arg, else ``REPRO_WORKERS``, else 4."""
+    """Worker count: explicit arg, else ``REPRO_WORKERS``, else 4.
+    A non-integer or sub-1 value raises a ValueError naming its source."""
     if workers is not None:
-        return max(1, int(workers))
-    value = os.environ.get(WORKERS_ENV, "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_WORKERS
+        return parse_int_setting("workers", workers, 1)
+    return resolve_int_env(WORKERS_ENV, DEFAULT_WORKERS, 1)
 
 
 def resolve_queue_max(queue_max: Optional[int] = None) -> int:
-    """Ingress bound: explicit arg, else ``REPRO_SERVE_QUEUE_MAX``."""
+    """Ingress bound: explicit arg, else ``REPRO_SERVE_QUEUE_MAX``, else
+    1024.  A non-integer or sub-1 value raises like the worker count."""
     if queue_max is not None:
-        return max(1, int(queue_max))
-    value = os.environ.get(QUEUE_MAX_ENV, "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_QUEUE_MAX
+        return parse_int_setting("queue_max", queue_max, 1)
+    return resolve_int_env(QUEUE_MAX_ENV, DEFAULT_QUEUE_MAX, 1)
 
 
 class _Sequencer:

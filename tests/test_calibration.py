@@ -10,6 +10,7 @@ from repro.experiments.calibration import (
     mean_group_size,
     venue_profile,
 )
+from repro.experiments.runner import shared_wigle
 
 VENUE_KEYS = ("canteen", "passage", "shopping_center", "railway_station")
 
@@ -82,6 +83,31 @@ class TestGroupSizes:
 class TestDefaultCity:
     def test_cached_per_seed(self):
         assert default_city(42) is default_city(42)
+
+    def test_cached_per_seed_value(self):
+        """The default argument and the explicit seed are one cache key."""
+        assert default_city() is default_city(42)
+        assert default_city(seed=42) is default_city(42)
+        assert shared_wigle() is shared_wigle(42)
+
+    def test_registry_reuses_the_cached_city(self, monkeypatch):
+        from repro.experiments import calibration, runner
+
+        builds = []
+        real = calibration.build_city
+
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "build_city", counting_build)
+        calibration._city.cache_clear()
+        runner._wigle.cache_clear()
+        city = default_city()
+        wigle = shared_wigle()
+        assert len(builds) == 1
+        assert default_city(42) is city
+        assert shared_wigle(42) is wigle
 
     def test_city_has_venues_and_aps(self):
         city = default_city(42)

@@ -7,6 +7,11 @@ sender, time triples in order), delivered-frame counts and fault-loss
 metrics.  Layouts, mobility, loss rates and fault plans are randomized
 across seeds so the equivalence is exercised well beyond any single
 hand-built topology.
+
+Stations may declare ``hears_probe_requests = False``; a world with such
+stations is also run against its all-hearing twin, which must agree on
+everything the listeners see and, on channels that draw randomness per
+recipient, on everything at all.
 """
 
 import math
@@ -15,7 +20,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.dot11.frames import ProbeRequest, ProbeResponse
+from repro.devices.phone import Phone
+from repro.dot11.frames import Beacon, ProbeRequest, ProbeResponse
 from repro.dot11.medium import (
     MEDIUM_INDEX_ENV,
     Medium,
@@ -65,18 +71,26 @@ def _build_world(
     burst_loss=None,
     moving_share=0.5,
     unbounded_every=0,
+    deaf_every=0,
+    propagation=None,
     sim_seed=9,
 ):
     """One scripted world; returns (sim, medium, stations) ready to run.
 
     All randomness comes from a layout RNG seeded independently of the
     simulation, so the index=True and index=False worlds are built from
-    byte-identical ingredients.
+    byte-identical ingredients.  Every ``deaf_every``-th station declares
+    that it drops probe requests (its log still records every receive
+    call, so a skipped delivery shows as a missing entry).
     """
     rng = np.random.default_rng(layout_seed)
     sim = Simulation(seed=sim_seed)
     medium = Medium(
-        sim, loss_rate=loss_rate, burst_loss=burst_loss, index=index
+        sim,
+        loss_rate=loss_rate,
+        burst_loss=burst_loss,
+        propagation=propagation,
+        index=index,
     )
     stations = []
     for i in range(n_stations):
@@ -91,6 +105,8 @@ def _build_world(
             else MovingStation
         )
         st = cls(f"02:00:00:00:00:{i:02x}", origin, velocity)
+        if deaf_every and i % deaf_every == 0:
+            st.hears_probe_requests = False
         stations.append(st)
         medium.attach(st, float(rng.uniform(40, 80)))
     for _ in range(n_frames):
@@ -114,7 +130,21 @@ def _run_world(index, **kwargs):
         "fault_lost": medium.fault_frames_lost,
         "metrics": sim.metrics.to_dict()["counters"],
         "medium": medium,
+        "deaf": {
+            st.mac
+            for st in stations
+            if not getattr(st, "hears_probe_requests", True)
+        },
     }
+
+
+def _split_log(run, deaf):
+    """(entries of stations outside ``deaf``, entries of those in it)."""
+    log = run["log"]
+    return (
+        [entry for entry in log if entry[0] not in deaf],
+        [entry for entry in log if entry[0] in deaf],
+    )
 
 
 def _assert_equivalent(kwargs):
@@ -172,6 +202,154 @@ class TestDifferentialEquivalence:
         assert medium.index_queries > 0
         scanned = medium.index_candidates / medium.index_queries
         assert scanned < 80 * 0.5  # at least half the scan avoided
+
+
+class TestProbeListeners:
+    """Stations that drop probe requests vs their all-hearing twins."""
+
+    @pytest.mark.parametrize("layout_seed", [70, 71, 72, 73])
+    def test_lossless_listeners_see_the_same_world(self, layout_seed):
+        kwargs = dict(layout_seed=layout_seed, moving_share=0.6, unbounded_every=5)
+        deaf = _run_world(True, deaf_every=3, **kwargs)
+        twin = _run_world(True, **kwargs)
+        listeners, deaf_log = _split_log(deaf, deaf["deaf"])
+        twin_listeners, twin_deaf_log = _split_log(twin, deaf["deaf"])
+        assert listeners == twin_listeners
+        assert deaf["metrics"] == twin["metrics"]
+        assert deaf["fault_lost"] == twin["fault_lost"] == 0
+        # The twin's stations in those slots did hear probes; the deaf
+        # ones were never handed one, and never even considered.
+        assert twin_deaf_log
+        assert deaf_log == []
+        assert deaf["medium"].index_candidates < twin["medium"].index_candidates
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            dict(loss_rate=0.25),
+            dict(burst_loss=GilbertElliottParams()),
+            dict(propagation=LogDistanceShadowing()),
+        ],
+        ids=["uniform-loss", "gilbert-elliott", "shadowing"],
+    )
+    @pytest.mark.parametrize("layout_seed", [80, 81])
+    def test_random_channels_resolve_every_station(self, channel, layout_seed):
+        """Deaf stations still take their loss and propagation draws, so
+        every later draw, and so every log, matches the twin's."""
+        kwargs = dict(layout_seed=layout_seed, moving_share=0.6, **channel)
+        deaf = _run_world(True, deaf_every=3, **kwargs)
+        twin = _run_world(True, **kwargs)
+        assert deaf["log"] == twin["log"]
+        assert deaf["delivered"] == twin["delivered"]
+        assert deaf["fault_lost"] == twin["fault_lost"]
+        assert deaf["metrics"] == twin["metrics"]
+        assert _split_log(deaf, deaf["deaf"])[1]
+        if "burst_loss" in channel:
+            assert deaf["fault_lost"] > 0
+
+    @pytest.mark.parametrize("layout_seed", [90, 91, 92])
+    def test_index_on_off_parity_with_deaf_stations(self, layout_seed):
+        kwargs = dict(
+            layout_seed=layout_seed,
+            moving_share=0.7,
+            unbounded_every=4,
+            deaf_every=3,
+        )
+        fast = _run_world(True, **kwargs)
+        slow = _run_world(False, **kwargs)
+        listeners, deaf_log = _split_log(fast, fast["deaf"])
+        slow_listeners, slow_deaf_log = _split_log(slow, fast["deaf"])
+        assert listeners == slow_listeners
+        assert fast["metrics"] == slow["metrics"]
+        # The reference path hands deaf stations every probe in range.
+        assert deaf_log == []
+        assert slow_deaf_log
+
+    @pytest.mark.parametrize("layout_seed", [93, 94])
+    def test_index_on_off_parity_with_deaf_stations_lossy(self, layout_seed):
+        _assert_equivalent(
+            dict(
+                layout_seed=layout_seed,
+                moving_share=0.7,
+                deaf_every=3,
+                loss_rate=0.25,
+            )
+        )
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_other_broadcast_frames_reach_deaf_stations(self, index):
+        sim = Simulation(seed=3)
+        medium = Medium(sim, index=index)
+        ap = MovingStation("02:00:00:00:00:a0", Point(0, 0))
+        deaf = MovingStation("02:00:00:00:00:d0", Point(10, 0), (1.0, 0.0))
+        deaf.hears_probe_requests = False
+        medium.attach(ap, 50.0)
+        medium.attach(deaf, 50.0)
+        medium.transmit(ap, Beacon(ap.mac, "net"), airtime=0.5)
+        medium.transmit(ap, ProbeRequest(ap.mac), airtime=1.0)
+        sim.run(2.0)
+        assert deaf.log[0] == (deaf.mac, ap.mac, 0.5)
+        assert len(deaf.log) == (1 if index else 2)
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_deaf_station_detaches_mid_delivery(self, index):
+        sim = Simulation(seed=4)
+        medium = Medium(sim, index=index)
+        a = MovingStation("02:00:00:00:00:aa", Point(0, 0))
+        b = MovingStation("02:00:00:00:00:bb", Point(10, 0))
+        c = MovingStation("02:00:00:00:00:cc", Point(20, 0))
+        b.hears_probe_requests = False
+        for st in (a, b, c):
+            medium.attach(st, 50.0)
+
+        def leave(frame, time):
+            MovingStation.receive(b, frame, time)
+            medium.detach(b.mac)
+
+        b.receive = leave
+        medium.transmit(a, Beacon(a.mac, "net"))
+        sim.run(1.0)
+        # b left while the beacon was being delivered; c, later in attach
+        # order, still gets it.
+        assert len(b.log) == 1 and len(c.log) == 1
+        medium.transmit(a, Beacon(a.mac, "net"))
+        medium.transmit(a, ProbeRequest(a.mac))
+        sim.run(2.0)
+        assert len(b.log) == 1
+        assert len(c.log) == 3
+        medium.attach(b, 50.0)  # back, and still deaf
+        medium.transmit(a, ProbeRequest(a.mac))
+        sim.run(3.0)
+        assert len(b.log) == (1 if index else 2)
+        assert len(c.log) == 4
+
+    def test_canteen_phones_never_see_a_probe_request(
+        self, city, wigle, monkeypatch
+    ):
+        from repro.experiments.attackers import make_cityhunter
+        from repro.experiments.calibration import venue_profile
+        from repro.experiments.runner import run_experiment
+
+        monkeypatch.delenv(MEDIUM_INDEX_ENV, raising=False)
+        kinds = []
+        original = Phone.receive
+
+        def receive(phone, frame, time):
+            kinds.append(type(frame).__name__)
+            original(phone, frame, time)
+
+        monkeypatch.setattr(Phone, "receive", receive)
+        result = run_experiment(
+            city,
+            wigle,
+            make_cityhunter(wigle, city.heatmap),
+            venue_profile("canteen"),
+            300.0,
+            seed=5,
+        )
+        assert result.session.clients  # the attacker heard the phones
+        assert "ProbeResponse" in kinds
+        assert "ProbeRequest" not in kinds
 
 
 class TestMidDeliveryMutation:

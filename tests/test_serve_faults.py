@@ -15,7 +15,15 @@ import pytest
 
 from repro.serve.core import RankingCore
 from repro.serve.events import FeedbackEvent, ProbeEvent, decisions_digest
-from repro.serve.service import RankingService, run_stream, serve_stream
+from repro.serve.service import (
+    QUEUE_MAX_ENV,
+    WORKERS_ENV,
+    RankingService,
+    resolve_queue_max,
+    resolve_serve_workers,
+    run_stream,
+    serve_stream,
+)
 from repro.serve.trace import load_trace
 from repro.serve.workload import client_mac, synthetic_stream
 
@@ -169,3 +177,49 @@ class TestMalformedTraces:
         # The surviving events still serve.
         service = run_stream(core, events, workers=2)
         assert len(service.decisions) == 2
+
+
+RESOLVERS = [
+    (resolve_serve_workers, WORKERS_ENV, "workers", 4),
+    (resolve_queue_max, QUEUE_MAX_ENV, "queue_max", 1024),
+]
+
+
+class TestSettingsFailLoudly:
+    """Bad worker counts and queue bounds raise, naming their source."""
+
+    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
+    def test_default_and_valid_values(
+        self, monkeypatch, resolve, env, arg, default
+    ):
+        monkeypatch.delenv(env, raising=False)
+        assert resolve() == default
+        monkeypatch.setenv(env, " 7 ")
+        assert resolve() == 7
+        assert resolve(3) == 3  # the argument beats the environment
+
+    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
+    @pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
+    def test_bad_env_value_raises(
+        self, monkeypatch, resolve, env, arg, default, value
+    ):
+        monkeypatch.setenv(env, value)
+        with pytest.raises(ValueError, match=env):
+            resolve()
+
+    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
+    @pytest.mark.parametrize("value", ["four", 2.5, 0, -3])
+    def test_bad_argument_raises(
+        self, monkeypatch, resolve, env, arg, default, value
+    ):
+        monkeypatch.delenv(env, raising=False)
+        with pytest.raises(ValueError, match=arg):
+            resolve(value)
+
+    def test_service_rejects_bad_settings(self, core, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "four")
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            RankingService(core)
+        monkeypatch.delenv(WORKERS_ENV)
+        with pytest.raises(ValueError, match="queue_max"):
+            RankingService(core, queue_max=0)
