@@ -2,19 +2,23 @@
 """Sharded-city benchmark: stations-stepped/sec vs shard count.
 
 Runs the same :class:`~repro.sim.shards.ShardScenario` at every shard
-count in the grid and measures throughput.  The win is algorithmic, not
-parallel: each shard's per-epoch adjacency refresh only considers
-sensors inside its own x-stripe (inflated by the motion-aware reach
-margin), so total work falls roughly as ``O(N * S / k)`` even on a
-single core.  Every grid point must reproduce the 1-shard digest
-bit-for-bit — the determinism contract is re-checked on every benchmark
-run, not just in the golden tests.
+count in the grid and measures throughput.  A shard builds positions
+and candidate-sensor adjacency only for the walkers that scan in an
+epoch, so an epoch costs O(scanning walkers x candidate sensors) at
+any shard count.  All grid points run inline in one process, where
+extra shards save no work and add the handoff protocol; the
+``speedup`` column (wall of 1 shard over wall of k shards) bounds that
+overhead and read 0.74-1.27x over three runs on a 2-vCPU VM.  The
+shard count buys parallelism only in process mode, with cores to
+spare.  Every grid point must reproduce the 1-shard digest
+bit-for-bit — the determinism contract is re-checked on every
+benchmark run, not just in the golden tests.
 
 Writes ``BENCH_shards.json`` to the artefact directory
 (``REPRO_ARTIFACT_DIR``, default ``benchmarks/out``) and prints the
-table.  ``--assert-speedup X`` exits non-zero unless the 4-shard point
-at ``--assert-at`` stations reaches an ``X``-fold speedup over 1 shard
-— the contract CI's shard-smoke job enforces (2x at 2000 stations).
+table.  ``--assert-stations-per-s X`` exits non-zero unless the 4-shard
+point at ``--assert-at`` stations steps at least ``X`` stations/s — the
+absolute floor CI's shard-smoke job enforces at 2000 stations.
 
 ``--chaos`` appends a fault-tolerance section: the 2000-station point
 re-run in process mode three ways (clean, with epoch-barrier
@@ -25,7 +29,7 @@ hard determinism check.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_shards.py [--assert-speedup 2.0]
+    PYTHONPATH=src python benchmarks/bench_shards.py [--assert-stations-per-s X]
 """
 
 from __future__ import annotations
@@ -232,18 +236,18 @@ def render_chaos(chaos):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--assert-speedup",
+        "--assert-stations-per-s",
         type=float,
         default=None,
         metavar="X",
-        help="fail unless max shards at --assert-at stations speeds up X-fold",
+        help="fail unless max shards at --assert-at stations steps X stations/s",
     )
     parser.add_argument(
         "--assert-at",
         type=int,
         default=2000,
         metavar="N",
-        help="station count the --assert-speedup contract applies at "
+        help="station count the --assert-stations-per-s floor applies at "
         "(default 2000)",
     )
     parser.add_argument(
@@ -295,31 +299,26 @@ def main(argv=None):
         else:
             print("no epoch spans recorded (all traced points single-shard?)")
 
-    if args.assert_speedup is not None:
-        gated = [
-            p
+    if args.assert_stations_per_s is not None:
+        floor = args.assert_stations_per_s
+        at = "%d stations / %d shards" % (args.assert_at, max(SHARD_GRID))
+        rates = [
+            p["stations_per_s"]
             for p in grid
             if p["stations"] == args.assert_at and p["shards"] == max(SHARD_GRID)
         ]
-        slow = [p for p in gated if p["speedup"] < args.assert_speedup]
-        if not gated:
-            print("FAIL: no %d-station grid point to assert on" % args.assert_at)
+        if not rates:
+            print("FAIL: no %s grid point to assert on" % at)
             return 1
-        if slow:
-            for p in slow:
-                print(
-                    "FAIL: %d stations / %d shards reached only %.2fx (< %.1fx)"
-                    % (
-                        p["stations"],
-                        p["shards"],
-                        p["speedup"],
-                        args.assert_speedup,
-                    )
-                )
+        if rates[0] < floor:
+            print(
+                "FAIL: %s stepped only %.0f stations/s (< %.0f)"
+                % (at, rates[0], floor)
+            )
             return 1
         print(
-            "speedup contract OK: >= %.1fx at %d stations / %d shards"
-            % (args.assert_speedup, args.assert_at, max(SHARD_GRID))
+            "throughput floor OK: %.0f stations/s >= %.0f at %s"
+            % (rates[0], floor, at)
         )
     return 0
 

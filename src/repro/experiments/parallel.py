@@ -61,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
 import os
 import pathlib
 import time
@@ -106,6 +105,11 @@ from repro.population.pnl import PnlModel
 from repro.sim.shards.engine import run_sharded
 from repro.sim.shards.scenario import ShardScenario
 from repro.util.rng import derive_seed
+from repro.util.settings import (
+    parse_float_setting,
+    parse_int_setting,
+    resolve_int_env,
+)
 
 WORKERS_ENV = "REPRO_WORKERS"
 TIMINGS_ENV = "REPRO_TIMINGS"
@@ -308,35 +312,11 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return resolve_int_env(WORKERS_ENV, os.cpu_count() or 1, 1)
 
 
-def parse_int_setting(name: str, value: Union[str, int], minimum: int) -> int:
-    """``value`` as an integer of at least ``minimum``; anything else
-    raises a ValueError naming ``name``, the variable it came from."""
-    try:
-        parsed = int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
-    if parsed < minimum:
-        raise ValueError("%s must be >= %d, got %r" % (name, minimum, parsed))
-    return parsed
-
-
-def resolve_int_env(env: str, default: int, minimum: int) -> int:
-    """The integer in environment variable ``env`` (``default`` when
-    unset or blank), checked by :func:`parse_int_setting`."""
-    value = os.environ.get(env, "").strip()
-    if not value:
-        return default
-    return parse_int_setting(env, value, minimum)
-
-
 def _resolve_float_env(env: str, default: float) -> float:
     value = os.environ.get(env, "").strip()
     if not value:
         return default
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ValueError("%s must be a number, got %r" % (env, value)) from None
+    parsed = parse_float_setting(env, value)
     if parsed < 0:
         raise ValueError("%s must be >= 0, got %r" % (env, parsed))
     return parsed

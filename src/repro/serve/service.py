@@ -44,7 +44,6 @@ import os
 import time as _time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.experiments.parallel import parse_int_setting, resolve_int_env
 from repro.obs.registry import (
     METRICS_SCHEMA,
     MetricsRegistry,
@@ -57,6 +56,7 @@ from repro.obs.telemetry import (
 )
 from repro.serve.core import RankingCore
 from repro.serve.events import BurstDecision, Event, FeedbackEvent, ProbeEvent
+from repro.util.settings import parse_int_setting, resolve_int_env
 
 WORKERS_ENV = "REPRO_WORKERS"
 QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"

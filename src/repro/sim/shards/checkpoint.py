@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.obs.artifacts import artifact_dir
+from repro.util.settings import parse_int_setting, resolve_int_env
 
 #: Checkpoint period in epochs; unset/0 disables checkpointing.
 CKPT_EVERY_ENV = "REPRO_SHARD_CKPT_EVERY"
@@ -47,13 +48,9 @@ class CheckpointError(RuntimeError):
 
 def resolve_ckpt_every(every: Optional[int] = None) -> int:
     """Checkpoint period: explicit argument beats env; 0 = disabled."""
-    if every is None:
-        raw = os.environ.get(CKPT_EVERY_ENV, "").strip()
-        every = int(raw) if raw else 0
-    every = int(every)
-    if every < 0:
-        raise ValueError("checkpoint period must be >= 0, got %d" % every)
-    return every
+    if every is not None:
+        return parse_int_setting("checkpoint period", every, 0)
+    return resolve_int_env(CKPT_EVERY_ENV, 0, 0)
 
 
 def checkpoint_dir(base: Optional[Path] = None) -> Path:

@@ -16,9 +16,9 @@ result — metrics, walker rows, hunter states, and therefore
 :meth:`ShardRunResult.digest` — is bit-identical at any shard count, in
 either execution mode:
 
-* ``inline`` — all shards stepped in this process (the default; on a
-  single-core box this is also the fast path, because the win is
-  per-shard candidate locality, not parallel scheduling).
+* ``inline`` — all shards stepped in this process (the default).  On
+  one core, extra inline shards only add handoff work: a shard's epoch
+  costs O(scanning walkers x candidate sensors) at any stripe width.
 * ``process`` — one OS process per shard, exchanged over pipes.
 
 **Fault tolerance** (PR 8, process mode): with
@@ -94,6 +94,11 @@ from repro.sim.shards.handoff import CorruptHandoffError
 from repro.sim.shards.scenario import ShardScenario
 from repro.sim.shards.shard import ShardRuntime
 from repro.sim.shards.soa import resolve_backend
+from repro.util.settings import (
+    parse_float_setting,
+    parse_int_setting,
+    resolve_int_env,
+)
 
 SHARDS_ENV = "REPRO_SHARDS"
 SHARD_MODE_ENV = "REPRO_SHARD_MODE"
@@ -123,13 +128,9 @@ RESULT_SCHEMA = "repro.shard_run/v1"
 
 def resolve_shards(shards: Optional[int] = None) -> int:
     """Shard count: explicit argument beats ``REPRO_SHARDS`` beats 1."""
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        shards = int(raw) if raw else 1
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError("shard count must be >= 1, got %r" % shards)
-    return shards
+    if shards is not None:
+        return parse_int_setting("shards", shards, 1)
+    return resolve_int_env(SHARDS_ENV, 1, 1)
 
 
 def resolve_shard_mode(mode: Optional[str] = None) -> str:
@@ -145,26 +146,23 @@ def resolve_shard_mode(mode: Optional[str] = None) -> str:
 
 def resolve_phase_timeout(timeout: Optional[float] = None) -> Optional[float]:
     """Explicit per-phase deadline, or None for the adaptive one."""
+    name = "phase timeout"
     if timeout is None:
         raw = os.environ.get(PHASE_TIMEOUT_ENV, "").strip()
         if not raw:
             return None
-        timeout = float(raw)
-    timeout = float(timeout)
-    if timeout <= 0:
-        raise ValueError("phase timeout must be > 0, got %r" % timeout)
+        name, timeout = PHASE_TIMEOUT_ENV, raw
+    timeout = parse_float_setting(name, timeout)
+    if not timeout > 0:  # NaN fails this too
+        raise ValueError("%s must be > 0, got %r" % (name, timeout))
     return timeout
 
 
 def resolve_max_recoveries(limit: Optional[int] = None) -> int:
     """Crash-recovery budget (``REPRO_SHARD_MAX_RECOVERIES``, default 3)."""
-    if limit is None:
-        raw = os.environ.get(MAX_RECOVERIES_ENV, "").strip()
-        limit = int(raw) if raw else DEFAULT_MAX_RECOVERIES
-    limit = int(limit)
-    if limit < 0:
-        raise ValueError("max recoveries must be >= 0, got %r" % limit)
-    return limit
+    if limit is not None:
+        return parse_int_setting("max recoveries", limit, 0)
+    return resolve_int_env(MAX_RECOVERIES_ENV, DEFAULT_MAX_RECOVERIES, 0)
 
 
 class ShardCrash(RuntimeError):

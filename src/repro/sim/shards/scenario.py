@@ -134,11 +134,23 @@ def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
         pnl_n = (2.0 + np.floor(draw[_C_PNL_N] * (scenario.pnl_max - 1))).astype(
             np.int64
         )
+        # PNL entry j of every walker at once, -1 where it is closed or
+        # past the walker's pnl_n (draws are stateless, so drawing an
+        # unused entry changes nothing).
+        columns = []
+        for j in range(scenario.pnl_max):
+            pick = u01_vec(base, ids, _C_PNL_BASE + 2 * j)
+            is_open = u01_vec(base, ids, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share
+            # Quadratic skew towards low SSIDs, mirroring the
+            # popularity ranking the sensors seed their PB with.
+            ssid = (pick * pick * scenario.ssid_universe).astype(np.int64)
+            columns.append(np.where(is_open & (j < pnl_n), ssid, -1).tolist())
+        pnl_open = tuple(frozenset(row) - {-1} for row in zip(*columns))
     else:
         import math
 
         t0l, t_exitl, x0l, y0l, vxl, vyl = [], [], [], [], [], []
-        periodl, phasel, pnl_nl = [], [], []
+        periodl, phasel, pnl = [], [], []
         for i in range(n):
             t_enter = u01(base, i, _C_SPAWN) * scenario.spawn_fraction
             t_enter = t_enter * scenario.duration
@@ -158,27 +170,16 @@ def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
             vyl.append(uy * speed_i)
             periodl.append(period_i)
             phasel.append(u01(base, i, _C_PHASE) * period_i)
-            pnl_nl.append(
-                2 + math.floor(u01(base, i, _C_PNL_N) * (scenario.pnl_max - 1))
-            )
+            entries = set()
+            pnl_n_i = 2 + math.floor(u01(base, i, _C_PNL_N) * (scenario.pnl_max - 1))
+            for j in range(pnl_n_i):
+                pick = u01(base, i, _C_PNL_BASE + 2 * j)
+                if u01(base, i, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share:
+                    entries.add(int(pick * pick * scenario.ssid_universe))
+            pnl.append(frozenset(entries))
         t0, t_exit, x0, y0 = t0l, t_exitl, x0l, y0l
-        vx, vy, period, phase, pnl_n = vxl, vyl, periodl, phasel, pnl_nl
-
-    pnl_open: List[frozenset] = []
-    universe = scenario.ssid_universe
-    for i in range(n):
-        entries = set()
-        for j in range(int(pnl_n[i])):
-            pick = u01(base, i, _C_PNL_BASE + 2 * j)
-            is_open = u01(base, i, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share
-            if is_open:
-                # Quadratic skew towards low SSIDs, mirroring the
-                # popularity ranking the sensors seed their PB with.
-                entries.add(int(pick * pick * universe))
-        pnl_open.append(frozenset(entries))
-    return WalkerBatch(
-        backend, t0, t_exit, x0, y0, vx, vy, period, phase, tuple(pnl_open)
-    )
+        vx, vy, period, phase, pnl_open = vxl, vyl, periodl, phasel, tuple(pnl)
+    return WalkerBatch(backend, t0, t_exit, x0, y0, vx, vy, period, phase, pnl_open)
 
 
 def derive_sensors(scenario: ShardScenario) -> List[Tuple[int, float, float]]:

@@ -4,13 +4,18 @@ A :class:`ShardRuntime` owns a contiguous stripe of district columns
 (:meth:`~repro.geo.grid.DistrictPartition.stripe_bounds`).  Per epoch
 ``[t_e, t_{e+1})`` it runs two barrier-aligned phases, each a single
 callback on its own :class:`~repro.sim.simulation.Simulation` scheduler
-— one callback steps *every* owned walker via the struct-of-arrays
-batch, which is what makes a shard cheap:
+that works on the struct-of-arrays batch:
 
 * **Phase A** (walker side, at ``t_e``): apply handed-in migrations,
   then handed-in offer records, both in canonical
   :func:`~repro.sim.shards.handoff.sort_key` order; emit this epoch's
-  scans as probe records; compute end-of-epoch migrations.
+  scans as probe records; compute end-of-epoch migrations.  Scans are
+  sparse (by default a walker scans every 15-60 s), so only the owned
+  walkers that scan in the epoch get positions and candidate sensors:
+  the epoch costs O(scanning walkers x candidate sensors), whatever the
+  stripe width.  Extra shards therefore make no single-process run
+  cheaper; on one core they only add handoff work, and they pay off in
+  process mode with cores to spare.
 * **Phase B** (sensor side, at ``t_{e+1}``): feed sorted feedback
   records to the owned :class:`~repro.sim.shards.attacker.LiteHunter`
   cores, then answer sorted probe records with offer records addressed
@@ -20,9 +25,9 @@ Determinism: all record processing is sorted by shard-count-invariant
 keys; all arithmetic is elementwise over values derived from the
 stateless RNG; candidate-sensor pruning (the stripe inflated by
 :func:`~repro.dot11.medium.reach_with_motion`, plus a per-epoch
-adjacency refresh at the same inflated radius) is a strict superset of
-every sensor a walker can reach this epoch, followed by exact distance
-checks — so pruning changes work, never results.
+adjacency of each scanning walker at the same inflated radius) is a
+strict superset of every sensor a walker can reach this epoch, followed
+by exact distance checks — so pruning changes work, never results.
 
 Workload metrics live under ``shardsim.*`` and are **integer-valued
 only** (float sums across different shard partitions are not
@@ -146,7 +151,6 @@ class ShardRuntime:
             if x_lo - margin <= x <= x_hi + margin
         ]
         if self.backend == "numpy":
-            self._cand_ids = np.array([c[0] for c in self.cand], dtype=np.int64)
             self._cand_x = np.array([c[1] for c in self.cand], dtype=np.float64)
             self._cand_y = np.array([c[2] for c in self.cand], dtype=np.float64)
         self._reach2 = scenario.reach_m * scenario.reach_m
@@ -296,44 +300,30 @@ class ShardRuntime:
         hi_cap = min(t_next, self.scenario.duration)
         if self.backend == "numpy":
             own_arr = np.asarray(own, dtype=np.int64)
-            wx, wy = batch.positions_at(t_e, own_arr)
-            if len(self.cand):
-                # The per-epoch adjacency refresh: one dense in-range
-                # matrix against this stripe's candidate sensors — the
-                # O(owned x candidates) term that shrinks with shard
-                # count and pays for the whole handoff protocol.
-                dx = wx[:, None] - self._cand_x[None, :]
-                dy = wy[:, None] - self._cand_y[None, :]
-                adj = (dx * dx + dy * dy) <= self._adj_r2
-                indptr = np.concatenate(
-                    ([0], np.cumsum(adj.sum(axis=1, dtype=np.int64)))
-                )
-                cols = np.nonzero(adj)[1]
-            else:
-                indptr = np.zeros(len(own) + 1, dtype=np.int64)
-                cols = np.zeros(0, dtype=np.int64)
             start = batch.t0[own_arr] + batch.phase[own_arr]
             pero = batch.period[own_arr]
             hi = np.minimum(hi_cap, batch.t_exit[own_arr])
             k_lo = np.maximum(0.0, np.ceil((t_e - start) / pero))
             k_hi = np.maximum(k_lo, np.ceil((hi - start) / pero))
-            eligible = ~batch.connected[own_arr] & (k_hi > k_lo)
-            for r in np.nonzero(eligible)[0]:
-                cand = [
-                    (
-                        int(self._cand_ids[c]),
-                        float(self._cand_x[c]),
-                        float(self._cand_y[c]),
-                    )
-                    for c in cols[indptr[r] : indptr[r + 1]]
-                ]
+            rows = np.nonzero(~batch.connected[own_arr] & (k_hi > k_lo))[0]
+            if not len(rows):
+                return
+            # Scans are sparse (periods of tens of seconds against
+            # epochs of a few), so positions and the motion-inflated
+            # adjacency are built for the scanning rows alone: the
+            # epoch costs O(scanning walkers x candidate sensors).
+            wx, wy = batch.positions_at(t_e, own_arr[rows])
+            dx = wx[:, None] - self._cand_x[None, :]
+            dy = wy[:, None] - self._cand_y[None, :]
+            adj = (dx * dx + dy * dy) <= self._adj_r2
+            for n, r in enumerate(rows):
                 self._scan_walker(
                     int(own_arr[r]),
                     float(start[r]),
                     float(pero[r]),
                     int(k_lo[r]),
                     int(k_hi[r]),
-                    cand,
+                    [self.cand[c] for c in np.flatnonzero(adj[n])],
                     out,
                 )
         else:

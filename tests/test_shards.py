@@ -16,20 +16,28 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.grid import DistrictPartition
 from repro.obs.artifacts import ARTIFACT_DIR_ENV
 from repro.sim.shards import (
+    CKPT_EVERY_ENV,
+    MAX_RECOVERIES_ENV,
+    PHASE_TIMEOUT_ENV,
     SHARD_MODE_ENV,
     SHARDS_ENV,
     ShardScenario,
+    resolve_ckpt_every,
     resolve_shard_mode,
     resolve_shards,
     run_sharded,
 )
 from repro.sim.shards.attacker import LiteHunter
+from repro.sim.shards.engine import resolve_max_recoveries, resolve_phase_timeout
 from repro.sim.shards.scenario import derive_sensors, derive_walkers
-from repro.sim.shards.soa import BACKEND_ENV, resolve_backend
+from repro.sim.shards.shard import ShardRuntime
+from repro.sim.shards.soa import BACKEND_ENV, BACKENDS, WalkerBatch, resolve_backend
 from repro.sim.shards.srng import stream_base, u01, u01_vec
 
 # Sized so shard seams see real traffic: walkers cover up to ~324 m in
@@ -181,9 +189,40 @@ class TestShardInvariance:
                 f"digest diverged at {shards} shards"
             )
 
-    def test_backend_invariance(self, small_result):
-        result = run_sharded(SMALL, shards=2, backend="python")
-        assert result.digest() == small_result.digest()
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        size_m=st.sampled_from([240.0, 360.0, 480.0]),
+        sensors=st.integers(min_value=1, max_value=16),
+        # From well below scan_period_min_s (15 s) to well above it, so
+        # one epoch can hold several scans of the same walker.
+        epoch_s=st.floats(min_value=1.0, max_value=45.0),
+    )
+    def test_backend_invariance(self, seed, size_m, sensors, epoch_s):
+        """The numpy step (which builds positions and adjacency for the
+        scanning walkers only) against the python reference (which never
+        prunes): same digest at 1 and 4 shards, and the same records
+        applied in the same order in every shard."""
+        scenario = ShardScenario(
+            stations=50,
+            sensors=sensors,
+            duration=150.0,
+            seed=seed,
+            size_m=size_m,
+            epoch_s=epoch_s,
+        )
+        runs = {
+            (backend, shards): run_sharded(
+                scenario, shards=shards, mode="inline", backend=backend,
+                log_handoffs=True,
+            )
+            for backend in BACKENDS
+            for shards in (1, 4)
+        }
+        assert len({r.digest() for r in runs.values()}) == 1
+        for shards in (1, 4):
+            numpy_logs = runs["numpy", shards].handoff_logs
+            assert numpy_logs == runs["python", shards].handoff_logs
 
     def test_process_mode_invariance(self, small_result):
         result = run_sharded(SMALL, shards=2, mode="process")
@@ -215,7 +254,53 @@ class TestShardInvariance:
         )
 
 
+def test_step_builds_rows_only_for_scanning_walkers(monkeypatch):
+    """Each epoch's step evaluates positions (and from them one row of
+    the motion-inflated adjacency each) for exactly the walkers that
+    scan in it, never for every owned walker: an epoch costs
+    O(scanning walkers x candidate sensors).  The python backend, which
+    never prunes, is the reference for what the run produces."""
+    reference = run_sharded(SMALL, shards=2, mode="inline", backend="python")
+    epochs = []  # [rows built, walkers scanned] per stepped epoch
+    stepping = []
+    positions_at = WalkerBatch.positions_at
+    step_epoch = ShardRuntime._step_epoch
+    scan_walker = ShardRuntime._scan_walker
+
+    def counted_positions(batch, t, idx):
+        if stepping:
+            epochs[-1][0] += len(idx)
+        return positions_at(batch, t, idx)
+
+    def counted_step(runtime, t_e, t_next, out):
+        epochs.append([0, 0])
+        stepping.append(True)
+        try:
+            step_epoch(runtime, t_e, t_next, out)
+        finally:
+            stepping.pop()
+
+    def counted_scan(runtime, *args):
+        epochs[-1][1] += 1
+        return scan_walker(runtime, *args)
+
+    monkeypatch.setattr(WalkerBatch, "positions_at", counted_positions)
+    monkeypatch.setattr(ShardRuntime, "_step_epoch", counted_step)
+    monkeypatch.setattr(ShardRuntime, "_scan_walker", counted_scan)
+    result = run_sharded(SMALL, shards=2, mode="inline", backend="numpy")
+    assert result.digest() == reference.digest()
+    assert sum(scanned for _, scanned in epochs) > 0
+    assert [built for built, _ in epochs] == [scanned for _, scanned in epochs]
+
+
 # -- knob resolution ------------------------------------------------------
+
+# (resolver, its variable, its argument's name in errors)
+INT_KNOBS = [
+    (resolve_shards, SHARDS_ENV, "shards"),
+    (resolve_max_recoveries, MAX_RECOVERIES_ENV, "max recoveries"),
+    (resolve_ckpt_every, CKPT_EVERY_ENV, "checkpoint period"),
+]
 
 
 class TestKnobResolution:
@@ -244,6 +329,29 @@ class TestKnobResolution:
         assert resolve_backend("numpy") == "numpy"
         with pytest.raises(ValueError):
             resolve_backend("fortran")
+
+    @pytest.mark.parametrize("resolve, env, arg", INT_KNOBS)
+    @pytest.mark.parametrize("value", ["four", "2.5", "-1"])
+    def test_bad_int_env_names_variable(self, monkeypatch, resolve, env, arg, value):
+        monkeypatch.setenv(env, value)
+        with pytest.raises(ValueError, match=env):
+            resolve()
+
+    @pytest.mark.parametrize("resolve, env, arg", INT_KNOBS)
+    @pytest.mark.parametrize("value", ["four", 2.5, 1.9, 3.7])
+    def test_non_integer_argument_raises(self, monkeypatch, resolve, env, arg, value):
+        monkeypatch.delenv(env, raising=False)
+        with pytest.raises(ValueError, match=arg):
+            resolve(value)
+
+    @pytest.mark.parametrize("value", ["fast", "0", "-2", "nan"])
+    def test_bad_phase_timeout_env_names_variable(self, monkeypatch, value):
+        monkeypatch.setenv(PHASE_TIMEOUT_ENV, value)
+        with pytest.raises(ValueError, match=PHASE_TIMEOUT_ENV):
+            resolve_phase_timeout()
+        monkeypatch.delenv(PHASE_TIMEOUT_ENV)
+        with pytest.raises(ValueError, match="phase timeout"):
+            resolve_phase_timeout(value)
 
 
 # -- benchmark artefact routing -------------------------------------------
