@@ -23,7 +23,9 @@ cluster the way real channel contention clusters them; it draws from a
 dedicated ``faults.channel`` RNG stream and counts every drop under the
 ``faults.frames_lost`` metric, so enabling it never perturbs the
 uniform channel's draws and a run without it is byte-identical to one
-built before bursty loss existed.
+built before bursty loss existed.  Neither is assigned after
+construction, so a lossless channel (``loss_rate`` 0, no chain) is
+recognised once there and skips the loss call for every recipient.
 
 Spatial index
 -------------
@@ -264,6 +266,7 @@ class Medium:
             self._burst_loss = GilbertElliottChannel(
                 burst_loss, sim.rngs.stream("faults.channel")
             )
+        self._lossless = loss_rate <= 0.0 and self._burst_loss is None
         deterministic = bool(getattr(self.propagation, "deterministic", False))
         # With deterministic propagation the "medium" stream's only
         # consumer is the uniform loss draw, so it can be served from a
@@ -361,6 +364,8 @@ class Medium:
         return True
 
     def _lost(self) -> bool:
+        if self._lossless:
+            return False
         if self._fault_lost():
             return True
         if self.loss_rate <= 0.0:
@@ -394,11 +399,7 @@ class Medium:
                 and delivered(pos.distance_to(st.position_at(time)), reach, rng)
             ]
         macs = self._candidates(self._listeners, pos, reach, time)
-        if not (
-            isinstance(frame, ProbeRequest)
-            and self.loss_rate <= 0.0
-            and self._burst_loss is None
-        ):
+        if not (self._lossless and isinstance(frame, ProbeRequest)):
             # Every recipient takes a loss draw here, or may act on the
             # frame, so the stations that drop probe requests count too.
             macs.extend(self._candidates(self._others, pos, reach, time))

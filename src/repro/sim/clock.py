@@ -1,11 +1,16 @@
 """Simulation clock.
 
-Time is a float number of seconds since the start of the run.  The clock
-only ever moves forward; the scheduler is the single writer.
+Time is a float number of seconds since the start of the run, always
+finite.  The clock only ever moves forward; the scheduler is the single
+writer.  On its hot paths the scheduler reads ``_now`` directly, and its
+run loop sets it directly too: every event time was checked on the way
+into the heap and comes off it in order.  :meth:`Clock.advance_to` is
+the checked path for every other move.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import List
 
 
@@ -38,8 +43,8 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise ValueError("clock cannot start before t=0, got %r" % start)
+        if not (0 <= start < inf):
+            raise ValueError("clock start must be finite and >= 0, got %r" % start)
         self._now = float(start)
 
     @property
@@ -50,11 +55,12 @@ class Clock:
     def advance_to(self, t: float) -> None:
         """Move the clock forward to ``t``.
 
-        Raises ``ValueError`` on any attempt to move backwards — that
-        always indicates a scheduler bug, never a legitimate request.
+        Raises ``ValueError`` on any attempt to move backwards, or to a
+        NaN or infinite time — that always indicates a scheduler bug,
+        never a legitimate request.
         """
-        if t < self._now:
+        if not (self._now <= t < inf):
             raise ValueError(
-                "clock cannot move backwards: now=%r requested=%r" % (self._now, t)
+                "clock time must be finite and >= now=%r, got %r" % (self._now, t)
             )
         self._now = t

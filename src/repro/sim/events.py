@@ -1,8 +1,13 @@
 """Scheduled-event bookkeeping.
 
-Events live in a binary heap ordered by ``(time, seq)``; ``seq`` is a
-monotonically increasing tiebreaker so same-time events fire in the order
-they were scheduled (FIFO), which keeps runs deterministic.
+Events fire in ``(time, seq)`` order; ``seq`` is a monotonically
+increasing tiebreaker so same-time events fire in the order they were
+scheduled (FIFO), which keeps runs deterministic.
+
+The scheduler's heap holds ``(time, seq, handle)`` tuples, which
+:mod:`heapq` compares in C; ``seq`` is unique, so the handles themselves
+are never compared.  :meth:`EventHandle.__lt__` states the same order
+for anyone sorting handles directly, but the heap does not call it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ class EventHandle:
 
     The scheduler hands one of these back from ``schedule``; calling
     :meth:`cancel` marks the event dead without the cost of re-heapifying
-    (lazy deletion: the scheduler skips dead events when popping).
+    (lazy deletion: the scheduler skips dead events when popping).  The
+    scheduler's run loop reads and clears ``_alive`` itself.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "_alive")
@@ -34,9 +40,6 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self._alive = False
-
-    def _mark_fired(self) -> None:
         self._alive = False
 
     def __lt__(self, other: "EventHandle") -> bool:

@@ -5,8 +5,11 @@ import pytest
 from repro.dot11.capabilities import Security
 from repro.dot11.frames import ProbeRequest, ProbeResponse
 from repro.dot11.medium import Medium
+from repro.experiments.attackers import make_cityhunter
+from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
+from repro.util.rng import RngRegistry
 from repro.util.units import PROBE_RESPONSE_AIRTIME_S
 
 
@@ -244,7 +247,58 @@ class TestResponseBursts:
         assert medium.frames_delivered == 7
 
 
+class _CountingUniform:
+    """Stands in for the medium's buffered loss stream and counts draws."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.draws = 0
+
+    def next(self):
+        self.draws += 1
+        return self._inner.next()
+
+
 class TestLoss:
+    def _canteen_run(self, city, wigle, loss_rate):
+        """A short frame-fidelity canteen run; returns (build, loss draws,
+        recipients resolved)."""
+        config = ScenarioConfig(
+            venue_name="University Canteen", mobility="static",
+            people_per_min=20.0, duration=120.0, seed=9, fidelity="frame",
+            loss_rate=loss_rate,
+        )
+        build = build_scenario(
+            city, wigle, config, make_cityhunter(wigle, city.heatmap)
+        )
+        medium = build.medium
+        counter = _CountingUniform(medium._uniform)
+        medium._uniform = counter
+        recipients = []
+        resolve = medium._recipients
+
+        def counted(sender, frame, time):
+            out = resolve(sender, frame, time)
+            recipients.append(len(out))
+            return out
+
+        medium._recipients = counted
+        build.sim.run(150.0)
+        return build, counter.draws, sum(recipients)
+
+    def test_lossless_channel_draws_nothing(self, city, wigle):
+        build, draws, recipients = self._canteen_run(city, wigle, 0.0)
+        assert recipients > 100
+        assert draws == 0
+        untouched = RngRegistry(9).stream("medium").bit_generator.state
+        assert build.sim.rngs.stream("medium").bit_generator.state == untouched
+
+    def test_lossy_channel_draws_once_per_recipient(self, city, wigle):
+        build, draws, recipients = self._canteen_run(city, wigle, 0.2)
+        assert recipients > 100
+        assert draws == recipients
+        assert 0 < build.medium.frames_delivered < recipients
+
     def test_lossy_medium_drops_some_frames(self):
         sim, medium = _setup(loss_rate=0.5)
         a = FakeStation("02:00:00:00:00:01", Point(0, 0))

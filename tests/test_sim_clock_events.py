@@ -1,5 +1,8 @@
 """Tests for the clock and event primitives (repro.sim)."""
 
+import math
+import re
+
 import pytest
 
 from repro.sim.clock import Clock
@@ -31,6 +34,18 @@ class TestClock:
         c = Clock(2.0)
         with pytest.raises(ValueError):
             c.advance_to(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        with pytest.raises(ValueError, match="got " + re.escape(repr(bad))):
+            Clock(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_advance_rejected(self, bad):
+        c = Clock(2.0)
+        with pytest.raises(ValueError, match="got " + re.escape(repr(bad))):
+            c.advance_to(bad)
+        assert c.now == 2.0
 
 
 class TestEventHandle:
