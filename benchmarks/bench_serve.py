@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""Serving-layer benchmark: sustained probes/s vs clients x workers.
+"""Serving-layer benchmark: sustained probes/s vs client count.
 
-Pushes the same deterministic synthetic probe stream (broadcast-heavy
-city traffic with a direct-probe minority and association feedback)
-through a fresh :class:`~repro.serve.core.RankingCore` behind the async
+Pushes a deterministic synthetic probe stream (broadcast-heavy city
+traffic with a direct-probe minority and association feedback) through
+a fresh :class:`~repro.serve.core.RankingCore` behind the async
 :class:`~repro.serve.service.RankingService` at every grid point, and
 measures sustained throughput plus exact p50/p99 burst-selection
-latency.  The serving determinism contract — burst decisions
-byte-identical at any worker count — is re-checked on every benchmark
-run, not just in the differential tests.
+latency.
 
 Writes ``BENCH_serve.json`` to the artefact directory
 (``REPRO_ARTIFACT_DIR``, default ``benchmarks/out``) and prints the
@@ -62,7 +60,6 @@ TRAJECTORY = "bench_trajectory.jsonl"
 TRAJECTORY_TOLERANCE = 0.35
 
 CLIENT_GRID = (20, 100)
-WORKER_GRID = (1, 4)
 N_EVENTS = 4000
 SEED = 0
 CITY_SEED = 42
@@ -70,11 +67,11 @@ CITY_SEED = 42
 
 def render(doc):
     lines = [
-        "Serving benchmark: sustained probes/s vs clients x workers",
+        "Serving benchmark: sustained probes/s vs client count",
         f"{doc['n_events']} events per stream, seed {doc['seed']}, "
         f"best of {doc['repeats']} run(s) per point",
         "",
-        f"{'clients':>8} {'workers':>8} {'probes/s':>10} {'p50 us':>8} "
+        f"{'clients':>8} {'probes/s':>10} {'p50 us':>8} "
         f"{'p99 us':>8} {'shed':>6} {'cache':>6}",
     ]
     for p in doc["grid"]:
@@ -84,12 +81,10 @@ def render(doc):
             else "-"
         )
         lines.append(
-            f"{p['clients']:>8} {p['workers']:>8} {p['probes_per_s']:>10} "
+            f"{p['clients']:>8} {p['probes_per_s']:>10} "
             f"{p['p50_us']:>8.1f} {p['p99_us']:>8.1f} "
             f"{p['shed_fraction']:>6.3f} {cache:>6}"
         )
-    lines.append("")
-    lines.append("decision digests identical across worker counts: OK")
     return "\n".join(lines)
 
 
@@ -118,7 +113,6 @@ def main(argv=None):
 
     doc = run_bench_grid(
         clients=CLIENT_GRID,
-        workers=WORKER_GRID,
         n_events=N_EVENTS,
         seed=SEED,
         city_seed=CITY_SEED,

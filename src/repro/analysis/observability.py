@@ -220,7 +220,7 @@ def shard_breakdown(snapshot: dict) -> Optional[dict]:
 
 #: Serving pipeline stages with a ``serve.<stage>_us`` histogram,
 #: in path order.
-SERVE_STAGES = ("queue_wait", "commit_wait", "select_latency", "apply")
+SERVE_STAGES = ("queue_wait", "select_latency", "apply")
 
 
 def serve_breakdown(snapshot: dict) -> Optional[dict]:
@@ -272,7 +272,6 @@ def serve_breakdown(snapshot: dict) -> Optional[dict]:
         ),
         "shed": int(shed),
         "shed_fraction": round(shed / events, 6) if events else 0.0,
-        "worker_restarts": int(counters.get("serve.worker_restarts", 0)),
         "events_failed": int(counters.get("serve.events_failed", 0)),
         "queue_depth_peak": int(gauges.get("serve.queue_depth_peak", 0)),
         "stages": stages,

@@ -304,12 +304,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 )
             )
             print(
-                "    shed %d (%.2f%%)   worker restarts %d   "
-                "events failed %d   queue peak %d"
+                "    shed %d (%.2f%%)   events failed %d   queue peak %d"
                 % (
                     serve["shed"],
                     100.0 * serve["shed_fraction"],
-                    serve["worker_restarts"],
                     serve["events_failed"],
                     serve["queue_depth_peak"],
                 )
@@ -523,12 +521,10 @@ def _cmd_obs_serve_trace(args: argparse.Namespace) -> int:
         )
         return 1
     path = write_req_trace(records, args.out or artifact_path("req_trace"))
-    workers = {r["worker"] for r in records if r.get("worker") is not None}
     seqs = {r["seq"] for r in records}
     print(
-        f"{len(records)} request spans over {len(seqs)} event(s) across "
-        f"{len(workers)} worker track(s) written to {path} "
-        "(Chrome trace-event JSON; open in Perfetto)"
+        f"{len(records)} request spans over {len(seqs)} event(s) "
+        f"written to {path} (Chrome trace-event JSON; open in Perfetto)"
     )
     return 0
 
@@ -781,16 +777,14 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     service = run_stream(
         core,
         events,
-        workers=args.workers,
         queue_max=args.queue_max,
         shed=args.shed,
     )
     stats = core.stats()
     print(
-        "served %d events with %d worker(s): %d decisions, %d shed"
+        "served %d events: %d decisions, %d shed"
         % (
             len(events),
-            service.workers,
             len(service.decisions),
             int(service.shed_total()),
         )
@@ -837,7 +831,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         )
         return 1
     _, _, core = _serve_core(args)
-    service = run_stream(core, events, workers=args.workers)
+    service = run_stream(core, events)
     digest = decisions_digest(service.decisions)
     print(
         "replayed %d events (%d line(s) skipped): %d decisions"
@@ -859,7 +853,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     doc = run_bench_grid(
         clients=args.clients,
-        workers=args.workers,
         n_events=args.events,
         seed=args.seed,
         city_seed=args.city_seed,
@@ -869,7 +862,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     rows = [
         [
             p["clients"],
-            p["workers"],
             p["probes_per_s"],
             p["p50_us"],
             p["p99_us"],
@@ -879,7 +871,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         for p in doc["grid"]
     ]
     print(render_table(
-        ["clients", "workers", "probes/s", "p50 us", "p99 us",
+        ["clients", "probes/s", "p50 us", "p99 us",
          "shed frac", "cache hit"],
         rows,
         title=f"serving throughput grid ({doc['n_events']} events, "
@@ -1109,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_serve_trace = obs_sub.add_parser(
         "serve-trace",
         help="export per-probe serving-stage spans as Chrome trace-event "
-             "JSON (ingress + per-worker tracks, flow arrows per probe)",
+             "JSON (ingress + consumer tracks, flow arrows per probe)",
     )
     obs_serve_trace.add_argument(
         "--dir",
@@ -1145,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_slo.add_argument(
         "--budget", action="append", metavar="STAGE=US",
         help="override one stage's p99 budget in microseconds (stages: "
-             "queue_wait, commit_wait, select_latency, apply); repeatable",
+             "queue_wait, select_latency, apply); repeatable",
     )
     obs_slo.add_argument(
         "--shed-budget", type=float, metavar="FRAC",
@@ -1240,8 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument("--clients", type=int, nargs="+",
                              default=[20, 100])
-    serve_bench.add_argument("--workers", type=int, nargs="+",
-                             default=[1, 4])
     serve_bench.add_argument("--events", type=int, default=4000)
     serve_bench.add_argument("--repeats", type=int, default=1,
                              help="runs per grid point; fastest kept")
@@ -1264,11 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         serve_parser.add_argument("--seed", type=int, default=7)
         serve_parser.add_argument("--city-seed", type=int, default=42)
-        serve_parser.add_argument(
-            "--workers", type=int,
-            help="attacker-node worker count (default: REPRO_WORKERS, "
-                 "else 4)",
-        )
 
     city = sub.add_parser("city", help="inspect the synthetic city")
     city.add_argument("--city-seed", type=int, default=42)

@@ -99,7 +99,11 @@ from repro.obs.registry import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.obs.telemetry import maybe_heartbeat, set_current_spec
+from repro.obs.telemetry import (
+    maybe_heartbeat,
+    resolve_heartbeat_interval,
+    set_current_spec,
+)
 from repro.population.groups import GroupModel
 from repro.population.pnl import PnlModel
 from repro.sim.shards.engine import run_sharded
@@ -654,6 +658,10 @@ def run_specs(
     backoff = resolve_backoff(retry_backoff)
     timeout = resolve_spec_timeout(spec_timeout)
     ckpt_name = resolve_checkpoint_name(checkpoint_name)
+    # Each spec resolves REPRO_HEARTBEAT again when it runs, where an
+    # error becomes that spec's FailedRun: a bad value should fail the
+    # batch once, here.
+    resolve_heartbeat_interval()
 
     results: List[Optional[RunResult]] = [None] * len(specs)
     checkpoint: Optional[RunCheckpoint] = None

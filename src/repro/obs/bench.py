@@ -111,7 +111,7 @@ def extract_bench_metrics(doc: dict) -> Dict[str, dict]:
         # Informational: latency percentiles and the rank-cache hit
         # rate, both too hardware/GC-sensitive to gate.
         for point in doc.get("grid", []):
-            at = "%dcl/%dwk" % (point["clients"], point["workers"])
+            at = "%dcl" % point["clients"]
             metrics["probes_per_s@%s" % at] = {
                 "value": float(point["probes_per_s"]),
                 "higher_better": True,

@@ -8,10 +8,8 @@ pipeline stage for every accepted event:
 
 * ``enqueue``     — ingress: the ``submit`` call offering the event to
   the bounded queue (includes any backpressure wait for queue space);
-* ``queue_wait``  — from the ingress offer to a worker picking the
+* ``queue_wait``  — from the ingress offer to the consumer taking the
   event off the queue;
-* ``commit_wait`` — the worker parked at the sequencer gate waiting for
-  its turn in ingress order;
 * ``rank``        — the ranking walk (``core.handle``), the paper's hot
   path;
 * ``apply``       — decision emission: appending the burst decision and
@@ -30,9 +28,9 @@ window, which is the one you are debugging.
 **Files and export.**  ``RankingService.finish`` flushes the ring to
 ``<artifact_dir>/telemetry/reqtrace-<pid>.jsonl`` (previous file
 rotated to ``.old``, like heartbeats).  :func:`req_trace_doc` folds one
-or more such files into Chrome trace-event JSON — one track per worker
-plus an ingress track, with flow arrows following each sequence number
-from its ingress enqueue to its sequenced commit — satisfying the same
+or more such files into Chrome trace-event JSON — an ingress track and
+a consumer track, with flow arrows following each sequence number from
+its ingress enqueue to its ``rank`` span — satisfying the same
 :func:`~repro.obs.lineage.validate_chrome_trace` contract as the
 lineage and epoch exporters.  ``repro obs serve-trace`` and ``repro
 serve bench --req-trace`` drive the export.
@@ -47,19 +45,21 @@ from collections import deque
 from typing import Dict, List, Optional, Union
 
 from repro.obs.artifacts import artifact_dir
+from repro.util.settings import parse_int_setting, resolve_int_env
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
 REQ_TRACE_MAX_ENV = "REPRO_REQ_TRACE_MAX"
 _TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_MAX_RECORDS = 200_000
-"""Ring capacity: at 5 spans per probe this holds the last ~40k probes."""
+"""Ring capacity: at 4 spans per probe this holds the last ~50k probes."""
 
 REQTRACE_FILE_PREFIX = "reqtrace-"
 TELEMETRY_SUBDIR = "telemetry"
 
-#: Stage names in pipeline order (`worker` is None only for ``enqueue``).
-STAGES = ("enqueue", "queue_wait", "commit_wait", "rank", "apply")
+#: Stage names in pipeline order; only ``enqueue`` runs on the ingress
+#: side, the rest on the consumer.
+STAGES = ("enqueue", "queue_wait", "rank", "apply")
 
 
 def resolve_req_trace(value: Optional[bool] = None) -> bool:
@@ -70,17 +70,12 @@ def resolve_req_trace(value: Optional[bool] = None) -> bool:
 
 
 def resolve_req_trace_max(value: Optional[int] = None) -> int:
-    """Ring capacity: explicit arg, else ``REPRO_REQ_TRACE_MAX``."""
-    if value is None:
-        raw = os.environ.get(REQ_TRACE_MAX_ENV, "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                value = None
-    if value is None:
-        return DEFAULT_MAX_RECORDS
-    return max(1, int(value))
+    """Ring capacity: explicit arg, else ``REPRO_REQ_TRACE_MAX``, else
+    200,000.  A non-integer or sub-1 value raises a ValueError naming
+    its source."""
+    if value is not None:
+        return parse_int_setting("max_records", value, 1)
+    return resolve_int_env(REQ_TRACE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
 
 
 def reqtrace_dir(
@@ -112,7 +107,6 @@ class RequestTrace:
         self,
         stage: str,
         seq: int,
-        worker: Optional[int],
         start: float,
         dur: float,
         **attrs: object,
@@ -123,7 +117,6 @@ class RequestTrace:
         rec: Dict[str, object] = {
             "stage": stage,
             "seq": int(seq),
-            "worker": worker if worker is None else int(worker),
             "start": float(start),
             "dur": float(dur),
         }
@@ -214,21 +207,18 @@ def load_reqtrace_dir(
 
 
 INGRESS_TID = 0
-"""Ingress spans render on their own track above the worker tracks."""
-
-
-def _span_tid(rec: dict) -> int:
-    worker = rec.get("worker")
-    return INGRESS_TID if worker is None else int(worker) + 1
+"""Track of the ingress ``enqueue`` spans."""
+CONSUMER_TID = 1
+"""Track of the consumer's ``queue_wait``, ``rank`` and ``apply`` spans."""
 
 
 def req_trace_doc(records: List[dict]) -> dict:
     """Chrome trace-event JSON for a list of request spans.
 
     One ``X`` (complete) event per span on the ingress track (tid 0) or
-    its worker's track (tid = worker + 1); an ``s``/``f`` flow-arrow
-    pair per sequence number connecting the ingress ``enqueue`` span to
-    the sequenced ``rank`` commit span.  Passes
+    the consumer track (tid 1); an ``s``/``f`` flow-arrow pair per
+    sequence number connecting the ingress ``enqueue`` span to its
+    ``rank`` span.  Passes
     :func:`~repro.obs.lineage.validate_chrome_trace`; open in Perfetto /
     ``chrome://tracing``.
     """
@@ -251,35 +241,29 @@ def req_trace_doc(records: List[dict]) -> dict:
             "name": "thread_name",
             "args": {"name": "ingress"},
         },
+        {
+            "ph": "M",
+            "ts": 0,
+            "pid": 0,
+            "tid": CONSUMER_TID,
+            "name": "thread_name",
+            "args": {"name": "consumer"},
+        },
     ]
-    workers = sorted(
-        {int(r["worker"]) for r in records if r.get("worker") is not None}
-    )
-    for wid in workers:
-        events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": 0,
-                "tid": wid + 1,
-                "name": "thread_name",
-                "args": {"name": "worker %d" % wid},
-            }
-        )
     t0 = min(float(r["start"]) for r in records)
 
     def ts(start: float) -> float:
         return round((start - t0) * 1e6, 1)
 
     enqueue_by_seq: Dict[int, dict] = {}
-    commit_by_seq: Dict[int, dict] = {}
+    rank_by_seq: Dict[int, dict] = {}
     for rec in records:
         seq = int(rec["seq"])
         stage = rec["stage"]
         if stage == "enqueue":
             enqueue_by_seq[seq] = rec
         elif stage == "rank":
-            commit_by_seq[seq] = rec
+            rank_by_seq[seq] = rec
         args: Dict[str, object] = {"seq": seq}
         for key in ("mac", "etype", "kind"):
             if rec.get(key) is not None:
@@ -290,24 +274,23 @@ def req_trace_doc(records: List[dict]) -> dict:
                 "ts": ts(float(rec["start"])),
                 "dur": round(float(rec.get("dur", 0.0)) * 1e6, 1),
                 "pid": 0,
-                "tid": _span_tid(rec),
+                "tid": INGRESS_TID if stage == "enqueue" else CONSUMER_TID,
                 "name": stage,
                 "cat": "serve",
                 "args": args,
             }
         )
-    # Flow arrows: ingress enqueue -> that sequence's commit on whichever
-    # worker track it landed on.
+    # Flow arrows: ingress enqueue -> that sequence's rank span.
     flow_id = 0
-    for seq in sorted(set(enqueue_by_seq) & set(commit_by_seq)):
-        enq, commit = enqueue_by_seq[seq], commit_by_seq[seq]
+    for seq in sorted(set(enqueue_by_seq) & set(rank_by_seq)):
+        enq, rank = enqueue_by_seq[seq], rank_by_seq[seq]
         flow_id += 1
         events.append(
             {
                 "ph": "s",
                 "ts": ts(float(enq["start"]) + float(enq.get("dur", 0.0))),
                 "pid": 0,
-                "tid": _span_tid(enq),
+                "tid": INGRESS_TID,
                 "name": "probe",
                 "cat": "serve.flow",
                 "id": flow_id,
@@ -317,9 +300,9 @@ def req_trace_doc(records: List[dict]) -> dict:
             {
                 "ph": "f",
                 "bp": "e",
-                "ts": ts(float(commit["start"])),
+                "ts": ts(float(rank["start"])),
                 "pid": 0,
-                "tid": _span_tid(commit),
+                "tid": CONSUMER_TID,
                 "name": "probe",
                 "cat": "serve.flow",
                 "id": flow_id,

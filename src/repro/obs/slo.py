@@ -21,9 +21,10 @@ accepts either artefact the toolchain produces:
   budget and its ``shed_fraction`` against the shed budget.
 
 The default budgets are deliberately generous (50 ms select/apply p99,
-5 s queue/commit wait, 5 % shed) — loose enough that the committed
+5 s queue wait, 5 % shed) — loose enough that the committed
 ``BENCH_serve`` baseline and an unloaded CI runner pass, tight enough
-to catch a wedged sequencer or a pathological ranking walk.  ``repro
+to catch a consumer that falls seconds behind its queue or a
+pathological ranking walk.  ``repro
 obs slo --once`` exits non-zero on breach, and the ``repro obs bench``
 gate evaluates the default SLO on every ``repro.bench_serve/v1``
 candidate it compares.
@@ -48,7 +49,6 @@ SLO_SCHEMA = "repro.slo_report/v1"
 #: ``serve.<stage>_us`` histogram names.
 DEFAULT_P99_BUDGETS_US: Dict[str, float] = {
     "queue_wait": 5_000_000.0,
-    "commit_wait": 5_000_000.0,
     "select_latency": 50_000.0,
     "apply": 50_000.0,
 }
@@ -144,7 +144,7 @@ def _checks_from_bench(slo: ServeSlo, doc: dict) -> List[dict]:
     )
     checks: List[dict] = []
     for point in grid:
-        label = "%scl/%swk" % (point.get("clients"), point.get("workers"))
+        label = "%scl" % point.get("clients")
         p99 = point.get("p99_us")
         if p99 is not None:
             checks.append(

@@ -34,6 +34,7 @@ with heartbeats on or off.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import threading
@@ -42,10 +43,12 @@ from contextlib import nullcontext
 from typing import Callable, ContextManager, List, Optional, Union
 
 from repro.obs.artifacts import artifact_dir
+from repro.util.settings import parse_float_setting
 
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 SERVE_HEARTBEAT_ENV = "REPRO_SERVE_HEARTBEAT"
 _TRUTHY = ("1", "true", "on", "yes")
+_FALSY = ("false", "off", "no")
 
 DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
@@ -60,24 +63,35 @@ OPS_EVENTS_FILE = "shardops-events.jsonl"
 RECOVERY_EVENT_KINDS = ("shard.crash", "shard.respawn")
 
 
-def resolve_heartbeat_interval(value: Optional[str] = None) -> Optional[float]:
+def resolve_heartbeat_interval(
+    value: Optional[str] = None, env: str = HEARTBEAT_ENV
+) -> Optional[float]:
     """Heartbeat interval in seconds, or None when heartbeats are off.
 
-    ``REPRO_HEARTBEAT`` accepts a truthy flag (default 5 s cadence) or a
-    number of seconds (``REPRO_HEARTBEAT=2.5``).
+    ``REPRO_HEARTBEAT`` (or ``value``) is off when blank, ``false``,
+    ``off``, ``no`` or a number equal to zero; a truthy flag (``1``,
+    ``true``, ``on``, ``yes``) means the 5 s default cadence, and any
+    other finite positive number is the interval in seconds
+    (``REPRO_HEARTBEAT=2.5``).  Anything else raises a ValueError
+    naming ``env``: a typo must not silently switch heartbeats off, and
+    an infinite interval would kill the heartbeat thread.
     """
     if value is None:
-        value = os.environ.get(HEARTBEAT_ENV, "")
-    value = value.strip().lower()
-    if not value:
+        value = os.environ.get(env, "")
+    word = value.strip().lower()
+    if not word or word in _FALSY:
         return None
-    if value in _TRUTHY:
+    if word in _TRUTHY:
         return DEFAULT_INTERVAL_S
-    try:
-        interval = float(value)
-    except ValueError:
+    interval = parse_float_setting(env, word)
+    if interval == 0:
         return None
-    return interval if interval > 0 else None
+    if not (0 < interval < math.inf):
+        raise ValueError(
+            "%s must be a finite positive number of seconds, got %r"
+            % (env, value)
+        )
+    return interval
 
 
 def resolve_serve_heartbeat_interval(
@@ -86,16 +100,12 @@ def resolve_serve_heartbeat_interval(
     """Serving-heartbeat interval in seconds, or None when off.
 
     ``REPRO_SERVE_HEARTBEAT`` takes the same grammar as
-    ``REPRO_HEARTBEAT`` (truthy flag for the 5 s default, or a number
-    of seconds) but gates the :class:`~repro.serve.service.RankingService`
-    heartbeats separately — a batch run with executor heartbeats on
-    should not suddenly grow serve files, and vice versa.
+    ``REPRO_HEARTBEAT`` but gates the
+    :class:`~repro.serve.service.RankingService` heartbeats separately —
+    a batch run with executor heartbeats on should not suddenly grow
+    serve files, and vice versa.
     """
-    if value is None:
-        value = os.environ.get(SERVE_HEARTBEAT_ENV, "")
-    if not value.strip():
-        return None
-    return resolve_heartbeat_interval(value)
+    return resolve_heartbeat_interval(value, SERVE_HEARTBEAT_ENV)
 
 
 def heartbeat_dir(base: Optional[Union[str, pathlib.Path]] = None) -> pathlib.Path:
@@ -368,8 +378,8 @@ def watch_snapshot(
                 shed_fraction > DEFAULT_SHED_THRESHOLD
                 or (depth is not None and cap and int(depth) >= int(cap))
             )
-            # A service can heartbeat forever while its sequencer is
-            # wedged: commits frozen with a backlog behind them is a
+            # A service can heartbeat forever while its consumer is
+            # stuck: commits frozen with a backlog behind them is a
             # stall even when the file keeps growing.
             committed = last.get("committed")
             events = last.get("events")
@@ -393,7 +403,6 @@ def watch_snapshot(
 
 #: Fields a serve heartbeat carries beyond the base record shape.
 SERVE_EXTRA_KEYS = (
-    "workers",
     "events",
     "committed",
     "probes_per_s",
@@ -403,7 +412,7 @@ SERVE_EXTRA_KEYS = (
     "shed_fraction",
     "p50_us",
     "p99_us",
-    "worker_restarts",
+    "events_failed",
 )
 
 
@@ -722,7 +731,7 @@ def render_top(doc: dict) -> str:
         lines.append("")
         lines.append(
             f"{'service':<22} {'probes/s':>9} {'queue':>11} {'shed %':>7} "
-            f"{'p50 us':>8} {'p99 us':>8} {'restarts':>9}  verdict"
+            f"{'p50 us':>8} {'p99 us':>8} {'failed':>9}  verdict"
         )
         for row in services:
             rate = row.get("probes_per_s")
@@ -747,7 +756,7 @@ def render_top(doc: dict) -> str:
                 f"{row['file']:<22} {rate_cell:>9} {queue_cell:>11} "
                 f"{shed_cell:>7} "
                 f"{p50:>8} {p99:>8} "
-                f"{row.get('worker_restarts') or 0:>9}  {verdict}"
+                f"{row.get('events_failed') or 0:>9}  {verdict}"
             )
     if doc["epochs"]:
         crashes_by_shard = recovery.get("crashes_by_shard", {})

@@ -10,8 +10,8 @@ extracted from the batch simulator into a serving system:
   proven bit-identical to the inline simulator by the differential
   harness;
 * :mod:`repro.serve.service` — the asyncio layer: bounded ingress,
-  backpressure or shedding, N supervised workers, sequenced commits,
-  ``serve.*`` metrics;
+  backpressure or shedding, one consumer applying events in ingress
+  order, ``serve.*`` metrics;
 * :mod:`repro.serve.trace` — UJI-shaped JSONL trace replay (torn-line
   tolerant);
 * :mod:`repro.serve.record` — wire-tapped simulator runs for the

@@ -21,9 +21,9 @@ recorded simulator streams and asserts exactly that, so any divergence
 introduced here fails CI rather than silently forking the semantics.
 
 The core is deliberately synchronous and single-threaded: one event, one
-state transition, no awaits.  Concurrency (queues, workers, shedding)
-lives in :mod:`repro.serve.service`, which commits events through this
-core in ingress order.
+state transition, no awaits.  Transport (the bounded queue,
+backpressure, shedding) lives in :mod:`repro.serve.service`, whose one
+consumer applies events to this core in ingress order.
 """
 
 from __future__ import annotations

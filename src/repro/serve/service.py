@@ -2,22 +2,20 @@
 
 :class:`RankingService` turns the synchronous
 :class:`~repro.serve.core.RankingCore` into a traffic-serving system:
-probe-request events flow in through a bounded ingress queue, ``N``
-concurrent attacker-node workers pull them off, and burst decisions
-flow out — with explicit backpressure, load-shed accounting, worker
-supervision and ``serve.*`` metrics through the standard
+probe-request events flow in through a bounded ingress queue, one
+consumer task applies them to the core, and burst decisions flow out —
+with explicit backpressure, load-shed accounting and ``serve.*``
+metrics through the standard
 :class:`~repro.obs.registry.MetricsRegistry`.
 
-**Determinism under concurrency.**  The ranking state (SSID store,
-PB/FB split, ghost-pick RNG) is shared across every client, so the
-*apply order* of events decides every downstream burst.  Each accepted
-event is stamped with an ingress sequence number and workers commit
-through a sequencer that admits exactly one event at a time, in stamp
-order — transport concurrency (queueing, parsing, shedding, emission)
-is real, state mutation is serialised.  Decisions therefore come out in
-ingress order at *any* worker count, which is what lets the replay
-tests pin one digest across ``REPRO_WORKERS`` settings and what makes
-the differential harness meaningful.
+**Determinism.**  The ranking state (SSID store, PB/FB split,
+ghost-pick RNG) is shared across every client, so the *apply order* of
+events decides every downstream burst.  The core is pure Python on one
+thread, so there is nothing to gain from more than one consumer: the
+single consumer takes events off the FIFO queue in ingress order and
+applies each before taking the next.  Decisions therefore come out in
+ingress order at any queue bound, which is what makes the differential
+harness meaningful.
 
 **Backpressure vs shedding.**  The default policy is backpressure:
 ``submit`` awaits queue space, pushing the wait onto the producer (a
@@ -27,14 +25,11 @@ in ``serve.shed_total`` — but feedback events always take the
 backpressure path: losing a probe costs one response opportunity,
 losing feedback forks the ranking state from reality.
 
-**Worker faults.**  Worker tasks run under a supervisor loop: an
-exception restarts the worker (counted in ``serve.worker_restarts``)
-with all session state intact, because state lives in the core, not the
-worker.  An event in flight at crash time is salvaged: if it had not
-reached the core it is re-applied by the supervisor (in-flight feedback
-is never dropped); if the core raised mid-apply the event is counted in
-``serve.events_failed`` and its sequence slot released so the stream
-never deadlocks.
+**Event faults.**  An exception while applying one event (in the core
+or in the decision callback) is counted in ``serve.events_failed``,
+logged as one ``serve.event_failed`` entry in ``events_log``, and the
+consumer moves on to the next event; the queue slot is released either
+way, so a poisoned event never wedges ``drain()``.
 """
 
 from __future__ import annotations
@@ -42,7 +37,8 @@ from __future__ import annotations
 import asyncio
 import os
 import time as _time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import traceback
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.obs.registry import (
     METRICS_SCHEMA,
@@ -58,10 +54,8 @@ from repro.serve.core import RankingCore
 from repro.serve.events import BurstDecision, Event, FeedbackEvent, ProbeEvent
 from repro.util.settings import parse_int_setting, resolve_int_env
 
-WORKERS_ENV = "REPRO_WORKERS"
 QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"
 
-DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_MAX = 1024
 
 LATENCY_BUCKETS_US: Tuple[float, ...] = (
@@ -75,57 +69,18 @@ STAGE_BUCKETS_US: Tuple[float, ...] = (
     50, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600,
     102400, 409600, 1638400, 6553600,
 )
-"""Queue-wait / commit-wait histogram bounds, microseconds.  The waits
-are dominated by backlog, not compute, so the range extends to ~6.5 s
-before the overflow bucket.  Wall-clock, like the select histogram."""
-
-
-def resolve_serve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit arg, else ``REPRO_WORKERS``, else 4.
-    A non-integer or sub-1 value raises a ValueError naming its source."""
-    if workers is not None:
-        return parse_int_setting("workers", workers, 1)
-    return resolve_int_env(WORKERS_ENV, DEFAULT_WORKERS, 1)
+"""Queue-wait histogram bounds, microseconds.  The wait is dominated by
+backlog, not compute, so the range extends to ~6.5 s before the
+overflow bucket.  Wall-clock, like the select histogram."""
 
 
 def resolve_queue_max(queue_max: Optional[int] = None) -> int:
     """Ingress bound: explicit arg, else ``REPRO_SERVE_QUEUE_MAX``, else
-    1024.  A non-integer or sub-1 value raises like the worker count."""
+    1024.  A non-integer or sub-1 value raises a ValueError naming its
+    source."""
     if queue_max is not None:
         return parse_int_setting("queue_max", queue_max, 1)
     return resolve_int_env(QUEUE_MAX_ENV, DEFAULT_QUEUE_MAX, 1)
-
-
-class _Sequencer:
-    """Admit commits strictly in sequence-number order."""
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._waiters: Dict[int, asyncio.Event] = {}
-
-    async def wait(self, seq: int) -> None:
-        if seq == self._next:
-            return
-        event = self._waiters.setdefault(seq, asyncio.Event())
-        await event.wait()
-
-    def done(self, seq: int) -> None:
-        """Release ``seq``'s slot and wake the next committer."""
-        self._next = seq + 1
-        waiter = self._waiters.pop(self._next, None)
-        if waiter is not None:
-            waiter.set()
-
-
-class _Inflight:
-    """One worker's event-in-flight slot (crash-salvage bookkeeping)."""
-
-    __slots__ = ("seq", "event", "applying")
-
-    def __init__(self, seq: int, event: Event):
-        self.seq = seq
-        self.event = event
-        self.applying = False
 
 
 class RankingService:
@@ -134,32 +89,26 @@ class RankingService:
     def __init__(
         self,
         core: RankingCore,
-        workers: Optional[int] = None,
         queue_max: Optional[int] = None,
         shed: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        fault_hook: Optional[Callable[[int, Event], None]] = None,
         on_decision: Optional[Callable[[BurstDecision], None]] = None,
         sample_latencies: bool = False,
         req_trace: Optional[bool] = None,
     ):
         self.core = core
-        self.workers = resolve_serve_workers(workers)
         self.queue_max = resolve_queue_max(queue_max)
+        self.heartbeat_interval = resolve_serve_heartbeat_interval()
         self.shed = shed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.decisions: List[BurstDecision] = []
         self.events_log: List[dict] = []
-        self._fault_hook = fault_hook
         self._on_decision = on_decision
         self._sample_latencies = sample_latencies
         self.latencies_us: List[float] = []
         self._queue: Optional[asyncio.Queue] = None
-        self._gate = _Sequencer()
         self._next_seq = 0
-        self._tasks: List[asyncio.Task] = []
-        self._inflight: Dict[int, Optional[_Inflight]] = {}
-        self._started = False
+        self._consumer: Optional[asyncio.Task] = None
         # Observe-only instrumentation: the span ring never touches an
         # RNG stream and the heartbeat thread never mutates core state,
         # so digests are identical with both on or off.
@@ -176,42 +125,36 @@ class RankingService:
         return self._queue
 
     async def start(self) -> None:
-        """Spawn the supervised worker pool."""
-        if self._started:
+        """Spawn the consumer task (and the heartbeat thread, if on)."""
+        if self._consumer is not None:
             return
-        self._ensure_queue()
-        loop = asyncio.get_running_loop()
-        for wid in range(self.workers):
-            self._inflight[wid] = None
-            self._tasks.append(loop.create_task(self._supervise(wid)))
-        self._started = True
-        interval = resolve_serve_heartbeat_interval()
-        if interval is not None and self._heartbeat is None:
+        self._consumer = asyncio.get_running_loop().create_task(
+            self._consume(self._ensure_queue())
+        )
+        if self.heartbeat_interval is not None and self._heartbeat is None:
             self._heartbeat = HeartbeatWriter(
                 "serve",
                 1.0,  # rescaled to the submitted count on every beat
                 lambda: (float(self._committed), len(self.decisions)),
-                interval_s=interval,
+                interval_s=self.heartbeat_interval,
                 file_stem="serve-%d" % os.getpid(),
                 extra=self._heartbeat_extra,
             ).__enter__()
 
     async def drain(self) -> None:
-        """Wait until every accepted event has been committed."""
+        """Wait until every accepted event has been applied."""
         if self._queue is not None:
             await self._queue.join()
 
     async def stop(self) -> None:
-        """Cancel the worker pool (drain first for a clean shutdown)."""
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+        """Cancel the consumer (drain first for a clean shutdown)."""
+        consumer, self._consumer = self._consumer, None
+        if consumer is not None:
+            consumer.cancel()
             try:
-                await task
+                await consumer
             except asyncio.CancelledError:
                 pass
-        self._tasks = []
-        self._started = False
         if self._heartbeat is not None:
             heartbeat, self._heartbeat = self._heartbeat, None
             heartbeat.__exit__(None, None, None)
@@ -243,7 +186,6 @@ class RankingService:
             self.reqtrace.record(
                 "enqueue",
                 seq,
-                None,
                 t_offer,
                 _time.perf_counter() - t_offer,
                 mac=event.mac,
@@ -251,80 +193,38 @@ class RankingService:
             )
         return True
 
-    # -- workers ---------------------------------------------------------------
+    # -- consumer --------------------------------------------------------------
 
-    async def _supervise(self, wid: int) -> None:
-        while True:
-            try:
-                await self._worker_loop(wid)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                self.metrics.inc("serve.worker_restarts")
-                self.events_log.append(
-                    {"kind": "serve.worker_restart", "worker": wid}
-                )
-                item = self._inflight.get(wid)
-                self._inflight[wid] = None
-                if item is None:
-                    continue
-                if item.applying:
-                    # The core raised mid-apply: the commit's finally
-                    # clause already released the sequence slot, so just
-                    # count the casualty and move on.
-                    self.metrics.inc("serve.events_failed")
-                    self._queue.task_done()
-                    continue
-                # Transport-stage crash: the core never saw the event —
-                # apply it now so nothing (feedback especially) is lost.
-                await self._commit(item.seq, item.event, wid=wid)
-                self._queue.task_done()
-
-    async def _worker_loop(self, wid: int) -> None:
-        queue = self._ensure_queue()
+    async def _consume(self, queue: asyncio.Queue) -> None:
         while True:
             seq, event, t_offer = await queue.get()
-            t_pick = _time.perf_counter()
-            self.metrics.observe(
-                "serve.queue_wait_us",
-                (t_pick - t_offer) * 1e6,
-                buckets=STAGE_BUCKETS_US,
-            )
-            if self.reqtrace is not None:
-                self.reqtrace.record(
-                    "queue_wait", seq, wid, t_offer, t_pick - t_offer
+            try:
+                self._apply(seq, event, t_offer)
+            except Exception as exc:
+                self.metrics.inc("serve.events_failed")
+                self.events_log.append(
+                    {
+                        "kind": "serve.event_failed",
+                        "seq": seq,
+                        "time": event.time,
+                        "mac": event.mac,
+                        "error": repr(exc),
+                        "traceback": traceback.format_exc(),
+                    }
                 )
-            item = _Inflight(seq, event)
-            self._inflight[wid] = item
-            if self._fault_hook is not None:
-                # Transport-stage processing (parse/validate stand-in);
-                # the test fault injector raises here.
-                self._fault_hook(wid, event)
-            await self._commit(seq, event, item, wid=wid)
-            self._inflight[wid] = None
-            queue.task_done()
+            finally:
+                queue.task_done()
 
-    async def _commit(
-        self,
-        seq: int,
-        event: Event,
-        item: Optional[_Inflight] = None,
-        wid: Optional[int] = None,
-    ) -> None:
-        t_gate = _time.perf_counter()
-        await self._gate.wait(seq)
-        if item is not None:
-            item.applying = True
+    def _apply(self, seq: int, event: Event, t_offer: float) -> None:
         start = _time.perf_counter()
         self.metrics.observe(
-            "serve.commit_wait_us",
-            (start - t_gate) * 1e6,
+            "serve.queue_wait_us",
+            (start - t_offer) * 1e6,
             buckets=STAGE_BUCKETS_US,
         )
-        try:
-            decision = self.core.handle(event)
-        finally:
-            self._gate.done(seq)
+        if self.reqtrace is not None:
+            self.reqtrace.record("queue_wait", seq, t_offer, start - t_offer)
+        decision = self.core.handle(event)
         t_rank = _time.perf_counter()
         elapsed_us = (t_rank - start) * 1e6
         if isinstance(event, ProbeEvent):
@@ -351,17 +251,13 @@ class RankingService:
         )
         if self.reqtrace is not None:
             self.reqtrace.record(
-                "commit_wait", seq, wid, t_gate, start - t_gate
-            )
-            self.reqtrace.record(
                 "rank",
                 seq,
-                wid,
                 start,
                 t_rank - start,
                 kind=None if decision is None else decision.kind,
             )
-            self.reqtrace.record("apply", seq, wid, t_rank, t_apply - t_rank)
+            self.reqtrace.record("apply", seq, t_rank, t_apply - t_rank)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -388,7 +284,6 @@ class RankingService:
             self._heartbeat.duration_s = float(max(1, submitted))
         return {
             "kind": "serve",
-            "workers": self.workers,
             "events": int(offered),
             "committed": int(self._committed),
             "probes_per_s": rate,
@@ -400,8 +295,8 @@ class RankingService:
             ),
             "p50_us": estimate_percentile(hist, 50) if hist else None,
             "p99_us": estimate_percentile(hist, 99) if hist else None,
-            "worker_restarts": int(
-                self.metrics.counter_value("serve.worker_restarts")
+            "events_failed": int(
+                self.metrics.counter_value("serve.events_failed")
             ),
         }
 
@@ -472,7 +367,8 @@ def serve_metrics_doc(
     snapshot = service.metrics.to_dict()
     return {
         "schema": METRICS_SCHEMA,
-        "workers": service.workers,
+        # One consumer; the field keeps the executor's document shape.
+        "workers": 1,
         "run_count": 1,
         "merged": snapshot,
         "runs": [
@@ -491,7 +387,6 @@ def serve_metrics_doc(
 def run_stream(
     core: RankingCore,
     events: Iterable[Event],
-    workers: Optional[int] = None,
     queue_max: Optional[int] = None,
     shed: bool = False,
     metrics: Optional[MetricsRegistry] = None,
@@ -505,7 +400,6 @@ def run_stream(
     """
     service = RankingService(
         core,
-        workers=workers,
         queue_max=queue_max,
         shed=shed,
         metrics=metrics,

@@ -8,9 +8,9 @@ measurement (and every replay-determinism check) sees the same bytes.
 
 :func:`measure_load` is the shared harness under both
 ``benchmarks/bench_serve.py`` and the ``repro serve bench`` CLI: it
-pushes one stream through a fresh service at a given worker count and
-reports sustained probes/s, exact p50/p99 burst-selection latency and
-the shed/cache accounting.
+pushes one stream through a fresh service and reports sustained
+probes/s, exact p50/p99 burst-selection latency and the shed/cache
+accounting.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ def synthetic_stream(
 def measure_load(
     core: RankingCore,
     events: Sequence[Event],
-    workers: int,
     queue_max: Optional[int] = None,
     shed: bool = False,
     metrics: Optional[MetricsRegistry] = None,
@@ -98,7 +97,6 @@ def measure_load(
     service = run_stream(
         core,
         events,
-        workers=workers,
         queue_max=queue_max,
         shed=shed,
         metrics=metrics,
@@ -145,7 +143,6 @@ def measure_load(
 
 def run_bench_grid(
     clients: Sequence[int] = (20, 100),
-    workers: Sequence[int] = (1, 4),
     n_events: int = 4000,
     seed: int = 0,
     city_seed: int = 42,
@@ -156,17 +153,17 @@ def run_bench_grid(
     """Sweep the serving grid; return a ``repro.bench_serve/v1`` doc.
 
     Shared by ``benchmarks/bench_serve.py`` and ``repro serve bench``.
-    Each (clients, workers) point serves the *same* deterministic
-    stream through a fresh core; with ``repeats > 1`` the fastest run
-    per point is kept (standard benchmarking practice — the minimum is
-    the least noisy estimator of the machine's capability).
+    Each client count's stream is served through a fresh core; with
+    ``repeats > 1`` the fastest run per point is kept (standard
+    benchmarking practice — the minimum is the least noisy estimator of
+    the machine's capability).
 
-    With ``req_trace`` only the heaviest grid point (max clients, max
-    workers) is traced — spans cost nanoseconds each but the flushed
-    JSONL does not, and one representative point is what the exported
-    timeline is for.  Every other point runs with tracing explicitly
-    off, so a ``REPRO_REQ_TRACE=1`` environment cannot skew the
-    untraced measurements either.
+    With ``req_trace`` only the heaviest grid point (max clients) is
+    traced — spans cost nanoseconds each but the flushed JSONL does
+    not, and one representative point is what the exported timeline is
+    for.  Every other point runs with tracing explicitly off, so a
+    ``REPRO_REQ_TRACE=1`` environment cannot skew the untraced
+    measurements either.
     """
     from repro.experiments.calibration import default_city, venue_profile
     from repro.experiments.runner import shared_wigle
@@ -177,45 +174,27 @@ def run_bench_grid(
     position = city.venue(venue_profile(venue).venue_name).region.center
     pool = [s for s, _ in top_ssids_by_count(wigle, 60)]
     grid: List[dict] = []
-    trace_cl, trace_wk = max(clients), max(workers)
     for n_cl in clients:
         events = synthetic_stream(
             n_cl, n_events, seed=seed, ssid_pool=pool
         )
-        base_digest: Optional[str] = None
-        for n_wk in workers:
-            best: Optional[dict] = None
-            for _ in range(max(1, repeats)):
-                core = RankingCore.seeded(
-                    wigle, city.heatmap, position, seed=seed
-                )
-                report = measure_load(
-                    core,
-                    events,
-                    workers=n_wk,
-                    req_trace=(n_cl == trace_cl and n_wk == trace_wk)
-                    if req_trace
-                    else False,
-                )
-                if best is None or (
-                    report["probes_per_s"] or 0
-                ) > (best["probes_per_s"] or 0):
-                    best = report
-            # Determinism contract, re-checked on every benchmark run:
-            # the decision stream must be byte-identical at any worker
-            # count (commits are sequenced; see repro.serve.service).
-            if base_digest is None:
-                base_digest = best["digest"]
-            elif best["digest"] != base_digest:
-                raise AssertionError(
-                    "worker invariance violated at %d clients: "
-                    "%d workers digest %s != %s"
-                    % (n_cl, n_wk, best["digest"], base_digest)
-                )
-            point = dict(best)
-            point["clients"] = n_cl
-            point["workers"] = n_wk
-            grid.append(point)
+        best: Optional[dict] = None
+        for _ in range(max(1, repeats)):
+            core = RankingCore.seeded(
+                wigle, city.heatmap, position, seed=seed
+            )
+            report = measure_load(
+                core,
+                events,
+                req_trace=req_trace and n_cl == max(clients),
+            )
+            if best is None or (
+                report["probes_per_s"] or 0
+            ) > (best["probes_per_s"] or 0):
+                best = report
+        point = dict(best)
+        point["clients"] = n_cl
+        grid.append(point)
     return {
         "schema": SERVE_BENCH_SCHEMA,
         "seed": seed,

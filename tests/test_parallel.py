@@ -256,6 +256,15 @@ class TestMetricsArtefact:
         assert records[-1]["fraction"] == 1.0
         assert records[0]["spec"].startswith("quick:0")
 
+    def test_bad_heartbeat_interval_fails_batch_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_HEARTBEAT", "inf")
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT"):
+            run_specs(_quick_specs(n=2), workers=1)
+        assert not (tmp_path / "telemetry").exists()
+
     def test_run_summary_carries_snapshot(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMINGS", "0")
         monkeypatch.setenv("REPRO_METRICS", "0")

@@ -4,9 +4,9 @@ The request tracer answers *where did this probe's microseconds go* in
 the serving path.  These tests pin its contract: a bounded observe-only
 ring that drops the oldest spans and counts the loss, heartbeat-style
 JSONL flush with rotation and torn-line-tolerant readers, a Chrome
-trace-event export with one track per worker plus an ingress track and
-flow arrows from enqueue to commit, and the ``RankingService`` wiring
-that records all five pipeline stages without touching decisions.
+trace-event export with an ingress track, a consumer track and flow
+arrows from enqueue to rank, and the ``RankingService`` wiring that
+records all four pipeline stages without touching decisions.
 """
 
 import json
@@ -33,30 +33,26 @@ from repro.serve.service import run_stream
 from repro.serve.workload import synthetic_stream
 
 
-def spans(n_seq=4, workers=(0, 1)):
+def spans(n_seq=4):
     """Synthetic full-pipeline spans for ``n_seq`` sequenced events."""
     out = []
     t = 100.0
     for seq in range(n_seq):
-        wid = workers[seq % len(workers)]
         out.append(
             {
                 "stage": "enqueue",
                 "seq": seq,
-                "worker": None,
                 "start": t,
                 "dur": 0.0001,
                 "mac": "02:5e:00:00:00:%02x" % seq,
                 "etype": "probe",
             }
         )
-        for i, stage in enumerate(("queue_wait", "commit_wait", "rank",
-                                   "apply")):
+        for i, stage in enumerate(("queue_wait", "rank", "apply")):
             out.append(
                 {
                     "stage": stage,
                     "seq": seq,
-                    "worker": wid,
                     "start": t + 0.001 * (i + 1),
                     "dur": 0.0005,
                 }
@@ -82,9 +78,13 @@ class TestResolveAndRing:
         monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "500")
         assert resolve_req_trace_max() == 500
         assert resolve_req_trace_max(7) == 7  # explicit arg wins
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "garbage")
-        assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS
-        assert resolve_req_trace_max(0) == 1  # capacity floor
+        for bad in ("garbage", "four", "0", "-5", "2.5"):
+            monkeypatch.setenv("REPRO_REQ_TRACE_MAX", bad)
+            with pytest.raises(ValueError, match="REPRO_REQ_TRACE_MAX"):
+                resolve_req_trace_max()
+        for bad in (0, -5, 2.5, "four"):
+            with pytest.raises(ValueError, match="max_records"):
+                resolve_req_trace_max(bad)
 
     def test_maybe_request_trace_gate(self, monkeypatch):
         monkeypatch.delenv("REPRO_REQ_TRACE", raising=False)
@@ -96,7 +96,7 @@ class TestResolveAndRing:
     def test_ring_drops_oldest_and_counts(self):
         trace = RequestTrace(max_records=3)
         for seq in range(5):
-            trace.record("rank", seq, 0, 100.0 + seq, 0.001)
+            trace.record("rank", seq, 100.0 + seq, 0.001)
         assert len(trace) == 3
         assert trace.dropped == 2
         # the *recent* window survives — that's the one being debugged
@@ -104,20 +104,19 @@ class TestResolveAndRing:
 
     def test_record_skips_none_attrs(self):
         trace = RequestTrace(max_records=10)
-        trace.record("enqueue", 0, None, 1.0, 0.0, mac="aa", etype=None)
+        trace.record("enqueue", 0, 1.0, 0.0, mac="aa", etype=None)
         rec = trace.records()[0]
         assert rec["mac"] == "aa"
         assert "etype" not in rec
-        assert rec["worker"] is None
 
 
 class TestFilesAndReaders:
     def test_flush_rotates_and_reads_back(self, tmp_path):
         trace = RequestTrace(max_records=10)
-        trace.record("rank", 0, 1, 5.0, 0.001)
+        trace.record("rank", 0, 5.0, 0.001)
         first = trace.flush(tmp_path)
         assert first.parent == reqtrace_dir(tmp_path)
-        trace.record("rank", 1, 1, 6.0, 0.001)
+        trace.record("rank", 1, 6.0, 0.001)
         second = trace.flush(tmp_path)
         assert second == first
         assert first.with_name(first.name + ".old").exists()
@@ -126,8 +125,7 @@ class TestFilesAndReaders:
 
     def test_reader_skips_torn_and_foreign_lines(self, tmp_path):
         path = tmp_path / "reqtrace-1.jsonl"
-        good = {"stage": "rank", "seq": 3, "worker": 0,
-                "start": 1.0, "dur": 0.1}
+        good = {"stage": "rank", "seq": 3, "start": 1.0, "dur": 0.1}
         path.write_text(
             json.dumps(good) + "\n"
             + '{"not": "a span"}\n'
@@ -140,7 +138,7 @@ class TestFilesAndReaders:
         for pid, seq in ((111, 0), (222, 1)):
             p = tmp_path / ("reqtrace-%d.jsonl" % pid)
             p.write_text(json.dumps(
-                {"stage": "rank", "seq": seq, "worker": 0,
+                {"stage": "rank", "seq": seq,
                  "start": float(seq), "dur": 0.1}) + "\n")
         (tmp_path / "serve-111.jsonl").write_text("{}\n")  # not a trace
         records = load_reqtrace_dir(tmp_path)
@@ -153,7 +151,7 @@ class TestChromeExport:
             req_trace_doc([])
 
     def test_doc_validates_with_tracks_and_flows(self):
-        doc = req_trace_doc(spans(n_seq=4, workers=(0, 1)))
+        doc = req_trace_doc(spans(n_seq=4))
         validate_chrome_trace(doc)
         events = doc["traceEvents"]
         meta = {e["name"]: e for e in events if e["ph"] == "M"}
@@ -162,24 +160,24 @@ class TestChromeExport:
             e["args"]["name"] for e in events
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert names == {"ingress", "worker 0", "worker 1"}
+        assert names == {"ingress", "consumer"}
         xs = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in xs} == set(STAGES)
-        # ingress spans on tid 0, worker spans on wid + 1
+        # ingress spans on tid 0, every consumer stage on tid 1
         assert {e["tid"] for e in xs if e["name"] == "enqueue"} == {0}
-        assert {e["tid"] for e in xs if e["name"] == "rank"} == {1, 2}
+        assert {e["tid"] for e in xs if e["name"] != "enqueue"} == {1}
         # timestamps are normalised to the earliest span
         assert min(e["ts"] for e in xs) == 0.0
 
     def test_flow_arrows_pair_enqueue_to_commit(self):
-        doc = req_trace_doc(spans(n_seq=3, workers=(0,)))
+        doc = req_trace_doc(spans(n_seq=3))
         starts = [e for e in doc["traceEvents"] if e["ph"] == "s"]
         finishes = [e for e in doc["traceEvents"] if e["ph"] == "f"]
         assert len(starts) == len(finishes) == 3
         assert {e["id"] for e in starts} == {e["id"] for e in finishes}
         assert all(e["bp"] == "e" for e in finishes)
         assert {e["tid"] for e in starts} == {0}  # leave from ingress
-        assert {e["tid"] for e in finishes} == {1}  # land on the worker
+        assert {e["tid"] for e in finishes} == {1}  # land on the consumer
 
     def test_write_req_trace_roundtrip(self, tmp_path):
         out = tmp_path / "req_trace.json"
@@ -194,13 +192,12 @@ class TestServiceWiring:
         monkeypatch.delenv("REPRO_REQ_TRACE", raising=False)
         return tmp_path
 
-    def run(self, city, wigle, req_trace=None, workers=2, n_events=120):
+    def run(self, city, wigle, req_trace=None, n_events=120):
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
         events = synthetic_stream(8, n_events, seed=0)
-        return run_stream(core, events, workers=workers,
-                          req_trace=req_trace)
+        return run_stream(core, events, req_trace=req_trace)
 
     def test_off_by_default(self, city, wigle, artifact_dir):
         service = self.run(city, wigle)
@@ -216,10 +213,9 @@ class TestServiceWiring:
         # one enqueue span per accepted event, stamped with the mac
         enq = [r for r in records if r["stage"] == "enqueue"]
         assert len(enq) == 120
-        assert all(r["worker"] is None and "mac" in r for r in enq)
+        assert all("mac" in r for r in enq)
         # stage histograms observed alongside the spans
-        for name in ("serve.queue_wait_us", "serve.commit_wait_us",
-                     "serve.apply_us"):
+        for name in ("serve.queue_wait_us", "serve.apply_us"):
             hist = service.metrics.histogram(name)
             assert hist is not None and hist.count > 0
         gauges = service.metrics.to_dict()["gauges"]

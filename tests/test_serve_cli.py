@@ -28,15 +28,14 @@ BASELINE = (
 def serve_doc(probes=(9000.0, 8000.0), shed=(0.0, 0.0)):
     grid = [
         {
-            "clients": 20,
-            "workers": w,
+            "clients": c,
             "probes_per_s": p,
             "p50_us": 25.0,
             "p99_us": 200.0,
             "shed_fraction": s,
             "rank_cache_hit_rate": 0.9,
         }
-        for w, p, s in zip((1, 4), probes, shed)
+        for c, p, s in zip((20, 100), probes, shed)
     ]
     return {
         "schema": SERVE_SCHEMA,
@@ -48,13 +47,13 @@ def serve_doc(probes=(9000.0, 8000.0), shed=(0.0, 0.0)):
 class TestServeSchema:
     def test_gated_and_informational_split(self):
         metrics = extract_bench_metrics(serve_doc())
-        assert metrics["probes_per_s@20cl/1wk"]["gated"] is True
-        assert metrics["shed_fraction@20cl/4wk"]["gated"] is True
-        assert metrics["shed_fraction@20cl/4wk"]["higher_better"] is False
+        assert metrics["probes_per_s@20cl"]["gated"] is True
+        assert metrics["shed_fraction@100cl"]["gated"] is True
+        assert metrics["shed_fraction@100cl"]["higher_better"] is False
         assert metrics["max_probes_per_s"]["gated"] is True
-        assert metrics["p50_us@20cl/1wk"]["gated"] is False
-        assert metrics["p99_us@20cl/4wk"]["gated"] is False
-        assert metrics["rank_cache_hit_rate@20cl/1wk"]["gated"] is False
+        assert metrics["p50_us@20cl"]["gated"] is False
+        assert metrics["p99_us@100cl"]["gated"] is False
+        assert metrics["rank_cache_hit_rate@20cl"]["gated"] is False
 
     def test_throughput_regression_fails_gate(self):
         report = compare_bench(
@@ -63,14 +62,14 @@ class TestServeSchema:
             tolerance=0.35,
         )
         assert not report["ok"]
-        assert "probes_per_s@20cl/1wk" in report["regressions"]
+        assert "probes_per_s@20cl" in report["regressions"]
 
     def test_new_shedding_fails_gate(self):
         report = compare_bench(
             serve_doc(shed=(0.05, 0.0)), serve_doc(), tolerance=0.35
         )
         assert not report["ok"]
-        assert report["regressions"] == ["shed_fraction@20cl/1wk"]
+        assert report["regressions"] == ["shed_fraction@20cl"]
 
     def test_committed_baseline_loads_and_self_compares(self):
         doc = json.loads(BASELINE.read_text())
@@ -93,8 +92,6 @@ class TestServeRunCli:
                 "10",
                 "--events",
                 "300",
-                "--workers",
-                "2",
                 "--metrics-out",
                 str(out),
             ]
@@ -118,6 +115,15 @@ class TestServeRunCli:
         assert gauges["serve.db_size"] > 0
         assert gauges["serve.clients"] == 10
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["replay", "trace.jsonl"], ["bench"]]
+    )
+    def test_workers_option_rejected(self, command, capsys):
+        """One consumer: the serve commands take no worker count."""
+        with pytest.raises(SystemExit):
+            main(["serve", *command, "--workers", "2"])
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_prom_exposition_written(self, run_artifacts):
         from repro.obs.prom import validate_prom_text
 
@@ -137,8 +143,6 @@ class TestServeBenchCli:
                 "bench",
                 "--clients",
                 "8",
-                "--workers",
-                "1",
                 "--events",
                 "200",
                 "--json",

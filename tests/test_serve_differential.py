@@ -9,7 +9,7 @@ tests prove it end to end: record the attacker-visible event stream and
 the decision stream from real venue scenarios (several venues, seeds,
 configs and both fidelity modes), replay the events through the
 service, and compare the decision sequences byte for byte — globally,
-per client, and at multiple worker counts.
+per client, and at several ingress queue bounds.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.experiments.calibration import venue_profile
 from repro.experiments.runner import run_experiment
 from repro.serve.events import decision_rows, decisions_by_client, decisions_digest
 from repro.serve.record import record_probe_stream
-from repro.serve.service import run_stream
+from repro.serve.service import DEFAULT_QUEUE_MAX, run_stream
 
 # (venue, seed, duration, config, fidelity) — three-plus scenarios
 # spanning venues, seeds, a non-default config and the burst fidelity.
@@ -53,7 +53,7 @@ class TestBitIdentical:
     def test_decision_stream_identical(self, recording, city, wigle):
         """The whole decision stream matches, byte for byte."""
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=1)
+        service = run_stream(core, recording.events)
         assert decision_rows(service.decisions) == decision_rows(
             recording.decisions
         )
@@ -64,7 +64,7 @@ class TestBitIdentical:
     def test_per_client_sequences_identical(self, recording, city, wigle):
         """Every client sees the exact burst sequence the sim sent it."""
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=2)
+        service = run_stream(core, recording.events)
         got = decisions_by_client(service.decisions)
         want = decisions_by_client(recording.decisions)
         assert set(got) == set(want)
@@ -73,11 +73,17 @@ class TestBitIdentical:
                 d.as_row() for d in want[mac]
             ], "client %s diverged" % mac
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_worker_count_invariance(self, recording, city, wigle, workers):
-        """Concurrency never changes the decisions, only the transport."""
+    @pytest.mark.parametrize(
+        "queue_max", [1, 3, DEFAULT_QUEUE_MAX], ids=["1", "3", "default"]
+    )
+    def test_queue_bound_invariance(self, recording, city, wigle, queue_max):
+        """The queue bound changes the transport, never the decisions.
+
+        At ``queue_max=1`` producer and consumer alternate on every
+        event; at the default the producer runs far ahead.
+        """
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=workers)
+        service = run_stream(core, recording.events, queue_max=queue_max)
         assert decisions_digest(service.decisions) == decisions_digest(
             recording.decisions
         )
@@ -85,7 +91,7 @@ class TestBitIdentical:
     def test_session_state_identical(self, recording, city, wigle):
         """The core's session converges to the sim attacker's session."""
         core = recording.seeded_core(wigle, city)
-        run_stream(core, recording.events, workers=4)
+        run_stream(core, recording.events)
         sim_session = recording.result.session
         sim_clients = sim_session.clients
         srv_clients = core.session.clients
@@ -115,21 +121,20 @@ class TestObserveOnly:
     The observability layers only *observe* — no RNG draws, no
     scheduling.  Re-run every differential scenario with
     ``REPRO_REQ_TRACE=1`` and fast service heartbeats enabled and
-    demand the digest the un-instrumented run produced, at several
-    worker counts (satellite of the request-tracing PR; mirrors the
-    lineage/epoch tracer invariance tests).
+    demand the digest the un-instrumented run produced, at
+    ``queue_max=1`` so every event takes the full enqueue/consume
+    hand-off (mirrors the lineage/epoch tracer invariance tests).
     """
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_tracing_on_digest_identical(
-        self, recording, city, wigle, workers, monkeypatch, tmp_path
+        self, recording, city, wigle, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
         # finish() flushes reqtrace JSONL; keep it out of the repo tree.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=workers)
+        service = run_stream(core, recording.events, queue_max=1)
         assert decisions_digest(service.decisions) == decisions_digest(
             recording.decisions
         )

@@ -1,12 +1,11 @@
 """Fault discipline of the serving layer.
 
-Overload and crash behaviour, pinned by test: a full ingress queue
+Overload and failure behaviour, pinned by test: a full ingress queue
 sheds *probes* (counted, never silent) but always backpressures
-feedback; a crashing worker restarts with all session state intact and
-salvages its in-flight event; a core-level failure is counted and
-released so the stream never deadlocks; and malformed trace lines are
-skipped with the same torn-line discipline ``repro.obs.epochs`` applies
-to shard telemetry.
+feedback; an event whose apply raises (in the core or in the decision
+callback) is counted and released so the stream never deadlocks; and
+malformed trace lines are skipped with the same torn-line discipline
+``repro.obs.epochs`` applies to shard telemetry.
 """
 
 import asyncio
@@ -14,18 +13,16 @@ import asyncio
 import pytest
 
 from repro.serve.core import RankingCore
-from repro.serve.events import FeedbackEvent, ProbeEvent, decisions_digest
+from repro.serve.events import FeedbackEvent, ProbeEvent
 from repro.serve.service import (
     QUEUE_MAX_ENV,
-    WORKERS_ENV,
     RankingService,
     resolve_queue_max,
-    resolve_serve_workers,
     run_stream,
     serve_stream,
 )
 from repro.serve.trace import load_trace
-from repro.serve.workload import client_mac, synthetic_stream
+from repro.serve.workload import client_mac
 
 
 @pytest.fixture
@@ -47,9 +44,9 @@ class TestShedding:
         """Probes beyond the bound are dropped and show up in shed_total."""
 
         async def scenario():
-            service = RankingService(core, workers=2, queue_max=4, shed=True)
+            service = RankingService(core, queue_max=4, shed=True)
             accepted = []
-            # Workers not started yet: the queue fills and stays full.
+            # Consumer not started yet: the queue fills and stays full.
             for event in _probes(10):
                 accepted.append(await service.submit(event))
             await service.start()
@@ -71,7 +68,7 @@ class TestShedding:
         """Feedback waits for queue space instead of being dropped."""
 
         async def scenario():
-            service = RankingService(core, workers=1, queue_max=2, shed=True)
+            service = RankingService(core, queue_max=2, shed=True)
             for event in _probes(2):
                 await service.submit(event)
             # Queue full: a probe would shed, feedback must block.
@@ -97,43 +94,16 @@ class TestShedding:
 
 
 class TestWorkerCrashes:
-    def test_restart_preserves_state_and_salvages_inflight(self, core, city, wigle):
-        """A transport-stage crash reapplies the event after restart.
-
-        The decision stream must equal the fault-free run's: the crash
-        happens before the core saw the event, so the supervisor
-        re-applies it and nothing — especially feedback — is lost.
-        """
-        events = synthetic_stream(
-            4, 60, seed=5, ssid_pool=["a-net", "b-net"],
-            direct_share=0.2, feedback_share=0.2,
-        )
-        reference = run_stream(
-            RankingCore.seeded(
-                wigle, city.heatmap, city.venues[0].region.center, seed=3
-            ),
-            events,
-            workers=3,
-        )
-
-        crashed = []
-
-        def fault_hook(wid, event):
-            # Crash exactly once, on the first feedback event seen.
-            if not crashed and isinstance(event, FeedbackEvent):
-                crashed.append(event)
-                raise RuntimeError("injected transport fault")
-
-        service = RankingService(core, workers=3, fault_hook=fault_hook)
-        asyncio.run(serve_stream(service, events))
-        assert crashed, "fault hook never fired"
-        assert service.metrics.counter_value("serve.worker_restarts") == 1
-        assert service.metrics.counter_value("serve.events_failed") == 0
-        assert decisions_digest(service.decisions) == decisions_digest(
-            reference.decisions
-        )
-        # All events were applied despite the crash: state is intact.
-        assert core.events_handled == len(events)
+    def _assert_one_failed(self, service, events, poisoned):
+        assert service.metrics.counter_value("serve.events_failed") == 1
+        failed = [
+            e for e in service.events_log if e["kind"] == "serve.event_failed"
+        ]
+        assert len(failed) == 1
+        assert failed[0]["seq"] == events.index(poisoned)
+        # The events around it were applied in ingress order.
+        times = [d.time for d in service.decisions]
+        assert times and times == sorted(times)
 
     def test_mid_apply_failure_counted_and_stream_continues(self, core):
         """A core-level failure loses one event, never the stream."""
@@ -147,13 +117,34 @@ class TestWorkerCrashes:
             return original_handle(event)
 
         core.handle = flaky_handle
-        service = RankingService(core, workers=2)
+        service = RankingService(core)
         asyncio.run(serve_stream(service, events))
-        assert service.metrics.counter_value("serve.events_failed") == 1
-        assert service.metrics.counter_value("serve.worker_restarts") == 1
-        # The other 19 events were all committed, in order.
+        # drain() returned; the other 19 events were all applied.
         assert core.events_handled == len(events) - 1
-        assert len(service.decisions) > 0
+        self._assert_one_failed(service, events, poisoned)
+        assert poisoned.time not in [d.time for d in service.decisions]
+
+    def test_decision_callback_failure_counted_and_stream_continues(
+        self, core
+    ):
+        """A raising ``on_decision`` loses one emission, never the stream."""
+        events = _probes(20)
+        poisoned = events[7]
+        emitted = []
+
+        def on_decision(decision):
+            if decision.time == poisoned.time:
+                raise RuntimeError("injected callback fault")
+            emitted.append(decision)
+
+        service = RankingService(core, on_decision=on_decision)
+        asyncio.run(serve_stream(service, events))
+        # The core applied every event; only the callback failed.
+        assert core.events_handled == len(events)
+        self._assert_one_failed(service, events, poisoned)
+        assert [d.time for d in emitted] == [
+            d.time for d in service.decisions if d.time != poisoned.time
+        ]
 
 
 class TestMalformedTraces:
@@ -175,18 +166,17 @@ class TestMalformedTraces:
         assert stats.skipped == 5
         assert [line for line, _ in stats.reasons] == [2, 3, 4, 5, 6]
         # The surviving events still serve.
-        service = run_stream(core, events, workers=2)
+        service = run_stream(core, events)
         assert len(service.decisions) == 2
 
 
 RESOLVERS = [
-    (resolve_serve_workers, WORKERS_ENV, "workers", 4),
     (resolve_queue_max, QUEUE_MAX_ENV, "queue_max", 1024),
 ]
 
 
 class TestSettingsFailLoudly:
-    """Bad worker counts and queue bounds raise, naming their source."""
+    """Bad queue bounds raise, naming their source."""
 
     @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
     def test_default_and_valid_values(
@@ -217,9 +207,12 @@ class TestSettingsFailLoudly:
             resolve(value)
 
     def test_service_rejects_bad_settings(self, core, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "four")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
+        monkeypatch.setenv(QUEUE_MAX_ENV, "four")
+        with pytest.raises(ValueError, match=QUEUE_MAX_ENV):
             RankingService(core)
-        monkeypatch.delenv(WORKERS_ENV)
+        monkeypatch.delenv(QUEUE_MAX_ENV)
         with pytest.raises(ValueError, match="queue_max"):
             RankingService(core, queue_max=0)
+        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "inf")
+        with pytest.raises(ValueError, match="REPRO_SERVE_HEARTBEAT"):
+            RankingService(core)

@@ -6,8 +6,8 @@ the UJI Probes dataset shape (one object per line: ``ts``, ``mac``,
 recorded canteen scenario with three deliberately malformed lines
 injected at known positions.  These tests pin the tolerant-parse
 accounting, the replay determinism contract (same digest across two
-runs and across ``REPRO_WORKERS`` settings) and the round-trip through
-the trace writer, plus the ``repro serve replay`` CLI on top.
+runs) and the round-trip through the trace writer, plus the ``repro
+serve replay`` CLI on top.
 """
 
 import json
@@ -59,23 +59,10 @@ class TestReplayDeterminism:
         events, _ = trace
         digests = []
         for _ in range(2):
-            service = run_stream(_core(city, wigle), events, workers=2)
+            service = run_stream(_core(city, wigle), events)
             digests.append(decisions_digest(service.decisions))
         assert digests[0] == digests[1]
         assert len(service.decisions) > 0
-
-    def test_same_digest_across_worker_env(
-        self, trace, city, wigle, monkeypatch
-    ):
-        """REPRO_WORKERS changes concurrency, never the decisions."""
-        events, _ = trace
-        digests = {}
-        for env_workers in ("1", "6"):
-            monkeypatch.setenv("REPRO_WORKERS", env_workers)
-            service = run_stream(_core(city, wigle), events, workers=None)
-            assert service.workers == int(env_workers)
-            digests[env_workers] = decisions_digest(service.decisions)
-        assert digests["1"] == digests["6"]
 
 
 class TestRoundTrip:
@@ -97,8 +84,6 @@ class TestReplayCli:
                 "serve",
                 "replay",
                 str(FIXTURE),
-                "--workers",
-                "3",
                 "--seed",
                 "11",
                 "--decisions-out",
@@ -115,6 +100,6 @@ class TestReplayCli:
 
     def test_replay_strict_fails_on_skips(self, capsys):
         rc = cli_main(
-            ["serve", "replay", str(FIXTURE), "--strict", "--workers", "1"]
+            ["serve", "replay", str(FIXTURE), "--strict"]
         )
         assert rc == 1

@@ -37,17 +37,17 @@ class TestInterval:
     def test_numeric_is_seconds(self):
         assert resolve_heartbeat_interval("2.5") == 2.5
 
-    def test_garbage_and_nonpositive_off(self):
-        assert resolve_heartbeat_interval("soon") is None
-        assert resolve_heartbeat_interval("0") is None
-        assert resolve_heartbeat_interval("-3") is None
+    def test_blank_false_words_and_zero_off(self):
+        for value in ("", "   ", "false", "off", "No", "0", "-0.0"):
+            assert resolve_heartbeat_interval(value) is None
 
-    def test_nan_and_whitespace_off(self):
-        # float("nan") parses but is not > 0 — must not arm a writer
-        # with a NaN sleep interval.
-        assert resolve_heartbeat_interval("nan") is None
-        assert resolve_heartbeat_interval("   ") is None
-        assert resolve_heartbeat_interval("-0.0") is None
+    @pytest.mark.parametrize("value", ["soon", "-3", "nan", "inf", "1e400"])
+    def test_bad_value_raises_naming_variable(self, monkeypatch, value):
+        # A typo must not silently switch heartbeats off, and an
+        # infinite interval would kill the heartbeat thread.
+        monkeypatch.setenv("REPRO_HEARTBEAT", value)
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT"):
+            resolve_heartbeat_interval()
 
 
 class TestHeartbeatWriter:
@@ -395,11 +395,11 @@ def _write_serve(directory, pid, walls, committed=None, events=800,
                 "wall": wall, "pid": pid, "spec": "serve", "seq": seq,
                 "sim_time": float(c), "fraction": c / max(1, events),
                 "hits": 0, "done": done and last, "kind": "serve",
-                "workers": 4, "events": events, "committed": c,
+                "events": events, "committed": c,
                 "probes_per_s": 12000.0, "queue_depth": queue_depth,
                 "queue_max": queue_max, "shed": 0,
                 "shed_fraction": shed_fraction, "p50_us": 40.0,
-                "p99_us": 210.0, "worker_restarts": 0,
+                "p99_us": 210.0, "events_failed": 0,
             }) + "\n")
     return path
 
@@ -423,6 +423,15 @@ class TestServeInterval:
         monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "on")
         assert resolve_serve_heartbeat_interval() == DEFAULT_INTERVAL_S
 
+    @pytest.mark.parametrize("value", ["soon", "-3", "nan", "inf", "1e400"])
+    def test_bad_value_raises_naming_variable(self, monkeypatch, value):
+        from repro.obs.telemetry import resolve_serve_heartbeat_interval
+
+        monkeypatch.setenv("REPRO_HEARTBEAT", "1")
+        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", value)
+        with pytest.raises(ValueError, match="REPRO_SERVE_HEARTBEAT"):
+            resolve_serve_heartbeat_interval()
+
 
 class TestServeWatchRows:
     def test_row_carries_serve_fields(self, tmp_path):
@@ -431,7 +440,7 @@ class TestServeWatchRows:
         rows = watch_snapshot(tmp_path, stall_after_s=60.0, now=now)
         row = rows[0]
         assert row["kind"] == "serve"
-        assert row["workers"] == 4
+        assert row["events_failed"] == 0
         assert row["probes_per_s"] == 12000.0
         assert row["overloaded"] is False
         assert row["stalled"] is False
@@ -453,7 +462,7 @@ class TestServeWatchRows:
         assert rows[0]["overloaded"] is True
 
     def test_frozen_commits_with_backlog_is_a_stall(self, tmp_path):
-        """A wedged sequencer keeps heartbeating; commits frozen with a
+        """A stuck consumer keeps heartbeating; commits frozen with a
         backlog past the threshold must still read as stalled."""
         now = 1000.0
         _write_serve(
@@ -550,7 +559,7 @@ class TestServiceHeartbeatIntegration:
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
-        run_stream(core, synthetic_stream(8, 200, seed=0), workers=2)
+        run_stream(core, synthetic_stream(8, 200, seed=0))
         files = list((tmp_path / "telemetry").glob("serve-*.jsonl"))
         assert len(files) == 1
         records = read_heartbeats(files[0])
