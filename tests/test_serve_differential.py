@@ -121,20 +121,22 @@ class TestObserveOnly:
     The observability layers only *observe* — no RNG draws, no
     scheduling.  Re-run every differential scenario with
     ``REPRO_REQ_TRACE=1`` and fast service heartbeats enabled and
-    demand the digest the un-instrumented run produced, at
-    ``queue_max=1`` so every event takes the full enqueue/consume
-    hand-off (mirrors the lineage/epoch tracer invariance tests).
+    demand the digest the un-instrumented run produced, at several
+    ingress queue bounds — ``queue_max=1`` makes every event take the
+    full enqueue/consume hand-off (mirrors the lineage/epoch tracer
+    invariance tests).
     """
 
+    @pytest.mark.parametrize("queue_max", [1, 3, 8])
     def test_tracing_on_digest_identical(
-        self, recording, city, wigle, monkeypatch, tmp_path
+        self, recording, city, wigle, queue_max, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
         # finish() flushes reqtrace JSONL; keep it out of the repo tree.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, queue_max=1)
+        service = run_stream(core, recording.events, queue_max=queue_max)
         assert decisions_digest(service.decisions) == decisions_digest(
             recording.decisions
         )
