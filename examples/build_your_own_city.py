@@ -84,8 +84,8 @@ def main() -> None:
         db, frozenset(), split, hunter_config, np.random.default_rng(0)
     )
     print("first response burst a broadcast prober would receive:")
-    for meta in burst[:10]:
-        print(f"  [{meta.bucket:>8s}] {meta.ssid}")
+    for ssid, _origin, bucket in burst[:10]:
+        print(f"  [{bucket:>8s}] {ssid}")
     print(f"  ... {len(burst)} SSIDs total")
 
 

@@ -13,14 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+SentSsid = Tuple[str, str, str]
+"""Provenance of one SSID inside one response burst:
+``(ssid, origin, bucket)``.
 
-@dataclass(frozen=True)
-class SentSsid:
-    """Provenance of one SSID inside one response burst."""
-
-    ssid: str
-    origin: str
-    bucket: str
+A plain tuple, built and unpacked in place, because the attacker makes
+one per SSID it sends and the session keeps its provenance for the
+whole run.  CPython's collector stops tracking an exact tuple of
+strings and ints the first time it examines it, so a long send history
+costs later collections nothing.  A dataclass or ``NamedTuple``
+instance stays tracked, and every full collection would walk the lot.
+The session's per-client provenance is the same kind of record:
+``(origin, bucket, position)``."""
 
 
 @dataclass
@@ -54,19 +58,13 @@ class ClientRecord:
         return self.connected and self.hit_bucket != "mimic"
 
 
-@dataclass
-class _Provenance:
-    origin: str
-    bucket: str
-    position: int
-
-
 class AttackSession:
     """Mutable per-run log the attacker writes and the analysis reads."""
 
     def __init__(self) -> None:
         self.clients: Dict[str, ClientRecord] = {}
-        self._provenance: Dict[str, Dict[str, _Provenance]] = {}
+        # mac -> ssid -> (origin, bucket, position); see SentSsid.
+        self._provenance: Dict[str, Dict[str, Tuple[str, str, int]]] = {}
         self.db_size_series: List[Tuple[float, int]] = []
         self.deauths_sent: int = 0
 
@@ -91,14 +89,16 @@ class AttackSession:
         """A burst of database SSIDs went out to ``mac``."""
         rec = self._client(mac, time)
         prov = self._provenance[mac]
-        for meta in metas:
-            rec.ssids_sent += 1
-            prov[meta.ssid] = _Provenance(meta.origin, meta.bucket, rec.ssids_sent)
+        position = rec.ssids_sent
+        for ssid, origin, bucket in metas:
+            position += 1
+            prov[ssid] = (origin, bucket, position)
+        rec.ssids_sent = position
 
     def record_mimic(self, mac: str, time: float, ssid: str) -> None:
         """A KARMA-style reflection of a direct probe went out to ``mac``."""
         rec = self._client(mac, time)
-        self._provenance[mac][ssid] = _Provenance("mimic", "mimic", rec.ssids_sent)
+        self._provenance[mac][ssid] = ("mimic", "mimic", rec.ssids_sent)
 
     def record_hit(self, mac: str, time: float, ssid: str) -> ClientRecord:
         """``mac`` associated to us using ``ssid``."""
@@ -110,9 +110,10 @@ class AttackSession:
         rec.hit_ssid = ssid
         prov = self._provenance[mac].get(ssid)
         if prov is not None:
-            rec.hit_origin = prov.origin
-            rec.hit_bucket = prov.bucket
-            rec.hit_position = prov.position if prov.bucket != "mimic" else None
+            origin, bucket, position = prov
+            rec.hit_origin = origin
+            rec.hit_bucket = bucket
+            rec.hit_position = position if bucket != "mimic" else None
         else:
             # Association to an SSID we never advertised to this client —
             # should not happen, but keep the record honest.

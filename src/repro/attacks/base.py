@@ -216,7 +216,7 @@ class RogueAp:
     def send_mimic(self, client: MacAddress, ssid: str, time: float) -> None:
         """Reply to a direct probe with an open evil twin of ``ssid``."""
         self.session.record_mimic(client, time, ssid)
-        self._count_sent([SentSsid(ssid, origin="mimic", bucket="mimic")])
+        self._count_sent([(ssid, "mimic", "mimic")])
         self.medium.transmit(
             self,
             ProbeResponse(self.mac, client, ssid, Security.OPEN),
@@ -232,8 +232,8 @@ class RogueAp:
         self.session.record_sent(client, time, metas)
         self._count_sent(metas)
         responses: List[ProbeResponse] = [
-            ProbeResponse(self.mac, client, meta.ssid, Security.OPEN)
-            for meta in metas
+            ProbeResponse(self.mac, client, ssid, Security.OPEN)
+            for ssid, _, _ in metas
         ]
         lineage = self._lineage
         if lineage is None:
@@ -251,8 +251,8 @@ class RogueAp:
             client=client,
             size=len(metas),
             candidates=[
-                {"ssid": m.ssid, "bucket": m.bucket, "origin": m.origin}
-                for m in metas
+                {"ssid": ssid, "bucket": bucket, "origin": origin}
+                for ssid, origin, bucket in metas
             ],
         )
         with lineage.push(ctx):
@@ -273,8 +273,8 @@ class RogueAp:
             return
         metrics.inc("attacker.responses_sent", len(metas))
         grouped: Dict[Tuple[str, str], int] = {}
-        for meta in metas:
-            group = (self.provenance_of(meta.ssid, meta.origin), meta.bucket)
+        for ssid, origin, bucket in metas:
+            group = (self.provenance_of(ssid, origin), bucket)
             grouped[group] = grouped.get(group, 0) + 1
         keys = self._sent_keys
         for group, count in grouped.items():

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.session import SentSsid
 from repro.attacks.base import RogueAp
 from repro.core.selection import DIRECT_ATTRIBUTION_WINDOW_S
 from repro.dot11.mac import MacAddress
@@ -82,18 +81,11 @@ class CityHunterBasic(RogueAp):
         end = min(start + self.timing.max_responses_per_scan, len(self._order))
         if start >= end:
             return  # database exhausted for this client
-        metas = [
-            SentSsid(
-                self._order[i],
-                origin=(
-                    "direct"
-                    if time - self._direct_last_seen.get(self._order[i], float("-inf"))
-                    <= DIRECT_ATTRIBUTION_WINDOW_S
-                    else self._origins[i]
-                ),
-                bucket="db",
-            )
-            for i in range(start, end)
-        ]
+        metas = []
+        for i in range(start, end):
+            ssid = self._order[i]
+            seen = self._direct_last_seen.get(ssid, float("-inf"))
+            recent = time - seen <= DIRECT_ATTRIBUTION_WINDOW_S
+            metas.append((ssid, "direct" if recent else self._origins[i], "db"))
         self._cursor[client] = end
         self.send_ssid_burst(client, metas, time)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.session import SentSsid
 from repro.attacks.base import RogueAp
 from repro.dot11.mac import MacAddress
 
@@ -51,8 +50,5 @@ class ManaAttacker(RogueAp):
         received and simulating its airtime changes nothing observable.
         """
         cap = 2 * self.timing.max_responses_per_scan
-        metas = [
-            SentSsid(ssid, origin="direct", bucket="db")
-            for ssid in list(self._db)[:cap]
-        ]
+        metas = [(ssid, "direct", "db") for ssid in list(self._db)[:cap]]
         self.send_ssid_burst(client, metas, time)

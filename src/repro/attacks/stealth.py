@@ -161,8 +161,8 @@ class StealthCityHunter(CityHunter):
             return
         self.session.record_sent(client, time, metas)
         responses: List[ProbeResponse] = [
-            ProbeResponse(self.alias_for(m.ssid).mac, client, m.ssid, Security.OPEN)
-            for m in metas
+            ProbeResponse(self.alias_for(ssid).mac, client, ssid, Security.OPEN)
+            for ssid, _, _ in metas
         ]
         self.medium.transmit_response_burst(
             self, responses, self.timing.response_airtime

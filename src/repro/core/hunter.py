@@ -131,7 +131,7 @@ class CityHunter(RogueAp):
         if not metas:
             return
         if self.config.untried_lists:
-            tried.update(m.ssid for m in metas)
+            tried.update(ssid for ssid, _, _ in metas)
         self.send_ssid_burst(client, metas, time)
 
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:

@@ -67,7 +67,7 @@ def select_for_client(
 
     def _meta(entry: SsidEntry, bucket: str) -> SentSsid:
         chosen_ssids.add(entry.ssid)
-        return SentSsid(entry.ssid, origin=send_origin(entry, now), bucket=bucket)
+        return (entry.ssid, send_origin(entry, now), bucket)
 
     def take(entry: SsidEntry, bucket: str) -> None:
         chosen.append(_meta(entry, bucket))

@@ -379,19 +379,21 @@ def watch_snapshot(
                 or (depth is not None and cap and int(depth) >= int(cap))
             )
             # A service can heartbeat forever while its consumer is
-            # stuck: commits frozen with a backlog behind them is a
-            # stall even when the file keeps growing.
-            committed = last.get("committed")
+            # stuck: no event applied (committed or failed) with a
+            # backlog behind it is a stall even when the file keeps
+            # growing.  ``events`` counts shed probes, which never
+            # reach the queue.
+            applied = _serve_applied(last)
             events = last.get("events")
             if (
                 not done
-                and committed is not None
+                and applied is not None
                 and events is not None
-                and int(events) > int(committed)
+                and int(events) - int(last.get("shed") or 0) > applied
             ):
                 frozen_since = float(last.get("wall", now))
                 for rec in reversed(records):
-                    if rec.get("committed") != committed:
+                    if _serve_applied(rec) != applied:
                         break
                     frozen_since = float(rec.get("wall", frozen_since))
                 row["stalled"] = (
@@ -399,6 +401,14 @@ def watch_snapshot(
                 )
         rows.append(row)
     return rows
+
+
+def _serve_applied(record: dict) -> Optional[int]:
+    """Events a serve heartbeat says were applied: committed or failed."""
+    committed = record.get("committed")
+    if committed is None:
+        return None
+    return int(committed) + int(record.get("events_failed") or 0)
 
 
 #: Fields a serve heartbeat carries beyond the base record shape.

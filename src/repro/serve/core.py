@@ -32,7 +32,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.analysis.session import AttackSession, SentSsid
+from repro.analysis.session import AttackSession
 from repro.city.heatmap import HeatMap
 from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
@@ -170,7 +170,7 @@ class RankingCore:
         if not metas:
             return None
         if self.config.untried_lists:
-            tried.update(m.ssid for m in metas)
+            tried.update(ssid for ssid, _, _ in metas)
         # send_ssid_burst(): session first, frames after.
         self.session.record_sent(event.mac, event.time, metas)
         return BurstDecision(event.mac, event.time, "burst", tuple(metas))
@@ -196,10 +196,7 @@ class RankingCore:
         # send_mimic(): session first, frame after.
         self.session.record_mimic(event.mac, event.time, ssid)
         return BurstDecision(
-            event.mac,
-            event.time,
-            "mimic",
-            (SentSsid(ssid, origin="mimic", bucket="mimic"),),
+            event.mac, event.time, "mimic", ((ssid, "mimic", "mimic"),)
         )
 
     def _handle_feedback(self, event: FeedbackEvent) -> None:

@@ -8,9 +8,13 @@ decisions* — the PB/FB/ghost SSID burst of the paper's step 3, or a
 KARMA-style mimic for a direct probe — and consumes feedback events
 silently (they update the ranking, Section IV step 2).
 
-Everything here is a frozen dataclass so events survive queues, process
-boundaries and JSON round-trips unchanged, and so the differential
-harness can compare decision sequences with plain ``==``.
+Events and decisions are frozen dataclasses, so nothing downstream of
+the queue can mutate them.  A decision carries its SSIDs as plain
+``(ssid, origin, bucket)`` tuples
+(:data:`~repro.analysis.session.SentSsid`, which says why they are not
+records).  The differential harness compares decision sequences with
+plain ``==``, and :meth:`BurstDecision.as_row` is the canonical JSON
+form that digests and exports use.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ Event = Union[ProbeEvent, FeedbackEvent]
 class BurstDecision:
     """One outgoing answer: a response burst or a mimic reflection.
 
-    ``ssids`` carries the full per-SSID provenance
-    (:class:`~repro.analysis.session.SentSsid`) in send order — the
+    ``ssids`` carries the full per-SSID provenance as
+    ``(ssid, origin, bucket)`` tuples
+    (:data:`~repro.analysis.session.SentSsid`) in send order — the
     exact payload the inline simulator's
     :meth:`~repro.attacks.base.RogueAp.send_ssid_burst` transmits, which
     is what makes decision sequences comparable bit-for-bit.
@@ -70,7 +75,7 @@ class BurstDecision:
             self.mac,
             self.time,
             self.kind,
-            [[s.ssid, s.origin, s.bucket] for s in self.ssids],
+            [list(sent) for sent in self.ssids],
         ]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.session import SentSsid
 from repro.city.model import City
 from repro.core.config import CityHunterConfig
 from repro.core.hunter import CityHunter
@@ -73,12 +72,7 @@ class RecordingCityHunter(CityHunter):
 
     def send_mimic(self, client, ssid, time):
         self._recorder.decisions.append(
-            BurstDecision(
-                str(client),
-                time,
-                "mimic",
-                (SentSsid(ssid, origin="mimic", bucket="mimic"),),
-            )
+            BurstDecision(str(client), time, "mimic", ((ssid, "mimic", "mimic"),))
         )
         super().send_mimic(client, ssid, time)
 

@@ -44,6 +44,7 @@ from repro.obs.registry import (
     METRICS_SCHEMA,
     MetricsRegistry,
     estimate_percentile,
+    metric_key,
 )
 from repro.obs.reqtrace import maybe_request_trace
 from repro.obs.telemetry import (
@@ -72,6 +73,16 @@ STAGE_BUCKETS_US: Tuple[float, ...] = (
 """Queue-wait histogram bounds, microseconds.  The wait is dominated by
 backlog, not compute, so the range extends to ~6.5 s before the
 overflow bucket.  Wall-clock, like the select histogram."""
+
+_EVENTS_KEY = {
+    etype: metric_key("serve.events_total", {"type": etype})
+    for etype in ("feedback", "direct", "broadcast")
+}
+_DECISIONS_KEY = {
+    kind: metric_key("serve.decisions_total", {"kind": kind})
+    for kind in ("burst", "mimic")
+}
+"""Pre-computed counter keys for the per-event hot path."""
 
 
 def resolve_queue_max(queue_max: Optional[int] = None) -> int:
@@ -167,7 +178,7 @@ class RankingService:
         etype = "feedback" if isinstance(event, FeedbackEvent) else (
             "direct" if event.is_direct else "broadcast"
         )
-        self.metrics.inc("serve.events_total", type=etype)
+        self.metrics.inc_key(_EVENTS_KEY[etype])
         if (
             self.shed
             and isinstance(event, ProbeEvent)
@@ -236,10 +247,9 @@ class RankingService:
             self.metrics.timer_add("serve.select", elapsed_us / 1e6)
             if self._sample_latencies:
                 self.latencies_us.append(elapsed_us)
-        self._committed += 1
         if decision is not None:
             self.decisions.append(decision)
-            self.metrics.inc("serve.decisions_total", kind=decision.kind)
+            self.metrics.inc_key(_DECISIONS_KEY[decision.kind])
             self.metrics.inc("serve.ssids_offered", len(decision.ssids))
             if self._on_decision is not None:
                 self._on_decision(decision)
@@ -258,6 +268,9 @@ class RankingService:
                 kind=None if decision is None else decision.kind,
             )
             self.reqtrace.record("apply", seq, t_rank, t_apply - t_rank)
+        # Last, so an event that raises anywhere above counts once, in
+        # serve.events_failed, and never here.
+        self._committed += 1
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.breakdown import breakdown_hits
 from repro.analysis.metrics import summarize
-from repro.analysis.session import AttackSession, SentSsid
+from repro.analysis.session import AttackSession
 from repro.analysis.timeseries import (
     cumulative_broadcast_connections,
     db_size_at_steps,
@@ -16,8 +16,8 @@ def _session_with_traffic():
     s = AttackSession()
     # Broadcast client hit via a wigle PB ssid.
     s.observe_probe("mac-a", 10.0, direct=False)
-    s.record_sent("mac-a", 10.0, [SentSsid("pop", "wigle", "pb"),
-                                  SentSsid("fresh", "direct", "fb")])
+    s.record_sent("mac-a", 10.0, [("pop", "wigle", "pb"),
+                                  ("fresh", "direct", "fb")])
     s.record_hit("mac-a", 11.0, "pop")
     # Direct client hit via mimic.
     s.observe_probe("mac-b", 20.0, direct=True)
@@ -25,10 +25,10 @@ def _session_with_traffic():
     s.record_hit("mac-b", 21.0, "HomeNet")
     # Broadcast client, never hit.
     s.observe_probe("mac-c", 30.0, direct=False)
-    s.record_sent("mac-c", 30.0, [SentSsid("pop", "wigle", "pb")])
+    s.record_sent("mac-c", 30.0, [("pop", "wigle", "pb")])
     # Broadcast client hit via freshness, direct origin.
     s.observe_probe("mac-d", 40.0, direct=False)
-    s.record_sent("mac-d", 40.0, [SentSsid("fresh", "direct", "fb")])
+    s.record_sent("mac-d", 40.0, [("fresh", "direct", "fb")])
     s.record_hit("mac-d", 41.0, "fresh")
     return s
 
@@ -104,7 +104,7 @@ class TestSummary:
     def test_direct_prober_hit_via_broadcast_counts_as_direct_client(self):
         s = AttackSession()
         s.observe_probe("m", 0.0, direct=True)
-        s.record_sent("m", 0.0, [SentSsid("pop", "wigle", "pb")])
+        s.record_sent("m", 0.0, [("pop", "wigle", "pb")])
         s.record_hit("m", 1.0, "pop")
         summary = summarize(s)
         # Client class wins: it is a direct client even though the hit

@@ -53,11 +53,7 @@ class TestPhoneChannelCycle:
             # KARMA base answers direct probes only; give it a broadcast
             # reply so the phone can be hit through any channel cycle.
             def on_broadcast_probe(self, client, time):
-                from repro.analysis.session import SentSsid
-
-                self.send_ssid_burst(
-                    client, [SentSsid("Known Net", "wigle", "db")], time
-                )
+                self.send_ssid_burst(client, [("Known Net", "wigle", "db")], time)
 
         ap = OneSsidAp(
             "02:aa:00:00:00:01", Point(0, 0), medium, channel=attacker_channel

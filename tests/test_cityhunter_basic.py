@@ -128,5 +128,5 @@ class TestHarvesting:
         sniffer.received.clear()
         attacker.receive(ProbeRequest(sniffer.mac), sim.now)
         sim.run(sim.now + 1.0)
-        rec_prov = attacker.session._provenance[sniffer.mac][seed_ssid]
-        assert rec_prov.origin == "direct"
+        origin, _, _ = attacker.session._provenance[sniffer.mac][seed_ssid]
+        assert origin == "direct"

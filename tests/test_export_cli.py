@@ -12,14 +12,14 @@ from repro.analysis.export import (
     load_summary,
     session_to_json,
 )
-from repro.analysis.session import AttackSession, SentSsid
+from repro.analysis.session import AttackSession
 from repro.cli import build_parser, main
 
 
 def _session():
     s = AttackSession()
     s.observe_probe("mac-a", 1.0, direct=False)
-    s.record_sent("mac-a", 1.0, [SentSsid("pop", "wigle", "pb")])
+    s.record_sent("mac-a", 1.0, [("pop", "wigle", "pb")])
     s.record_hit("mac-a", 2.0, "pop")
     s.observe_probe("mac-b", 3.0, direct=True)
     s.record_db_size(0.0, 280)

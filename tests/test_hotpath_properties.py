@@ -23,7 +23,6 @@ rewrite:
 import numpy as np
 import pytest
 
-from repro.analysis.session import SentSsid
 from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
 from repro.core.selection import select_for_client, send_origin
@@ -95,7 +94,7 @@ def oracle_select(db, tried, split, config, rng, now=0.0):
 
     def meta(entry, bucket):
         chosen_ssids.add(entry.ssid)
-        return SentSsid(entry.ssid, origin=send_origin(entry, now), bucket=bucket)
+        return (entry.ssid, send_origin(entry, now), bucket)
 
     ranked = db.ranked()
     pb_quota = max(0, split.pb_size - config.ghost_picks)
@@ -177,16 +176,14 @@ def check_selection_properties(seed, n_ssids, n_hits, n_tried, pb_size):
     want = oracle_select(
         db, tried, split, config, np.random.default_rng(draw_seed)
     )
-    assert [(m.ssid, m.origin, m.bucket) for m in got] == [
-        (m.ssid, m.origin, m.bucket) for m in want
-    ]
+    assert got == want
     # Core burst invariants.
     assert len(got) <= config.burst_total
-    names = [m.ssid for m in got]
+    names = [ssid for ssid, _, _ in got]
     assert len(names) == len(set(names)), "duplicate SSID within a burst"
     assert not (set(names) & tried), "re-sent an already-tried SSID"
     for bucket in ("pb_ghost", "fb_ghost"):
-        assert sum(m.bucket == bucket for m in got) <= config.ghost_picks
+        assert sum(b == bucket for _, _, b in got) <= config.ghost_picks
     untried_total = sum(s not in tried for s in (e.ssid for e in db.ranked()))
     assert len(got) == min(config.burst_total, untried_total)
 
@@ -201,8 +198,8 @@ def check_untried_across_bursts(seed):
         burst = select_for_client(db, tried, split, config, rng)
         if not burst:
             break
-        seen.extend(m.ssid for m in burst)
-        tried.update(m.ssid for m in burst)
+        seen.extend(ssid for ssid, _, _ in burst)
+        tried.update(ssid for ssid, _, _ in burst)
     assert len(seen) == len(set(seen))
 
 

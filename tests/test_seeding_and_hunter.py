@@ -170,7 +170,7 @@ class TestCityHunter:
         _drain(sim, sniffer)
         # Find the pb_ghost pick from the session provenance and hit it.
         prov = hunter.session._provenance[sniffer.mac]
-        ghost_ssid = next(s for s, p in prov.items() if p.bucket == "pb_ghost")
+        ghost_ssid = next(s for s, (_, b, _) in prov.items() if b == "pb_ghost")
         pb_before = hunter.split.pb_size
         hunter.receive(AssocRequest(sniffer.mac, hunter.mac, ghost_ssid), sim.now)
         assert hunter.split.pb_size == pb_before + 1

@@ -32,24 +32,24 @@ class TestBurstComposition:
 
     def test_no_duplicates(self):
         metas = _select(_db())
-        ssids = [m.ssid for m in metas]
+        ssids = [ssid for ssid, _, _ in metas]
         assert len(ssids) == len(set(ssids))
 
     def test_never_resends_tried(self):
         db = _db()
         tried = {f"ssid-{i:03d}" for i in range(20)}
         metas = _select(db, tried)
-        assert not tried & {m.ssid for m in metas}
+        assert not tried & {ssid for ssid, _, _ in metas}
 
     def test_pb_quota_honoured(self):
         metas = _select(_db())
-        pb = [m for m in metas if m.bucket == "pb"]
+        pb = [ssid for ssid, _, bucket in metas if bucket == "pb"]
         # No FB content yet: quota plus top-up fill, all weight-ordered.
         assert len(pb) >= 26
 
     def test_pb_in_weight_order(self):
         metas = _select(_db())
-        pb = [m.ssid for m in metas if m.bucket == "pb"]
+        pb = [ssid for ssid, _, bucket in metas if bucket == "pb"]
         head = [m for m in pb if m.startswith("ssid-0")]
         assert head == sorted(head)
 
@@ -57,7 +57,7 @@ class TestBurstComposition:
         split = AdaptiveSplit(total=40, initial_pb=28)
         config = CityHunterConfig()
         metas = _select(_db(), split=split, config=config)
-        ghosts = [m.ssid for m in metas if m.bucket == "pb_ghost"]
+        ghosts = [ssid for ssid, _, bucket in metas if bucket == "pb_ghost"]
         assert len(ghosts) == config.ghost_picks
         # pb quota is 26; ghost pool is ranks 27..46 (0-indexed 26..45)
         # before top-up, so picks must come from that band.
@@ -67,8 +67,8 @@ class TestBurstComposition:
 
     def test_ghost_picks_vary_with_rng(self):
         db = _db()
-        a = {m.ssid for m in _select(db, seed=1) if m.bucket == "pb_ghost"}
-        b = {m.ssid for m in _select(db, seed=2) if m.bucket == "pb_ghost"}
+        a = {ssid for ssid, _, bucket in _select(db, seed=1) if bucket == "pb_ghost"}
+        b = {ssid for ssid, _, bucket in _select(db, seed=2) if bucket == "pb_ghost"}
         assert a != b
 
     def test_small_db_returns_everything_untried(self):
@@ -93,25 +93,26 @@ class TestFreshnessBuffer:
     def test_fresh_mid_tier_enters_fb(self):
         db = self._db_with_hits()
         metas = _select(db)
-        fb = {m.ssid for m in metas if m.bucket == "fb"}
+        fb = {ssid for ssid, _, bucket in metas if bucket == "fb"}
         assert {"ssid-060", "ssid-070"} <= fb
 
     def test_fb_leads_the_burst(self):
         db = self._db_with_hits()
         metas = _select(db)
-        assert metas[0].bucket == "fb"
+        _, _, bucket = metas[0]
+        assert bucket == "fb"
 
     def test_pb_member_not_double_selected_via_fb(self):
         db = _db()
         db.record_hit("ssid-000", time=100.0)  # top-weight, lives in PB
         metas = _select(db)
-        hits = [m for m in metas if m.ssid == "ssid-000"]
+        hits = [ssid for ssid, _, _ in metas if ssid == "ssid-000"]
         assert len(hits) == 1
 
     def test_fb_respects_tried(self):
         db = self._db_with_hits()
         metas = _select(db, tried={"ssid-060"})
-        assert "ssid-060" not in {m.ssid for m in metas}
+        assert "ssid-060" not in {ssid for ssid, _, _ in metas}
 
     def test_fb_ghost_draws_from_stale_hits(self):
         db = _db()
@@ -121,7 +122,7 @@ class TestFreshnessBuffer:
         for i in range(60, 60 + split.fb_size + 10):
             db.record_hit(f"ssid-{i:03d}", time=float(i))
         metas = _select(db, split=split, config=config)
-        fb_ghost = [m for m in metas if m.bucket == "fb_ghost"]
+        fb_ghost = [ssid for ssid, _, bucket in metas if bucket == "fb_ghost"]
         assert len(fb_ghost) == config.ghost_picks
 
 

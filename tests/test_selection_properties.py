@@ -52,7 +52,7 @@ class TestSelectionProperties:
         rng = np.random.default_rng(seed)
         metas = select_for_client(db, tried, split, config, rng, now=100.0)
 
-        ssids = [m.ssid for m in metas]
+        ssids = [ssid for ssid, _, _ in metas]
         # Never more than the reception ceiling.
         assert len(metas) <= config.burst_total
         # Never a duplicate within one burst.
@@ -76,9 +76,9 @@ class TestSelectionProperties:
             db, frozenset(), split, config, np.random.default_rng(seed), now=0.0
         )
         legal = {"pb", "fb", "pb_ghost", "fb_ghost"}
-        assert all(m.bucket in legal for m in metas)
-        assert sum(1 for m in metas if m.bucket == "pb_ghost") <= config.ghost_picks
-        assert sum(1 for m in metas if m.bucket == "fb_ghost") <= config.ghost_picks
+        assert all(bucket in legal for _, _, bucket in metas)
+        assert sum(1 for _, _, b in metas if b == "pb_ghost") <= config.ghost_picks
+        assert sum(1 for _, _, b in metas if b == "fb_ghost") <= config.ghost_picks
 
     @settings(max_examples=40, deadline=None)
     @given(db_with_history(), st.integers(0, 2**31))
@@ -93,8 +93,8 @@ class TestSelectionProperties:
         sent_total = []
         for _ in range(len(db) // 40 + 2):
             metas = select_for_client(db, tried, split, config, rng, now=0.0)
-            sent_total.extend(m.ssid for m in metas)
-            tried.update(m.ssid for m in metas)
+            sent_total.extend(ssid for ssid, _, _ in metas)
+            tried.update(ssid for ssid, _, _ in metas)
         assert len(sent_total) == len(set(sent_total)) == len(db)
 
 

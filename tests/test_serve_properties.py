@@ -69,7 +69,7 @@ def _apply_ops(core, ops, start_time=0.0):
             decisions.append(decision)
             if decision.kind == "burst":
                 offered.setdefault(mac, []).extend(
-                    m.ssid for m in decision.ssids
+                    ssid for ssid, _, _ in decision.ssids
                 )
     return decisions
 
@@ -87,7 +87,7 @@ class TestServeProperties:
             if d.kind != "burst":
                 continue  # mimics legitimately repeat (KARMA reflection)
             seen = sent.setdefault(d.mac, set())
-            burst = {m.ssid for m in d.ssids}
+            burst = {ssid for ssid, _, _ in d.ssids}
             assert not (burst & seen), (
                 "SSIDs re-sent to %s: %r" % (d.mac, burst & seen)
             )
@@ -105,12 +105,12 @@ class TestServeProperties:
             seed=seed,
         )
         for d in _apply_ops(core, ops):
-            ssids = [m.ssid for m in d.ssids]
+            ssids = [ssid for ssid, _, _ in d.ssids]
             assert len(ssids) == len(set(ssids)), "duplicate SSID in burst"
             if d.kind != "burst":
                 continue
             assert len(ssids) <= config.burst_total
-            buckets = [m.bucket for m in d.ssids]
+            buckets = [bucket for _, _, bucket in d.ssids]
             assert buckets.count("pb_ghost") <= config.ghost_picks
             assert buckets.count("fb_ghost") <= config.ghost_picks
             assert set(buckets) <= {"pb", "fb", "pb_ghost", "fb_ghost"}

@@ -5,6 +5,7 @@ silent worker (heartbeat file whose newest record is old and not done)
 must be flagged by ``repro obs watch --once`` with a non-zero exit.
 """
 
+import asyncio
 import json
 import time
 
@@ -573,6 +574,124 @@ class TestServiceHeartbeatIntegration:
         out = capsys.readouterr().out
         assert rc == 0
         assert "done" in out
+
+
+class TestLiveServeStallVerdict:
+    """A live service's verdict after a failed or shed event.
+
+    Each accepted event counts once, as committed or as failed, and the
+    backlog is ``events - shed - committed - events_failed``.  An idle
+    service that failed or shed one event has no backlog and must not
+    read as stalled; a consumer frozen with a backlog still must.
+    """
+
+    @pytest.fixture
+    def core(self, city, wigle, tmp_path, monkeypatch):
+        from repro.serve.core import RankingCore
+
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
+        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        return RankingCore.seeded(
+            wigle, city.heatmap, city.venues[0].region.center, seed=3
+        )
+
+    @staticmethod
+    def _probes(n=20):
+        from repro.serve.events import ProbeEvent
+        from repro.serve.workload import client_mac
+
+        return [ProbeEvent(client_mac(i % 4), 0.1 * i) for i in range(n)]
+
+    @staticmethod
+    def _idle_row(service, events, tmp_path):
+        """Serve ``events``, sit idle 1 s, then read the live verdict."""
+
+        async def scenario():
+            await service.start()
+            try:
+                for event in events:
+                    await service.submit(event)
+                await service.drain()
+                await asyncio.sleep(1.0)
+                return watch_snapshot(tmp_path / "telemetry", stall_after_s=0.5)
+            finally:
+                await service.stop()
+
+        rows = asyncio.run(scenario())
+        assert len(rows) == 1
+        assert rows[0]["done"] is False
+        return rows[0]
+
+    def test_failed_event_idle_service_not_stalled(self, core, tmp_path):
+        from repro.serve.service import RankingService
+
+        events = self._probes()
+        original_handle = core.handle
+
+        def flaky_handle(event):
+            if event is events[7]:
+                raise RuntimeError("injected core fault")
+            return original_handle(event)
+
+        core.handle = flaky_handle
+        row = self._idle_row(RankingService(core), events, tmp_path)
+        assert (row["events"], row["committed"], row["events_failed"]) == (
+            20, 19, 1
+        )
+        assert row["stalled"] is False
+        assert "serving" in render_watch([row], 0.5)
+
+    def test_shed_probe_idle_service_not_stalled(self, core, tmp_path):
+        from repro.serve.service import RankingService
+
+        # The consumer cannot run between submits that never wait, so
+        # the twentieth probe finds the 19-slot queue full.
+        service = RankingService(core, queue_max=19, shed=True)
+        row = self._idle_row(service, self._probes(), tmp_path)
+        assert (row["events"], row["shed"], row["committed"]) == (20, 1, 19)
+        assert row["events_failed"] == 0
+        assert row["stalled"] is False
+
+    def test_failed_decision_callback_counted_once(self, core, tmp_path):
+        from repro.serve.service import RankingService
+
+        events = self._probes()
+
+        def on_decision(decision):
+            if decision.time == events[7].time:
+                raise RuntimeError("injected callback fault")
+
+        service = RankingService(core, on_decision=on_decision)
+        row = self._idle_row(service, events, tmp_path)
+        assert (row["events"], row["committed"], row["events_failed"]) == (
+            20, 19, 1
+        )
+        assert row["stalled"] is False
+
+    def test_frozen_consumer_still_stalled(self, core, tmp_path):
+        from repro.serve.service import run_stream
+
+        events = self._probes()
+        original_handle = core.handle
+        rows = []
+
+        def stuck_handle(event):
+            if event is events[5]:
+                # The consumer is wedged here with 14 events queued
+                # behind it while the heartbeat thread keeps writing.
+                time.sleep(1.0)
+                rows.extend(
+                    watch_snapshot(tmp_path / "telemetry", stall_after_s=0.5)
+                )
+            return original_handle(event)
+
+        core.handle = stuck_handle
+        run_stream(core, events)
+        assert len(rows) == 1
+        assert (rows[0]["events"], rows[0]["committed"]) == (20, 5)
+        assert rows[0]["stalled"] is True
+        assert "STALLED" in render_watch(rows, 0.5)
 
 
 class TestTopCli:
