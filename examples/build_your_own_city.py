@@ -3,8 +3,8 @@
 
 Shows the public API below the experiment harness: define venues and
 chains, generate a city, derive the WiGLE registry and heat map, seed a
-City-Hunter database, and inspect what the selection step would send —
-without running a full simulation.
+City-Hunter decision kernel, and inspect what the selection step would
+send — without running a full simulation.
 
 Run:  python examples/build_your_own_city.py
 """
@@ -14,10 +14,8 @@ import numpy as np
 from repro.city.chains import ChainSpec, PlacementMix
 from repro.city.model import CityConfig, build_city
 from repro.city.venues import Venue, VenueKind
-from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
-from repro.core.seeding import seed_database
-from repro.core.selection import select_for_client
+from repro.core.kernel import HunterKernel
 from repro.geo.region import Rect
 from repro.wigle.database import WigleDatabase
 from repro.wigle.queries import top_ssids_by_count, top_ssids_by_heat
@@ -73,16 +71,15 @@ def main() -> None:
         (s, int(h)) for s, h in top_ssids_by_heat(wigle, city.heatmap, 3)
     ])
 
-    # Seed a City-Hunter database at the plaza and preview a burst.
+    # Seed a City-Hunter kernel at the plaza and preview a burst.
     plaza = city.venue("Old Town Plaza")
     hunter_config = CityHunterConfig(n_popular=50, n_nearby=20)
-    db = seed_database(wigle, city.heatmap, plaza.region.center, hunter_config)
-    print(f"\nseeded database: {len(db)} SSIDs")
-
-    split = AdaptiveSplit(total=40, initial_pb=hunter_config.initial_pb)
-    burst = select_for_client(
-        db, frozenset(), split, hunter_config, np.random.default_rng(0)
+    kernel = HunterKernel.seeded(
+        wigle, city.heatmap, plaza.region.center, hunter_config
     )
+    print(f"\nseeded database: {len(kernel.db)} SSIDs")
+
+    burst = kernel.select("02:00:00:00:00:01", now=0.0)
     print("first response burst a broadcast prober would receive:")
     for ssid, _origin, bucket in burst[:10]:
         print(f"  [{bucket:>8s}] {ssid}")

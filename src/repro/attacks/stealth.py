@@ -123,6 +123,7 @@ class StealthCityHunter(CityHunter):
     def send_mimic(self, client: MacAddress, ssid: str, time: float) -> None:
         """Reflect a direct probe — from the SSID's own alias BSSID."""
         self.session.record_mimic(client, time, ssid)
+        self._count_sent([(ssid, "mimic", "mimic")])
         alias = self.alias_for(ssid)
         self.medium.transmit(
             alias,
@@ -133,25 +134,12 @@ class StealthCityHunter(CityHunter):
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:
         """Harvest/reflect, but never answer for SSIDs we do not know
         unless ``mimic_unknown`` — that silence is what defeats canaries."""
-        if ssid in self.db:
-            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
-            entry = self.db.get(ssid)
-            entry.direct_seen = True
-            entry.last_direct_seen = time
-            self.send_mimic(client, ssid, time)
-            return
-        if self.mimic_unknown:
+        if self.mimic_unknown or ssid in self.db:
             super().on_direct_probe(client, ssid, time)
         else:
             # Still learn the SSID (a future client may hold it); just
             # do not blindly impersonate it right now.
-            self.db.add(
-                ssid, self.config.direct_initial_weight, origin="direct", time=time
-            )
-            entry = self.db.get(ssid)
-            entry.direct_seen = True
-            entry.last_direct_seen = time
-            self.session.record_db_size(time, len(self.db))
+            self._learn_direct(ssid, time)
 
     def send_ssid_burst(
         self, client: MacAddress, metas: Sequence[SentSsid], time: float
@@ -160,6 +148,7 @@ class StealthCityHunter(CityHunter):
         if not metas:
             return
         self.session.record_sent(client, time, metas)
+        self._count_sent(metas)
         responses: List[ProbeResponse] = [
             ProbeResponse(self.alias_for(ssid).mac, client, ssid, Security.OPEN)
             for ssid, _, _ in metas

@@ -11,13 +11,17 @@ Pieces (paper Section IV):
 * :mod:`repro.core.selection` — per-client assembly of the popularity &
   freshness buffers (with their ghost lists) into the 40-SSID burst,
   honouring untried lists;
-* :mod:`repro.core.hunter` — the :class:`CityHunter` attacker tying it
-  all together (plus the Sec. V-B carrier-SSID extension).
+* :mod:`repro.core.kernel` — :class:`HunterKernel`, the one copy of the
+  decision loop tying it all together (plus the Sec. V-B carrier-SSID
+  extension), with per-client state under an opaque client key;
+* :mod:`repro.core.hunter` — the :class:`CityHunter` attacker, the
+  kernel's adapter to frames on the simulated medium.
 """
 
 from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
 from repro.core.hunter import CityHunter
+from repro.core.kernel import HunterKernel
 from repro.core.seeding import seed_database
 from repro.core.selection import select_for_client
 from repro.core.ssid_database import SsidEntry, WeightedSsidDatabase
@@ -27,6 +31,7 @@ __all__ = [
     "AdaptiveSplit",
     "CityHunterConfig",
     "CityHunter",
+    "HunterKernel",
     "seed_database",
     "select_for_client",
     "SsidEntry",

@@ -1,31 +1,25 @@
 """The advanced City-Hunter attacker (paper Section IV).
 
-Implements the four-step loop of Fig. 3: database initialisation from
-WiGLE + heat map, online updating (direct-probe harvest, hit-record
-weight bumps, freshness list), adaptive PB/FB selection with ghost-list
-exploration, and per-client untried bookkeeping.  Direct probes are
-handled KARMA-style, as the paper specifies.
+The medium side of the four-step loop of Fig. 3: frames and the attack
+session go through :class:`~repro.attacks.base.RogueAp`, every decision
+through :class:`~repro.core.kernel.HunterKernel`, and this adapter turns
+what each kernel handler reports into the ``hunter.*`` metrics, series
+and ``pbfb_swap`` events.  Direct probes are handled KARMA-style, as
+the paper specifies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
-
-import numpy as np
+from typing import Optional
 
 from repro.attacks.base import RogueAp
 from repro.city.heatmap import HeatMap
-from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
-from repro.core.seeding import SeedingStats, seed_database
-from repro.core.selection import select_for_client
-from repro.core.ssid_database import WeightedSsidDatabase
+from repro.core.kernel import RNG_STREAM, HunterKernel
 from repro.dot11.mac import MacAddress
 from repro.faults.plan import WigleFaultParams
 from repro.sim.simulation import Simulation
 from repro.wigle.database import WigleDatabase
-
-_EMPTY_SET: frozenset = frozenset()
 
 
 class CityHunter(RogueAp):
@@ -45,34 +39,32 @@ class CityHunter(RogueAp):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self.config = config if config is not None else CityHunterConfig()
-        self.seeding_stats = SeedingStats()
-        self.db: WeightedSsidDatabase = seed_database(
+        self.kernel = kernel = HunterKernel.seeded(
             wigle,
             heatmap,
             self.position,
-            self.config,
+            config=config,
             use_heat=use_heat,
-            faults=wigle_faults,
-            fault_seed=wigle_fault_seed,
-            stats=self.seeding_stats,
+            wigle_faults=wigle_faults,
+            wigle_fault_seed=wigle_fault_seed,
         )
-        self.split = AdaptiveSplit(
-            total=self.config.burst_total,
-            initial_pb=self.config.initial_pb,
-            min_size=self.config.min_buffer,
-            enabled=self.config.adaptive,
-        )
-        self._tried: Dict[MacAddress, Set[str]] = {}
-        self._rng: Optional[np.random.Generator] = None
+        # The kernel never rebinds these, so the aliases stay current.
+        self.config, self.db, self.split = kernel.config, kernel.db, kernel.split
+
+    @property
+    def db_size(self) -> int:
+        """Current database size."""
+        return len(self.db)
 
     def start(self, sim: Simulation) -> None:
         """Attach to the medium and claim an RNG stream for ghost picks."""
         super().start(sim)
-        self._rng = sim.rngs.stream("cityhunter")
+        # The registry's cached stream, so attackers sharing one
+        # simulation share one ghost-pick sequence.
+        self.kernel.rng = sim.rngs.stream(RNG_STREAM)
         self.session.record_db_size(sim.now, len(self.db))
         self._record_split(sim.now)
-        stats = self.seeding_stats
+        stats = self.kernel.seeding_stats
         if stats.total_skipped:
             if stats.skipped_corrupt:
                 sim.metrics.inc(
@@ -112,44 +104,28 @@ class CityHunter(RogueAp):
         metrics.series_append("hunter.pb_size", time, self.split.pb_size)
         metrics.series_append("hunter.fb_size", time, self.split.fb_size)
 
-    @property
-    def db_size(self) -> int:
-        """Current database size."""
-        return len(self.db)
-
     # -- probe handling ---------------------------------------------------------
 
     def on_broadcast_probe(self, client: MacAddress, time: float) -> None:
         """Step 3+4: select and send the best untried SSIDs."""
-        if self.config.untried_lists:
-            tried = self._tried.setdefault(client, set())
-        else:
-            tried = _EMPTY_SET
-        metas = select_for_client(
-            self.db, tried, self.split, self.config, self._rng, now=time
-        )
-        if not metas:
-            return
-        if self.config.untried_lists:
-            tried.update(ssid for ssid, _, _ in metas)
-        self.send_ssid_burst(client, metas, time)
+        metas = self.kernel.select(client, time)
+        if metas:
+            self.send_ssid_burst(client, metas, time)
 
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:
         """KARMA-style reflection plus online database updating."""
-        if ssid in self.db:
-            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
-        else:
-            self.db.add(
-                ssid, self.config.direct_initial_weight, origin="direct", time=time
-            )
-            self.session.record_db_size(time, len(self.db))
-            if self.metrics is not None:
-                self.metrics.inc("hunter.db_adds", provenance="overheard-direct")
-                self.metrics.gauge_max("hunter.db_size_peak", len(self.db))
-        entry = self.db.get(ssid)
-        entry.direct_seen = True
-        entry.last_direct_seen = time
+        self._learn_direct(ssid, time)
         self.send_mimic(client, ssid, time)
+
+    def _learn_direct(self, ssid: str, time: float) -> None:
+        """Harvest one direct-probed SSID; account for a database add."""
+        if not self.kernel.learn_direct(ssid, time):
+            return
+        size = len(self.db)
+        self.session.record_db_size(time, size)
+        if self.metrics is not None:
+            self.metrics.inc("hunter.db_adds", provenance="overheard-direct")
+            self.metrics.gauge_max("hunter.db_size_peak", size)
 
     # -- online updating on hits ---------------------------------------------------
 
@@ -157,26 +133,18 @@ class CityHunter(RogueAp):
         """Step 2: weight bump, freshness update, buffer adaptation."""
         record = self.session.clients.get(client)
         bucket = record.hit_bucket if record is not None else None
-        broadcast_hit = bucket is not None and bucket != "mimic"
-        self.db.record_hit(
-            ssid,
-            time,
-            weight_bonus=self.config.hit_weight_bonus,
-            fresh=broadcast_hit,
-        )
-        self.db.trim_recency(self.config.recency_cap)
-        if broadcast_hit:
-            direction = self.split.on_hit(bucket)
-            if direction is not None:
-                self._record_split(time)
-                if self.metrics is not None:
-                    self.metrics.inc("hunter.pbfb_swaps", direction=direction)
-                if self.sim is not None:
-                    self.sim.record_event(
-                        "pbfb_swap",
-                        direction=direction,
-                        pb=self.split.pb_size,
-                        fb=self.split.fb_size,
-                        trigger_bucket=bucket,
-                        ssid=ssid,
-                    )
+        direction = self.kernel.hit(ssid, bucket, time)
+        if direction is None:
+            return
+        self._record_split(time)
+        if self.metrics is not None:
+            self.metrics.inc("hunter.pbfb_swaps", direction=direction)
+        if self.sim is not None:
+            self.sim.record_event(
+                "pbfb_swap",
+                direction=direction,
+                pb=self.split.pb_size,
+                fb=self.split.fb_size,
+                trigger_bucket=bucket,
+                ssid=ssid,
+            )

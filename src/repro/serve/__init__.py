@@ -1,14 +1,15 @@
 """Attacker-as-a-service: async probe-stream ranking.
 
 The paper's attack loop — rank WiGLE-seeded SSIDs, answer each probing
-client with a PB/FB/ghost burst, learn from association feedback —
-extracted from the batch simulator into a serving system:
+client with a PB/FB/ghost burst, learn from association feedback — as a
+serving system over the kernel the simulated attacker runs
+(:class:`~repro.core.kernel.HunterKernel`):
 
 * :mod:`repro.serve.events` — probe/feedback events in, burst decisions
   out, with canonical digests;
-* :mod:`repro.serve.core` — the synchronous ranking state machine,
-  proven bit-identical to the inline simulator by the differential
-  harness;
+* :mod:`repro.serve.core` — the synchronous ranking core: session
+  bookkeeping around the kernel, proven bit-identical to the inline
+  simulator by the differential harness;
 * :mod:`repro.serve.service` — the asyncio layer: bounded ingress,
   backpressure or shedding, one consumer applying events in ingress
   order, ``serve.*`` metrics;

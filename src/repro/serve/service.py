@@ -95,7 +95,9 @@ def resolve_queue_max(queue_max: Optional[int] = None) -> int:
 
 
 class RankingService:
-    """Async probe-stream server over one shared :class:`RankingCore`."""
+    """Async probe-stream server over one shared :class:`RankingCore`.
+
+    Decisions go to ``on_decision`` when given, else to ``decisions``."""
 
     def __init__(
         self,
@@ -113,8 +115,11 @@ class RankingService:
         self.shed = shed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.decisions: List[BurstDecision] = []
+        self._on_decision = (
+            on_decision if on_decision is not None else self.decisions.append
+        )
+        self.decision_count = 0
         self.events_log: List[dict] = []
-        self._on_decision = on_decision
         self._sample_latencies = sample_latencies
         self.latencies_us: List[float] = []
         self._queue: Optional[asyncio.Queue] = None
@@ -146,7 +151,7 @@ class RankingService:
             self._heartbeat = HeartbeatWriter(
                 "serve",
                 1.0,  # rescaled to the submitted count on every beat
-                lambda: (float(self._committed), len(self.decisions)),
+                lambda: (float(self._committed), self.decision_count),
                 interval_s=self.heartbeat_interval,
                 file_stem="serve-%d" % os.getpid(),
                 extra=self._heartbeat_extra,
@@ -248,11 +253,10 @@ class RankingService:
             if self._sample_latencies:
                 self.latencies_us.append(elapsed_us)
         if decision is not None:
-            self.decisions.append(decision)
+            self.decision_count += 1
             self.metrics.inc_key(_DECISIONS_KEY[decision.kind])
             self.metrics.inc("serve.ssids_offered", len(decision.ssids))
-            if self._on_decision is not None:
-                self._on_decision(decision)
+            self._on_decision(decision)
         t_apply = _time.perf_counter()
         self.metrics.observe(
             "serve.apply_us",

@@ -1,21 +1,23 @@
-"""LiteHunter: the City-Hunter buffer core, scaled down per sensor.
+"""LiteHunter: a per-sensor PB/FB buffer core for the shard engine.
 
-The full :class:`~repro.attacker.hunter.CityHunterAp` speaks frames on
-the shared medium; a district shard instead needs the *decision core*
-only — which SSIDs to offer a probing walker next — driven by plain
-probe/feedback records.  LiteHunter keeps the paper's two buffers:
+A district shard drives this small core per sensor from plain
+probe/feedback records, where :class:`~repro.core.hunter.CityHunter`
+runs the paper's loop (:class:`~repro.core.kernel.HunterKernel`) over
+frames.  LiteHunter keeps two buffers and an untried list per walker:
 
 * **PB** (popularity buffer): the SSID universe ranked by weight,
-  seeded with the WiGLE-style popularity order (SSID 0 most popular)
-  and bumped by every observed hit.
+  starting from a fixed popularity order (SSID 0 most popular) and
+  bumped by every observed hit.
 * **FB** (freshness buffer): most-recent hit SSIDs first, capped.
 
+It has no ghost lists, no adaptive PB/FB split, no WiGLE seeding and no
+direct-probe harvest, so sharded runs exercise the engine, not the
+paper's attacker.
+
 A burst for a walker takes FB entries first, then the PB top — skipping
-everything already sent to that walker, so repeated probes walk down
-the candidate list exactly like the event-driven attacker's untried
-ranking.  All state is integer-valued and updated only from sorted
-handoff records, which makes the evolution — and :meth:`state` —
-bit-comparable across shard counts.
+everything already sent to that walker.  All state is integer-valued
+and updated only from sorted handoff records, which makes the evolution
+— and :meth:`state` — bit-comparable across shard counts.
 """
 
 from __future__ import annotations

@@ -333,11 +333,11 @@ class TestAttackerOutages:
         # off a client's untried list for responses that never aired.
         sim, hunter, sniffer = hunter
         hunter.receive(ProbeRequest(sniffer.mac), 15.0)
-        assert sniffer.mac not in hunter._tried
+        assert sniffer.mac not in hunter.kernel.tried
         hunter.receive(ProbeRequest(sniffer.mac), 25.0)
         sent = self._drain(sim, sniffer)
         assert len(sent) == hunter.config.burst_total
-        assert len(hunter._tried[sniffer.mac]) == hunter.config.burst_total
+        assert len(hunter.kernel.tried[sniffer.mac]) == hunter.config.burst_total
 
     def test_outage_metrics_published_at_start(self, city, wigle):
         sim = Simulation(seed=3)

@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.serve.core import RankingCore
-from repro.serve.events import FeedbackEvent, ProbeEvent
+from repro.serve.events import FeedbackEvent, ProbeEvent, decision_rows
 from repro.serve.service import (
     QUEUE_MAX_ENV,
     RankingService,
@@ -25,11 +25,15 @@ from repro.serve.trace import load_trace
 from repro.serve.workload import client_mac
 
 
-@pytest.fixture
-def core(city, wigle):
+def _seeded(city, wigle):
     return RankingCore.seeded(
         wigle, city.heatmap, city.venues[0].region.center, seed=3
     )
+
+
+@pytest.fixture
+def core(city, wigle):
+    return _seeded(city, wigle)
 
 
 def _probes(n, start=0.0):
@@ -94,7 +98,7 @@ class TestShedding:
 
 
 class TestWorkerCrashes:
-    def _assert_one_failed(self, service, events, poisoned):
+    def _assert_one_failed(self, service, events, poisoned, decisions):
         assert service.metrics.counter_value("serve.events_failed") == 1
         failed = [
             e for e in service.events_log if e["kind"] == "serve.event_failed"
@@ -102,7 +106,7 @@ class TestWorkerCrashes:
         assert len(failed) == 1
         assert failed[0]["seq"] == events.index(poisoned)
         # The events around it were applied in ingress order.
-        times = [d.time for d in service.decisions]
+        times = [d.time for d in decisions]
         assert times and times == sorted(times)
 
     def test_mid_apply_failure_counted_and_stream_continues(self, core):
@@ -121,11 +125,11 @@ class TestWorkerCrashes:
         asyncio.run(serve_stream(service, events))
         # drain() returned; the other 19 events were all applied.
         assert core.events_handled == len(events) - 1
-        self._assert_one_failed(service, events, poisoned)
+        self._assert_one_failed(service, events, poisoned, service.decisions)
         assert poisoned.time not in [d.time for d in service.decisions]
 
     def test_decision_callback_failure_counted_and_stream_continues(
-        self, core
+        self, core, city, wigle
     ):
         """A raising ``on_decision`` loses one emission, never the stream."""
         events = _probes(20)
@@ -141,10 +145,27 @@ class TestWorkerCrashes:
         asyncio.run(serve_stream(service, events))
         # The core applied every event; only the callback failed.
         assert core.events_handled == len(events)
-        self._assert_one_failed(service, events, poisoned)
-        assert [d.time for d in emitted] == [
-            d.time for d in service.decisions if d.time != poisoned.time
+        self._assert_one_failed(service, events, poisoned, emitted)
+        reference = run_stream(_seeded(city, wigle), events).decisions
+        assert decision_rows(emitted) == decision_rows(
+            [d for d in reference if d.time != poisoned.time]
+        )
+
+
+class TestDecisionSink:
+    def test_callback_is_the_only_sink(self, core, city, wigle):
+        """A service given a callback keeps no decision of its own."""
+        events = _probes(12) + [
+            ProbeEvent(client_mac(0), 1.25, "hidden-net"),
+            FeedbackEvent(client_mac(0), 1.5, "hidden-net"),
         ]
+        seen = []
+        service = RankingService(core, on_decision=seen.append)
+        assert asyncio.run(serve_stream(service, events)) == []
+        assert seen and service.decisions == []
+        assert service.decision_count == len(seen)
+        reference = run_stream(_seeded(city, wigle), events).decisions
+        assert decision_rows(seen) == decision_rows(reference)
 
 
 class TestMalformedTraces:

@@ -176,6 +176,38 @@ class TestDetectorEvasion:
         assert not passive.is_flagged(hunter.mac)
         assert not active.is_flagged(hunter.mac)
 
+    def test_stealth_sends_and_learns_on_the_record(self, city, wigle):
+        """Every SSID the stealth hunter sends, and every SSID it learns
+        from a direct probe, shows in the attacker metrics."""
+        mimics = []
+
+        class CountingStealth(StealthCityHunter):
+            def send_mimic(self, client, ssid, time):
+                mimics.append(ssid)
+                super().send_mimic(client, ssid, time)
+
+        def factory(sim, medium, venue):
+            return CountingStealth(
+                "02:aa:00:00:00:01",
+                venue.region.center,
+                medium,
+                wigle=wigle,
+                heatmap=city.heatmap,
+            )
+
+        build, _, _ = self._deploy_with_detectors(city, wigle, factory)
+        hunter, metrics = build.attacker, build.sim.metrics
+        burst_ssids = sum(r.ssids_sent for r in hunter.session.clients.values())
+        assert burst_ssids and mimics
+        assert metrics.counter_value("attacker.responses_sent") == (
+            burst_ssids + len(mimics)
+        )
+        learned = sum(1 for e in hunter.db.ranked() if e.origin == "direct")
+        assert learned
+        assert metrics.counter_value(
+            "hunter.db_adds", provenance="overheard-direct"
+        ) == learned
+
     def test_stealth_still_hunts(self, city, wigle):
         """Evasion must not destroy the hit rate."""
         from repro.analysis.metrics import summarize
