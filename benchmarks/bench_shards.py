@@ -2,13 +2,13 @@
 """Sharded-city benchmark: stations-stepped/sec vs shard count.
 
 Runs the same :class:`~repro.sim.shards.ShardScenario` at every shard
-count in the grid and measures throughput.  A shard builds positions
-and candidate-sensor adjacency only for the walkers that scan in an
-epoch, so an epoch costs O(scanning walkers x candidate sensors) at
-any shard count.  All grid points run inline in one process, where
-extra shards save no work and add the handoff protocol; the
-``speedup`` column (wall of 1 shard over wall of k shards) bounds that
-overhead and read 0.74-1.27x over three runs on a 2-vCPU VM.  The
+count in the grid and measures throughput.  A shard computes positions
+and sensor distances only for the scans of an epoch, so an epoch costs
+O(scans x candidate sensors) at any shard count.  All grid points run
+inline in one process, where extra shards save no work and add the
+handoff protocol; the ``speedup`` column (wall of 1 shard over wall of
+k shards) bounds that overhead and read 0.74-1.37x over three runs on a
+2-vCPU VM.  The
 shard count buys parallelism only in process mode, with cores to
 spare.  Every grid point must reproduce the 1-shard digest
 bit-for-bit — the determinism contract is re-checked on every

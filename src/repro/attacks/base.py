@@ -122,6 +122,15 @@ class RogueAp:
         """The owning simulation's registry (None before ``start``)."""
         return self.sim.metrics if self.sim is not None else None
 
+    def station_for(
+        self, ssid: Optional[str] = None, bssid: Optional[MacAddress] = None
+    ):
+        """The station that answers for ``ssid``, or that owns ``bssid``:
+        this AP itself.  An attacker that spreads its SSIDs over several
+        BSSIDs returns the matching one, and every response, mimic and
+        handshake frame goes out from it."""
+        return self
+
     def provenance_of(self, ssid: str, origin: Optional[str]) -> str:
         """Metric provenance label for one advertised/hit SSID.
 
@@ -172,7 +181,8 @@ class RogueAp:
             else:
                 self.on_broadcast_probe(frame.src, time)
         elif isinstance(frame, AuthRequest):
-            self.medium.transmit(self, AuthResponse(self.mac, frame.src, True))
+            station = self.station_for(bssid=frame.dst)
+            self.medium.transmit(station, AuthResponse(station.mac, frame.src, True))
         elif isinstance(frame, AssocRequest):
             prior = self.session.clients.get(frame.src)
             fresh_hit = prior is None or not prior.connected
@@ -194,8 +204,9 @@ class RogueAp:
                         origin=record.hit_origin,
                         bucket=record.hit_bucket,
                     )
+            station = self.station_for(bssid=frame.dst)
             self.medium.transmit(
-                self, AssocResponse(self.mac, frame.src, frame.ssid, True)
+                station, AssocResponse(station.mac, frame.src, frame.ssid, True)
             )
             self.on_hit(frame.src, frame.ssid, time)
 
@@ -217,9 +228,10 @@ class RogueAp:
         """Reply to a direct probe with an open evil twin of ``ssid``."""
         self.session.record_mimic(client, time, ssid)
         self._count_sent([(ssid, "mimic", "mimic")])
+        station = self.station_for(ssid)
         self.medium.transmit(
-            self,
-            ProbeResponse(self.mac, client, ssid, Security.OPEN),
+            station,
+            ProbeResponse(station.mac, client, ssid, Security.OPEN),
             self.timing.response_airtime,
         )
 
@@ -231,8 +243,12 @@ class RogueAp:
             return
         self.session.record_sent(client, time, metas)
         self._count_sent(metas)
+        # Security.OPEN is read once: an enum member lookup per SSID
+        # costs about a third of building that SSID's frame.
+        station_for = self.station_for
+        open_ = Security.OPEN
         responses: List[ProbeResponse] = [
-            ProbeResponse(self.mac, client, ssid, Security.OPEN)
+            ProbeResponse(station_for(ssid).mac, client, ssid, open_)
             for ssid, _, _ in metas
         ]
         lineage = self._lineage

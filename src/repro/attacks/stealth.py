@@ -16,21 +16,23 @@ discussion implies — changes two things:
    direct probes are no longer harvested-and-hit in one step — and is
    measured in ``benchmarks/bench_stealth.py``.
 
-Association still works: the phone associates to the alias BSSID it saw,
-the alias forwards the handshake to the hunter, and the hit is recorded
-against the same session.
+Both changes go through :class:`~repro.attacks.base.RogueAp`'s own
+paths: :meth:`StealthCityHunter.station_for` names the alias that
+answers for an SSID or owns a BSSID, and the base class sends every
+burst, mimic reply and handshake frame from it.  Association still
+works: the phone associates to the alias BSSID it saw, the alias hands
+the handshake to the hunter's :meth:`~repro.attacks.base.RogueAp.receive`,
+and the hit is recorded against the same session — with the same
+outage check, metrics, trace and lineage records as the plain hunter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Optional
 
-from repro.analysis.session import SentSsid
 from repro.core.hunter import CityHunter
-from repro.dot11.capabilities import Security
-from repro.dot11.frames import Frame, ProbeRequest, ProbeResponse
+from repro.dot11.frames import Frame, ProbeRequest
 from repro.dot11.mac import MacAddress, random_ap_mac
-from repro.dot11.medium import Medium  # noqa: F401  (doc reference)
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 
@@ -57,7 +59,7 @@ class _AliasStation:
         if isinstance(frame, ProbeRequest):
             return
         if frame.dst == self.mac:
-            self.owner.receive_as(self.mac, frame, time)
+            self.owner.receive(frame, time)
 
 
 class StealthCityHunter(CityHunter):
@@ -69,6 +71,7 @@ class StealthCityHunter(CityHunter):
         super().__init__(*args, **kwargs)
         self.mimic_unknown = mimic_unknown
         self._alias_by_ssid: Dict[str, _AliasStation] = {}
+        self._alias_by_mac: Dict[MacAddress, _AliasStation] = {}
 
     def start(self, sim: Simulation) -> None:
         super().start(sim)
@@ -85,51 +88,24 @@ class StealthCityHunter(CityHunter):
                 mac = random_ap_mac(self._alias_rng)
             alias = _AliasStation(mac, self)
             self._alias_by_ssid[ssid] = alias
+            self._alias_by_mac[mac] = alias
             self.medium.attach(alias, self.tx_range)
         return alias
+
+    def station_for(
+        self, ssid: Optional[str] = None, bssid: Optional[MacAddress] = None
+    ):
+        """The alias advertising ``ssid``, or the alias owning ``bssid``."""
+        if ssid is not None:
+            return self.alias_for(ssid)
+        return self._alias_by_mac.get(bssid, self)
 
     @property
     def alias_count(self) -> int:
         """How many spoofed BSSIDs are live."""
         return len(self._alias_by_ssid)
 
-    def receive_as(self, alias_mac: MacAddress, frame: Frame, time: float) -> None:
-        """Handle a handshake frame addressed to one of our aliases."""
-        from repro.dot11.frames import (
-            AssocRequest,
-            AssocResponse,
-            AuthRequest,
-            AuthResponse,
-        )
-
-        alias = next(
-            a for a in self._alias_by_ssid.values() if a.mac == alias_mac
-        )
-        if isinstance(frame, AuthRequest):
-            self.medium.transmit(alias, AuthResponse(alias_mac, frame.src, True))
-        elif isinstance(frame, AssocRequest):
-            prior = self.session.clients.get(frame.src)
-            fresh_hit = prior is None or not prior.connected
-            record = self.session.record_hit(frame.src, time, frame.ssid)
-            if fresh_hit:
-                self._count_hit(record)
-            self.medium.transmit(
-                alias, AssocResponse(alias_mac, frame.src, frame.ssid, True)
-            )
-            self.on_hit(frame.src, frame.ssid, time)
-
-    # -- overridden transmit paths ----------------------------------------------
-
-    def send_mimic(self, client: MacAddress, ssid: str, time: float) -> None:
-        """Reflect a direct probe — from the SSID's own alias BSSID."""
-        self.session.record_mimic(client, time, ssid)
-        self._count_sent([(ssid, "mimic", "mimic")])
-        alias = self.alias_for(ssid)
-        self.medium.transmit(
-            alias,
-            ProbeResponse(alias.mac, client, ssid, Security.OPEN),
-            self.timing.response_airtime,
-        )
+    # -- mimicry discipline ---------------------------------------------------
 
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:
         """Harvest/reflect, but never answer for SSIDs we do not know
@@ -140,19 +116,3 @@ class StealthCityHunter(CityHunter):
             # Still learn the SSID (a future client may hold it); just
             # do not blindly impersonate it right now.
             self._learn_direct(ssid, time)
-
-    def send_ssid_burst(
-        self, client: MacAddress, metas: Sequence[SentSsid], time: float
-    ) -> None:
-        """Advertise the burst with one spoofed BSSID per SSID."""
-        if not metas:
-            return
-        self.session.record_sent(client, time, metas)
-        self._count_sent(metas)
-        responses: List[ProbeResponse] = [
-            ProbeResponse(self.alias_for(ssid).mac, client, ssid, Security.OPEN)
-            for ssid, _, _ in metas
-        ]
-        self.medium.transmit_response_burst(
-            self, responses, self.timing.response_airtime
-        )

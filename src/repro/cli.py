@@ -648,7 +648,6 @@ def _cmd_shards_run(args: argparse.Namespace) -> int:
         scenario,
         shards=args.shards,
         mode=args.mode,
-        backend=args.backend,
         collect_states=False,
         faults=_load_fault_plan(args.fault_plan),
         ckpt_every=args.ckpt_every,
@@ -657,7 +656,6 @@ def _cmd_shards_run(args: argparse.Namespace) -> int:
     doc = {
         "shards": result.shards,
         "mode": result.mode,
-        "backend": result.backend,
         "epochs": result.epochs,
         "digest": result.digest(),
         "summary": result.summary,
@@ -678,8 +676,8 @@ def _cmd_shards_run(args: argparse.Namespace) -> int:
             fh.write("\n")
     summary = result.session_summary()
     print(
-        "sharded city: %d shards (%s, %s backend), %d epochs"
-        % (result.shards, result.mode, result.backend, result.epochs)
+        "sharded city: %d shards (%s), %d epochs"
+        % (result.shards, result.mode, result.epochs)
     )
     print(
         "  stations %d  probed %d  connected %d  (h_b %.1f%%)"
@@ -1284,9 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="shard count (default: REPRO_SHARDS, else 1)")
     shards_run.add_argument("--mode", choices=("inline", "process"),
                             help="execution mode (default: REPRO_SHARD_MODE)")
-    shards_run.add_argument("--backend", choices=("numpy", "python", "auto"),
-                            help="batch backend (default: "
-                                 "REPRO_SHARDS_BACKEND, else numpy)")
     shards_run.add_argument("--fault-plan", metavar="PATH",
                             help="JSON fault plan; its shard_faults block "
                                  "injects crash/stall/corrupt faults")

@@ -82,7 +82,6 @@ metrics.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from typing import ContextManager, Dict, List, Optional, Protocol, Sequence
 
@@ -95,10 +94,10 @@ from repro.geo.grid import MutableSpatialGrid
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 from repro.util.rng import BufferedUniform
+from repro.util.settings import resolve_bool_env
 from repro.util.units import MANAGEMENT_FRAME_AIRTIME_S, PROBE_RESPONSE_AIRTIME_S
 
 MEDIUM_INDEX_ENV = "REPRO_MEDIUM_INDEX"
-_INDEX_OFF = ("0", "off", "false", "no")
 
 DEFAULT_INDEX_CELL_M = 60.0
 """Grid cell edge — about one attacker radio range, so a broadcast
@@ -114,7 +113,7 @@ def resolve_medium_index(index: Optional[bool] = None) -> bool:
     ``REPRO_MEDIUM_INDEX`` (default on; ``0/off/false/no`` disable)."""
     if index is not None:
         return index
-    return os.environ.get(MEDIUM_INDEX_ENV, "").strip().lower() not in _INDEX_OFF
+    return resolve_bool_env(MEDIUM_INDEX_ENV, True)
 
 
 def reach_with_motion(reach: float, v_max: float, dt: float) -> float:

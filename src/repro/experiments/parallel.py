@@ -110,8 +110,11 @@ from repro.sim.shards.engine import run_sharded
 from repro.sim.shards.scenario import ShardScenario
 from repro.util.rng import derive_seed
 from repro.util.settings import (
+    OFF_WORDS,
+    ON_WORDS,
     parse_float_setting,
     parse_int_setting,
+    resolve_bool_env,
     resolve_int_env,
 )
 
@@ -135,9 +138,6 @@ BACKOFF_CAP_S = 30.0
 """Ceiling on any single backoff sleep."""
 
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
-
-_FALSEY = ("", "0", "false", "off", "no")
-_TRUTHY = ("1", "true", "on", "yes")
 
 
 @dataclass(frozen=True)
@@ -366,9 +366,9 @@ def resolve_checkpoint_name(name: Optional[str] = None) -> Optional[str]:
     if name is not None:
         return name or None
     env = os.environ.get(CHECKPOINT_ENV, "").strip()
-    if env.lower() in _FALSEY:
+    if env.lower() in OFF_WORDS:
         return None
-    if env.lower() in _TRUTHY:
+    if env.lower() in ON_WORDS:
         return "checkpoint"
     return env
 
@@ -1006,7 +1006,7 @@ def write_metrics(
 
     Set ``REPRO_METRICS=0`` to disable.
     """
-    if os.environ.get(METRICS_ENV, "1").strip() in ("0", "false", "off"):
+    if not resolve_bool_env(METRICS_ENV, True):
         return None
     doc = metrics_doc(results, workers, timings=timings)
     ensure_artifact_dir()
@@ -1084,7 +1084,7 @@ def write_timings(
     document (to embed it into ``metrics.json``).  Set
     ``REPRO_TIMINGS=0`` to disable.
     """
-    if os.environ.get(TIMINGS_ENV, "1").strip() in ("0", "false", "off"):
+    if not resolve_bool_env(TIMINGS_ENV, True):
         return None
     if doc is None:
         doc = timings_doc(

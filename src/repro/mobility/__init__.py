@@ -10,7 +10,7 @@ hour-of-day rate profiles (rush hours, mealtimes).
 
 from repro.mobility.arrivals import ArrivalProcess, HourlyRates
 from repro.mobility.base import PathMobility, MobilityModel
-from repro.mobility.batch import corridor_endpoints, position_scalar, positions_vec
+from repro.mobility.batch import positions_vec
 from repro.mobility.corridor import corridor_walk
 from repro.mobility.static import static_dwell
 from repro.mobility.waypoints import waypoint_wander
@@ -20,9 +20,7 @@ __all__ = [
     "HourlyRates",
     "PathMobility",
     "MobilityModel",
-    "corridor_endpoints",
     "corridor_walk",
-    "position_scalar",
     "positions_vec",
     "static_dwell",
     "waypoint_wander",

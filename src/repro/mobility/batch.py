@@ -8,66 +8,25 @@ walkers per call.  Shard walkers are straight-line corridor crossers
 closed form — entry point plus velocity times clamped elapsed time —
 and the whole population can be evaluated as arrays.
 
-Only *elementwise* float arithmetic is used (no reductions), so the
-numpy backend, the pure-python backend, and any partition of the
-population into shards all produce bit-identical coordinates.
+Only *elementwise* float arithmetic is used (no reductions), so any
+partition of the population into shards produces bit-identical
+coordinates.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import numpy as np
 
 
-def corridor_endpoints(
-    horizontal: bool, forward: bool, cross: float, size: float
-) -> Tuple[float, float, float, float]:
-    """Entry point and unit direction of one corridor crossing.
+def positions_vec(t, t_enter, t_exit, x0, y0, vx, vy):
+    """Closed-form positions at time ``t`` (a scalar, or one time per
+    walker), elementwise over numpy arrays.
 
-    Returns ``(x0, y0, ux, uy)``: the walker enters on one edge of the
-    ``[0, size)`` square at offset ``cross`` on the perpendicular axis
-    and walks straight across.  Multiply the unit direction by the
-    walker's speed for its velocity.
-    """
-    if horizontal:
-        return (0.0, cross, 1.0, 0.0) if forward else (size, cross, -1.0, 0.0)
-    return (cross, 0.0, 0.0, 1.0) if forward else (cross, size, 0.0, -1.0)
-
-
-def clamped_elapsed(t: float, t_enter: float, t_exit: float) -> float:
-    """Seconds of motion accumulated by time ``t`` (scalar form).
-
-    Before entry the walker waits at its entry point, after exit it is
+    Before entry a walker waits at its entry point and after exit it is
     parked at its exit point — the same end-point clamping
-    :meth:`~repro.mobility.base.PathMobility.position_at` applies.
+    :meth:`~repro.mobility.base.PathMobility.position_at` applies.  The
+    clamp is ``np.minimum(np.maximum(...))`` rather than ``np.clip``,
+    whose Python wrapper costs more than the arithmetic at shard sizes.
     """
-    if t <= t_enter:
-        return 0.0
-    if t >= t_exit:
-        return t_exit - t_enter
-    return t - t_enter
-
-
-def position_scalar(
-    t: float,
-    t_enter: float,
-    t_exit: float,
-    x0: float,
-    y0: float,
-    vx: float,
-    vy: float,
-) -> Tuple[float, float]:
-    """Closed-form position of one walker at time ``t``."""
-    dt = clamped_elapsed(t, t_enter, t_exit)
-    return (x0 + vx * dt, y0 + vy * dt)
-
-
-def positions_vec(t: float, t_enter, t_exit, x0, y0, vx, vy):
-    """Vectorised :func:`position_scalar` over numpy arrays.
-
-    ``np.clip(t, t_enter, t_exit) - t_enter`` computes the identical
-    clamped elapsed time elementwise, so the two forms agree bitwise.
-    """
-    import numpy as np
-
-    dt = np.clip(t, t_enter, t_exit) - t_enter
+    dt = np.minimum(np.maximum(t, t_enter), t_exit) - t_enter
     return x0 + vx * dt, y0 + vy * dt

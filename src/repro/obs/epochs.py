@@ -44,9 +44,9 @@ import time as _time
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs.artifacts import artifact_dir
+from repro.util.settings import parse_bool_setting
 
 EPOCH_TRACE_ENV = "REPRO_EPOCH_TRACE"
-_TRUTHY = ("1", "true", "on", "yes")
 
 EPOCH_FILE_PREFIX = "epochs-"
 TELEMETRY_SUBDIR = "telemetry"
@@ -63,7 +63,7 @@ def resolve_epoch_trace(value: Optional[str] = None) -> bool:
     """Whether per-epoch barrier tracing is on (``REPRO_EPOCH_TRACE``)."""
     if value is None:
         value = os.environ.get(EPOCH_TRACE_ENV, "")
-    return value.strip().lower() in _TRUTHY
+    return parse_bool_setting(EPOCH_TRACE_ENV, value)
 
 
 def epoch_trace_dir(

@@ -43,9 +43,10 @@ import pathlib
 from collections import OrderedDict, deque
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.util.settings import resolve_bool_env
+
 LINEAGE_ENV = "REPRO_LINEAGE"
 LINEAGE_MAX_ENV = "REPRO_LINEAGE_MAX"
-_TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_MAX_RECORDS = 500_000
 """Ring-buffer cap on retained lineage records (oldest evicted)."""
@@ -60,10 +61,6 @@ simulated air."""
 TRACE_EVENT_REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 """Keys every exported trace event must carry (the schema contract the
 tests pin)."""
-
-
-def _env_lineage_default() -> bool:
-    return os.environ.get(LINEAGE_ENV, "").strip().lower() in _TRUTHY
 
 
 def _default_max_records() -> int:
@@ -112,7 +109,7 @@ class LineageTrace:
         max_records: Optional[int] = None,
     ):
         if enabled is None:
-            enabled = _env_lineage_default()
+            enabled = resolve_bool_env(LINEAGE_ENV, False)
         if max_records is None:
             max_records = _default_max_records()
         if max_records < 1:

@@ -30,18 +30,18 @@ is on or off.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.util.settings import resolve_bool_env
+
 PROFILE_ENV = "REPRO_PROFILE"
-_TRUTHY = ("1", "true", "on", "yes")
 
 PROFILE_SCHEMA = "repro.profile/v1"
 
 
 def env_profile_default() -> bool:
-    return os.environ.get(PROFILE_ENV, "").strip().lower() in _TRUTHY
+    return resolve_bool_env(PROFILE_ENV, False)
 
 
 class SimProfiler:

@@ -45,11 +45,10 @@ from collections import deque
 from typing import Dict, List, Optional, Union
 
 from repro.obs.artifacts import artifact_dir
-from repro.util.settings import parse_int_setting, resolve_int_env
+from repro.util.settings import parse_int_setting, resolve_bool_env, resolve_int_env
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
 REQ_TRACE_MAX_ENV = "REPRO_REQ_TRACE_MAX"
-_TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_MAX_RECORDS = 200_000
 """Ring capacity: at 4 spans per probe this holds the last ~50k probes."""
@@ -66,7 +65,7 @@ def resolve_req_trace(value: Optional[bool] = None) -> bool:
     """Is request tracing enabled?  Explicit arg wins over the env."""
     if value is not None:
         return bool(value)
-    return os.environ.get(REQ_TRACE_ENV, "").strip().lower() in _TRUTHY
+    return resolve_bool_env(REQ_TRACE_ENV, False)
 
 
 def resolve_req_trace_max(value: Optional[int] = None) -> int:

@@ -43,12 +43,10 @@ from contextlib import nullcontext
 from typing import Callable, ContextManager, List, Optional, Union
 
 from repro.obs.artifacts import artifact_dir
-from repro.util.settings import parse_float_setting
+from repro.util.settings import OFF_WORDS, ON_WORDS, parse_float_setting
 
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 SERVE_HEARTBEAT_ENV = "REPRO_SERVE_HEARTBEAT"
-_TRUTHY = ("1", "true", "on", "yes")
-_FALSY = ("false", "off", "no")
 
 DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
@@ -79,9 +77,9 @@ def resolve_heartbeat_interval(
     if value is None:
         value = os.environ.get(env, "")
     word = value.strip().lower()
-    if not word or word in _FALSY:
+    if word in OFF_WORDS:
         return None
-    if word in _TRUTHY:
+    if word in ON_WORDS:
         return DEFAULT_INTERVAL_S
     interval = parse_float_setting(env, word)
     if interval == 0:

@@ -96,7 +96,7 @@ class LiteHunter:
 
     def state(self):
         """Canonical, hashable full state — plain ints/tuples only, so
-        digests compare across shard counts, backends and processes."""
+        digests compare across shard counts and processes."""
         return (
             tuple(self.weights),
             tuple(self.order),

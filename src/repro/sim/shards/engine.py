@@ -18,7 +18,7 @@ either execution mode:
 
 * ``inline`` — all shards stepped in this process (the default).  On
   one core, extra inline shards only add handoff work: a shard's epoch
-  costs O(scanning walkers x candidate sensors) at any stripe width.
+  costs O(scans x candidate sensors) at any stripe width.
 * ``process`` — one OS process per shard, exchanged over pipes.
 
 **Fault tolerance** (PR 8, process mode): with
@@ -93,7 +93,6 @@ from repro.sim.shards.checkpoint import (
 from repro.sim.shards.handoff import CorruptHandoffError
 from repro.sim.shards.scenario import ShardScenario
 from repro.sim.shards.shard import ShardRuntime
-from repro.sim.shards.soa import resolve_backend
 from repro.util.settings import (
     parse_float_setting,
     parse_int_setting,
@@ -206,7 +205,6 @@ class ShardRunResult:
         scenario: ShardScenario,
         shards: int,
         mode: str,
-        backend: str,
         epochs: int,
         metrics: dict,
         summary: Dict[str, int],
@@ -219,7 +217,6 @@ class ShardRunResult:
         self.scenario = scenario
         self.shards = shards
         self.mode = mode
-        self.backend = backend
         self.epochs = epochs
         self.metrics = metrics
         self.summary = summary
@@ -302,7 +299,6 @@ def _merge_results(
     scenario: ShardScenario,
     shards: int,
     mode: str,
-    backend: str,
     epochs: int,
     results: List[dict],
     wall_phase: float,
@@ -362,7 +358,6 @@ def _merge_results(
         scenario,
         shards,
         mode,
-        backend,
         epochs,
         merged,
         summary,
@@ -406,7 +401,6 @@ def _shard_worker(
     scenario: ShardScenario,
     shard_id: int,
     shards: int,
-    backend: Optional[str],
     collect_states: bool,
     log_handoffs: bool,
     epoch_trace: Optional[bool] = None,
@@ -427,7 +421,6 @@ def _shard_worker(
             scenario,
             shard_id,
             shards,
-            backend=backend,
             log_handoffs=log_handoffs,
             epoch_trace=epoch_trace,
         )
@@ -507,7 +500,6 @@ class ShardedCitySim:
         scenario: ShardScenario,
         shards: Optional[int] = None,
         mode: Optional[str] = None,
-        backend: Optional[str] = None,
         collect_states: bool = True,
         log_handoffs: bool = False,
         epoch_trace: Optional[bool] = None,
@@ -517,7 +509,6 @@ class ShardedCitySim:
         self.scenario = scenario
         self.shards = resolve_shards(shards)
         self.mode = resolve_shard_mode(mode)
-        self.backend = resolve_backend(backend)
         self.collect_states = collect_states
         self.log_handoffs = log_handoffs
         self.epoch_trace = epoch_trace
@@ -613,7 +604,6 @@ class ShardedCitySim:
                 self.scenario,
                 k,
                 shards,
-                backend=self.backend,
                 log_handoffs=self.log_handoffs,
                 epoch_trace=self.epoch_trace,
             )
@@ -698,7 +688,6 @@ class ShardedCitySim:
             self.scenario,
             shards,
             self.mode,
-            self.backend,
             self.epochs,
             results,
             wall_phase,
@@ -771,7 +760,6 @@ class ShardedCitySim:
             self.scenario,
             shards,
             self.mode,
-            self.backend,
             self.epochs,
             results,
             walls["phase"],
@@ -797,7 +785,6 @@ class ShardedCitySim:
                     self.scenario,
                     k,
                     self.shards,
-                    self.backend,
                     self.collect_states,
                     self.log_handoffs,
                     self.epoch_trace,
@@ -1043,7 +1030,6 @@ def run_sharded(
     scenario: ShardScenario,
     shards: Optional[int] = None,
     mode: Optional[str] = None,
-    backend: Optional[str] = None,
     collect_states: bool = True,
     log_handoffs: bool = False,
     epoch_trace: Optional[bool] = None,
@@ -1055,7 +1041,6 @@ def run_sharded(
         scenario,
         shards=shards,
         mode=mode,
-        backend=backend,
         collect_states=collect_states,
         log_handoffs=log_handoffs,
         epoch_trace=epoch_trace,

@@ -22,9 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.geo.grid import DistrictPartition
-from repro.mobility.batch import corridor_endpoints
-from repro.sim.shards.soa import WalkerBatch
+from repro.sim.shards.soa import (
+    PERIOD,
+    START,
+    T0,
+    T_EXIT,
+    VX,
+    VY,
+    X0,
+    Y0,
+    WalkerBatch,
+)
 from repro.sim.shards.srng import stream_base, u01, u01_vec
 
 P_WALKER = "walker"
@@ -102,84 +113,56 @@ class ShardScenario:
         return DistrictPartition(self.size_m, self.district_m)
 
 
-def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
+def derive_walkers(scenario: ShardScenario) -> WalkerBatch:
     """The full walker population as a :class:`WalkerBatch`.
 
-    The numpy and python paths evaluate the *same* elementwise
-    expressions over the *same* stateless draws, so their columns are
-    bit-identical (pinned by tests).
+    Every column is an elementwise expression over the stateless
+    draws, so each walker's values are independent of the population
+    around it (the tests pin them against a one-walker-at-a-time
+    derivation).
     """
     base = stream_base(scenario.seed, P_WALKER)
-    n = scenario.stations
     size = scenario.size_m
     speed_span = scenario.speed_max_mps - scenario.speed_min_mps
     period_span = scenario.scan_period_max_s - scenario.scan_period_min_s
-    if backend == "numpy":
-        import numpy as np
-
-        ids = np.arange(n, dtype=np.uint64)
-        draw = [u01_vec(base, ids, c) for c in range(_C_PNL_N + 1)]
-        t0 = draw[_C_SPAWN] * scenario.spawn_fraction * scenario.duration
-        horizontal = draw[_C_AXIS] < 0.5
-        forward = draw[_C_DIR] < 0.5
-        cross = draw[_C_CROSS] * size
-        speed = scenario.speed_min_mps + draw[_C_SPEED] * speed_span
-        period = scenario.scan_period_min_s + draw[_C_PERIOD] * period_span
-        phase = draw[_C_PHASE] * period
-        x0 = np.where(horizontal, np.where(forward, 0.0, size), cross)
-        y0 = np.where(horizontal, cross, np.where(forward, 0.0, size))
-        vx = np.where(horizontal, np.where(forward, speed, -speed), 0.0)
-        vy = np.where(horizontal, 0.0, np.where(forward, speed, -speed))
-        t_exit = t0 + size / speed
-        pnl_n = (2.0 + np.floor(draw[_C_PNL_N] * (scenario.pnl_max - 1))).astype(
-            np.int64
-        )
-        # PNL entry j of every walker at once, -1 where it is closed or
-        # past the walker's pnl_n (draws are stateless, so drawing an
-        # unused entry changes nothing).
-        columns = []
-        for j in range(scenario.pnl_max):
-            pick = u01_vec(base, ids, _C_PNL_BASE + 2 * j)
-            is_open = u01_vec(base, ids, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share
-            # Quadratic skew towards low SSIDs, mirroring the
-            # popularity ranking the sensors seed their PB with.
-            ssid = (pick * pick * scenario.ssid_universe).astype(np.int64)
-            columns.append(np.where(is_open & (j < pnl_n), ssid, -1).tolist())
-        pnl_open = tuple(frozenset(row) - {-1} for row in zip(*columns))
-    else:
-        import math
-
-        t0l, t_exitl, x0l, y0l, vxl, vyl = [], [], [], [], [], []
-        periodl, phasel, pnl = [], [], []
-        for i in range(n):
-            t_enter = u01(base, i, _C_SPAWN) * scenario.spawn_fraction
-            t_enter = t_enter * scenario.duration
-            horizontal_i = u01(base, i, _C_AXIS) < 0.5
-            forward_i = u01(base, i, _C_DIR) < 0.5
-            cross_i = u01(base, i, _C_CROSS) * size
-            speed_i = scenario.speed_min_mps + u01(base, i, _C_SPEED) * speed_span
-            period_i = (
-                scenario.scan_period_min_s + u01(base, i, _C_PERIOD) * period_span
-            )
-            ex, ey, ux, uy = corridor_endpoints(horizontal_i, forward_i, cross_i, size)
-            t0l.append(t_enter)
-            t_exitl.append(t_enter + size / speed_i)
-            x0l.append(ex)
-            y0l.append(ey)
-            vxl.append(ux * speed_i)
-            vyl.append(uy * speed_i)
-            periodl.append(period_i)
-            phasel.append(u01(base, i, _C_PHASE) * period_i)
-            entries = set()
-            pnl_n_i = 2 + math.floor(u01(base, i, _C_PNL_N) * (scenario.pnl_max - 1))
-            for j in range(pnl_n_i):
-                pick = u01(base, i, _C_PNL_BASE + 2 * j)
-                if u01(base, i, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share:
-                    entries.add(int(pick * pick * scenario.ssid_universe))
-            pnl.append(frozenset(entries))
-        t0, t_exit, x0, y0 = t0l, t_exitl, x0l, y0l
-        vx, vy, period, phase, pnl_open = vxl, vyl, periodl, phasel, tuple(pnl)
-    return WalkerBatch(backend, t0, t_exit, x0, y0, vx, vy, period, phase, pnl_open)
+    ids = np.arange(scenario.stations, dtype=np.uint64)
+    draw = [u01_vec(base, ids, c) for c in range(_C_PNL_N + 1)]
+    t0 = draw[_C_SPAWN] * scenario.spawn_fraction * scenario.duration
+    horizontal = draw[_C_AXIS] < 0.5
+    forward = draw[_C_DIR] < 0.5
+    cross = draw[_C_CROSS] * size
+    speed = scenario.speed_min_mps + draw[_C_SPEED] * speed_span
+    period = scenario.scan_period_min_s + draw[_C_PERIOD] * period_span
+    phase = draw[_C_PHASE] * period
+    x0 = np.where(horizontal, np.where(forward, 0.0, size), cross)
+    y0 = np.where(horizontal, cross, np.where(forward, 0.0, size))
+    vx = np.where(horizontal, np.where(forward, speed, -speed), 0.0)
+    vy = np.where(horizontal, 0.0, np.where(forward, speed, -speed))
+    static = np.empty((8, scenario.stations))
+    static[START] = t0 + phase
+    static[PERIOD] = period
+    static[T_EXIT] = t0 + size / speed
+    static[T0] = t0
+    static[X0] = x0
+    static[Y0] = y0
+    static[VX] = vx
+    static[VY] = vy
+    pnl_n = (2.0 + np.floor(draw[_C_PNL_N] * (scenario.pnl_max - 1))).astype(
+        np.int64
+    )
+    # PNL entry j of every walker at once, -1 where it is closed or past
+    # the walker's pnl_n (draws are stateless, so drawing an unused
+    # entry changes nothing).
+    columns = []
+    for j in range(scenario.pnl_max):
+        pick = u01_vec(base, ids, _C_PNL_BASE + 2 * j)
+        is_open = u01_vec(base, ids, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share
+        # Quadratic skew towards low SSIDs, mirroring the popularity
+        # ranking the sensors seed their PB with.
+        ssid = (pick * pick * scenario.ssid_universe).astype(np.int64)
+        columns.append(np.where(is_open & (j < pnl_n), ssid, -1).tolist())
+    pnl_open = tuple(frozenset(row) - {-1} for row in zip(*columns))
+    return WalkerBatch(static, pnl_open)
 
 
 def derive_sensors(scenario: ShardScenario) -> List[Tuple[int, float, float]]:

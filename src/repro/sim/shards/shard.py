@@ -9,25 +9,29 @@ that works on the struct-of-arrays batch:
 * **Phase A** (walker side, at ``t_e``): apply handed-in migrations,
   then handed-in offer records, both in canonical
   :func:`~repro.sim.shards.handoff.sort_key` order; emit this epoch's
-  scans as probe records; compute end-of-epoch migrations.  Scans are
-  sparse (by default a walker scans every 15-60 s), so only the owned
-  walkers that scan in the epoch get positions and candidate sensors:
-  the epoch costs O(scanning walkers x candidate sensors), whatever the
-  stripe width.  Extra shards therefore make no single-process run
-  cheaper; on one core they only add handoff work, and they pay off in
-  process mode with cores to spare.
+  scans as probe records; compute end-of-epoch migrations.  The shard
+  keeps its owned walker ids as an array together with their static
+  columns, re-gathered only when ownership changes, and computes every
+  scan of the epoch at once: which walkers scan and how often (a walker
+  whose period is shorter than the epoch scans several times), each
+  scan's time and position, its exact distance to each of the stripe's
+  candidate sensors, and the district of every scan that reaches one.
+  Extra shards make no single-process run cheaper; on one core they
+  only add handoff work, and they pay off in process mode with cores
+  to spare.
 * **Phase B** (sensor side, at ``t_{e+1}``): feed sorted feedback
   records to the owned :class:`~repro.sim.shards.attacker.LiteHunter`
   cores, then answer sorted probe records with offer records addressed
-  to each walker's *next* owner.
+  to each walker's *next* owner, found with one vector owner lookup.
 
 Determinism: all record processing is sorted by shard-count-invariant
-keys; all arithmetic is elementwise over values derived from the
-stateless RNG; candidate-sensor pruning (the stripe inflated by
-:func:`~repro.dot11.medium.reach_with_motion`, plus a per-epoch
-adjacency of each scanning walker at the same inflated radius) is a
-strict superset of every sensor a walker can reach this epoch, followed
-by exact distance checks — so pruning changes work, never results.
+keys, and all arithmetic is elementwise over values derived from the
+stateless RNG.  Candidate sensors are pruned once, at construction: a
+walker owned at ``t_e`` lies in the stripe and moves at most
+``speed_max * epoch_s`` before ``t_{e+1}``, so the stripe inflated by
+:func:`~repro.dot11.medium.reach_with_motion` holds every sensor it can
+reach this epoch; the exact distance check at each scan's own position
+then decides.  Pruning changes work, never results.
 
 Workload metrics live under ``shardsim.*`` and are **integer-valued
 only** (float sums across different shard partitions are not
@@ -38,12 +42,14 @@ live under ``shardops.*``, which golden canonicalisation strips.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.dot11.medium import reach_with_motion
+from repro.mobility.batch import positions_vec
 from repro.obs.epochs import maybe_epoch_tracer
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import epoch_schedule
@@ -61,14 +67,9 @@ from repro.sim.shards.attacker import (
     LiteHunter,
 )
 from repro.sim.shards.scenario import ShardScenario, derive_sensors, derive_walkers
-from repro.sim.shards.soa import resolve_backend
+from repro.sim.shards.soa import PERIOD, START, T0, T_EXIT, VX, VY, X0, Y0
 from repro.sim.simulation import Simulation
 from repro.util.rng import derive_seed
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 #: Handoff-log cap — enough for every test workload, bounded for big runs.
 HANDOFF_LOG_CAP = 50_000
@@ -97,6 +98,21 @@ def _namespace_snapshot(snap: dict) -> dict:
     return snap
 
 
+def _cells(vs, cell_m: float, n: int):
+    """Grid index ``int(v // cell_m)`` of every coordinate in ``vs``,
+    clamped to ``[0, n)`` — the vector form of
+    :meth:`~repro.geo.grid.DistrictPartition.column_of`."""
+    return np.minimum(np.maximum((vs // cell_m).astype(np.int64), 0), n - 1)
+
+
+def _positions(t, cols):
+    """Positions at ``t`` of the walkers whose static columns (rows of
+    :attr:`~repro.sim.shards.soa.WalkerBatch.static`) are ``cols``."""
+    return positions_vec(
+        t, cols[T0], cols[T_EXIT], cols[X0], cols[Y0], cols[VX], cols[VY]
+    )
+
+
 class ShardRuntime:
     """The per-shard simulation driver (one per shard, any process)."""
 
@@ -105,7 +121,6 @@ class ShardRuntime:
         scenario: ShardScenario,
         shard_id: int,
         shards: int,
-        backend: Optional[str] = None,
         log_handoffs: bool = False,
         epoch_trace: Optional[bool] = None,
     ):
@@ -114,7 +129,6 @@ class ShardRuntime:
         self.scenario = scenario
         self.shard_id = shard_id
         self.shards = shards
-        self.backend = resolve_backend(backend)
         self.part = scenario.partition()
         self.barriers = epoch_schedule(scenario.duration, scenario.epoch_s)
         self.epochs = len(self.barriers) - 1
@@ -124,7 +138,7 @@ class ShardRuntime:
             trace=False,
             metrics=self.metrics,
         )
-        self.walkers = derive_walkers(scenario, self.backend)
+        self.walkers = derive_walkers(scenario)
         self.sensors = derive_sensors(scenario)
         self.sensor_owner = {
             sid: self.part.shard_of_point(x, y, shards) for sid, x, y in self.sensors
@@ -145,17 +159,17 @@ class ShardRuntime:
             scenario.reach_m, scenario.speed_max_mps, scenario.epoch_s
         )
         x_lo, x_hi = self.part.stripe_bounds(shard_id, shards)
-        self.cand = [
-            (sid, x, y)
+        cand = [
+            (sid, x, y, self.sensor_owner[sid])
             for sid, x, y in self.sensors
             if x_lo - margin <= x <= x_hi + margin
         ]
-        if self.backend == "numpy":
-            self._cand_x = np.array([c[1] for c in self.cand], dtype=np.float64)
-            self._cand_y = np.array([c[2] for c in self.cand], dtype=np.float64)
+        self._cand_sid = np.array([c[0] for c in cand], dtype=np.int64)
+        self._cand_x = np.array([c[1] for c in cand], dtype=np.float64)
+        self._cand_y = np.array([c[2] for c in cand], dtype=np.float64)
+        self._cand_owner = np.array([c[3] for c in cand], dtype=np.int64)
         self._reach2 = scenario.reach_m * scenario.reach_m
-        self._adj_r2 = margin * margin
-        self.owned: List[int] = self._initial_owned()
+        self._set_owned(self._initial_owned())
         self.hits = 0
         self.epochs_done = 0
         self._log: Optional[List[tuple]] = [] if log_handoffs else None
@@ -170,37 +184,41 @@ class ShardRuntime:
             "shardops.sensors_owned", len(self.hunters), shard=shard_id
         )
         self.metrics.gauge_set(
-            "shardops.candidate_sensors", len(self.cand), shard=shard_id
+            "shardops.candidate_sensors", len(cand), shard=shard_id
         )
 
     # -- ownership --------------------------------------------------------
 
-    def _initial_owned(self) -> List[int]:
-        t0 = self.barriers[0]
-        if self.backend == "numpy":
-            idx = np.arange(self.walkers.n, dtype=np.int64)
-            xs, ys = self.walkers.positions_at(t0, idx)
-            owner = self._owner_shards_vec(xs)
-            return [int(i) for i in idx[owner == self.shard_id]]
-        return [
-            i
-            for i in range(self.walkers.n)
-            if self.part.shard_of_point(*self.walkers.position_of(i, t0), self.shards)
-            == self.shard_id
-        ]
+    def _initial_owned(self):
+        owner = self._owners_at(self.barriers[0], self.walkers.static)
+        return np.flatnonzero(owner == self.shard_id)
+
+    def _set_owned(self, owned) -> None:
+        """Adopt ``owned`` (ascending int64 walker ids) and gather their
+        static columns, which every epoch's step and migration check
+        read.  Called whenever ownership changes."""
+        self.owned = owned
+        self._cols = np.take(self.walkers.static, owned, axis=1)
 
     def _owner_shards_vec(self, xs):
         """Vector form of DistrictPartition.shard_of_point's x logic."""
-        ix = np.clip(
-            (xs // self.part.district_m).astype(np.int64), 0, self.part.nx - 1
-        )
-        return np.minimum(self.shards - 1, ix * self.shards // self.part.nx)
+        part = self.part
+        ix = _cells(xs, part.district_m, part.nx)
+        return np.minimum(self.shards - 1, ix * self.shards // part.nx)
 
-    def walker_owner_at(self, t: float, walker: int) -> int:
-        """Which shard owns ``walker`` at barrier time ``t`` — a pure
-        function of static state, so every shard can route to it."""
-        x, y = self.walkers.position_of(walker, t)
-        return self.part.shard_of_point(x, y, self.shards)
+    def _owners_at(self, t: float, cols):
+        """Owning shard at time ``t`` of the walkers whose static columns
+        are ``cols`` — a pure function of static state, so every shard
+        can route to it."""
+        return self._owner_shards_vec(_positions(t, cols)[0])
+
+    def _districts(self, xs, ys):
+        """Vector form of :meth:`DistrictPartition.district_of`."""
+        part = self.part
+        return (
+            _cells(ys, part.district_m, part.ny) * part.nx
+            + _cells(xs, part.district_m, part.nx)
+        )
 
     # -- logging ----------------------------------------------------------
 
@@ -257,8 +275,8 @@ class ShardRuntime:
                 self.walkers.apply_row(rec[3], rec[5])
                 arrived.append(rec[3])
                 self._log_applied(rec)
-            self.owned.extend(arrived)
-            self.owned.sort()
+            # A walker has one owner, so arrivals are never owned here.
+            self._set_owned(np.sort(np.concatenate((self.owned, arrived))))
             self.metrics.inc("shardops.migrations_in", len(arrived))
         for rec in handoff.sorted_records(offers_in):
             self._apply_offer(rec, out)
@@ -293,116 +311,73 @@ class ShardRuntime:
         )
 
     def _step_epoch(self, t_e: float, t_next: float, out: Outbox) -> None:
+        """Emit every scan of ``[t_e, t_next)`` as probe records, all of
+        them at once over the owned walkers' cached columns."""
         own = self.owned
-        if not own:
+        if not len(own):
             return
         batch = self.walkers
-        hi_cap = min(t_next, self.scenario.duration)
-        if self.backend == "numpy":
-            own_arr = np.asarray(own, dtype=np.int64)
-            start = batch.t0[own_arr] + batch.phase[own_arr]
-            pero = batch.period[own_arr]
-            hi = np.minimum(hi_cap, batch.t_exit[own_arr])
-            k_lo = np.maximum(0.0, np.ceil((t_e - start) / pero))
-            k_hi = np.maximum(k_lo, np.ceil((hi - start) / pero))
-            rows = np.nonzero(~batch.connected[own_arr] & (k_hi > k_lo))[0]
-            if not len(rows):
-                return
-            # Scans are sparse (periods of tens of seconds against
-            # epochs of a few), so positions and the motion-inflated
-            # adjacency are built for the scanning rows alone: the
-            # epoch costs O(scanning walkers x candidate sensors).
-            wx, wy = batch.positions_at(t_e, own_arr[rows])
-            dx = wx[:, None] - self._cand_x[None, :]
-            dy = wy[:, None] - self._cand_y[None, :]
-            adj = (dx * dx + dy * dy) <= self._adj_r2
-            for n, r in enumerate(rows):
-                self._scan_walker(
-                    int(own_arr[r]),
-                    float(start[r]),
-                    float(pero[r]),
-                    int(k_lo[r]),
-                    int(k_hi[r]),
-                    [self.cand[c] for c in np.flatnonzero(adj[n])],
-                    out,
-                )
-        else:
-            for i in own:
-                if batch.connected[i]:
-                    continue
-                start = batch.t0[i] + batch.phase[i]
-                pero = batch.period[i]
-                hi = min(hi_cap, batch.t_exit[i])
-                k_lo = max(0.0, math.ceil((t_e - start) / pero))
-                k_hi = max(k_lo, math.ceil((hi - start) / pero))
-                if k_hi > k_lo:
-                    self._scan_walker(
-                        i, start, pero, int(k_lo), int(k_hi), self.cand, out
-                    )
-
-    def _scan_walker(
-        self,
-        i: int,
-        start: float,
-        period: float,
-        k_lo: int,
-        k_hi: int,
-        cand: List[Tuple[int, float, float]],
-        out: Outbox,
-    ) -> None:
-        batch = self.walkers
-        for k in range(k_lo, k_hi):
-            t_s = start + k * period
-            x, y = batch.position_of(i, t_s)
-            batch.scans[i] += 1
-            self.metrics.inc("shardsim.scans")
-            emitted = 0
-            district = -1
-            for sid, sx, sy in cand:
-                dx = sx - x
-                dy = sy - y
-                if dx * dx + dy * dy <= self._reach2:
-                    if district < 0:
-                        district = self.part.district_of(x, y)
-                    out.setdefault(self.sensor_owner[sid], []).append(
-                        handoff.probe(t_s, district, i, sid)
-                    )
-                    emitted += 1
-            if emitted:
-                batch.probes[i] += emitted
-                self.metrics.inc("shardsim.probes", emitted)
+        cols = self._cols
+        start = cols[START]
+        period = cols[PERIOD]
+        hi = np.minimum(min(t_next, self.scenario.duration), cols[T_EXIT])
+        k_lo = np.maximum(0.0, np.ceil((t_e - start) / period))
+        k_hi = np.maximum(k_lo, np.ceil((hi - start) / period))
+        rows = np.flatnonzero((k_hi > k_lo) & ~batch.connected[own])
+        if not len(rows):
+            return
+        # One entry per scan, in (walker, k) order: a walker whose period
+        # is shorter than the epoch scans at k_lo, k_lo + 1, ...
+        counts = (k_hi[rows] - k_lo[rows]).astype(np.int64)
+        scan_row = rows
+        k = k_lo[rows]
+        if int(counts.sum()) > len(rows):
+            scan_row = np.repeat(rows, counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            k = k_lo[scan_row] + (np.arange(len(scan_row)) - first)
+        sc = np.take(cols, scan_row, axis=1)
+        t_s = sc[START] + k * sc[PERIOD]
+        xs, ys = _positions(t_s, sc)
+        dx = self._cand_x - xs[:, None]
+        dy = self._cand_y - ys[:, None]
+        scan, cand = np.nonzero(dx * dx + dy * dy <= self._reach2)
+        batch.scans[own[rows]] += counts
+        self.metrics.inc("shardsim.scans", len(scan_row))
+        if not len(scan):
+            return
+        walkers = own[scan_row[scan]]
+        np.add.at(batch.probes, walkers, 1)
+        self.metrics.inc("shardsim.probes", len(scan))
+        for t, district, wid, sid, dest in zip(
+            t_s[scan].tolist(),
+            self._districts(xs[scan], ys[scan]).tolist(),
+            walkers.tolist(),
+            self._cand_sid[cand].tolist(),
+            self._cand_owner[cand].tolist(),
+        ):
+            out.setdefault(dest, []).append(handoff.probe(t, district, wid, sid))
 
     def _emit_migrations(self, t_next: float, out: Outbox) -> None:
         own = self.owned
-        if not own:
+        if not len(own):
+            return
+        xs, ys = _positions(t_next, self._cols)
+        owner = self._owner_shards_vec(xs)
+        staying = owner == self.shard_id
+        moving = np.flatnonzero(~staying)
+        if not len(moving):
             return
         batch = self.walkers
-        if self.backend == "numpy":
-            own_arr = np.asarray(own, dtype=np.int64)
-            xs, _ = batch.positions_at(t_next, own_arr)
-            owner = self._owner_shards_vec(xs)
-            moving = np.nonzero(owner != self.shard_id)[0]
-            if not len(moving):
-                return
-            movers = [(int(own_arr[r]), int(owner[r])) for r in moving]
-        else:
-            movers = []
-            for i in own:
-                dest = self.walker_owner_at(t_next, i)
-                if dest != self.shard_id:
-                    movers.append((i, dest))
-            if not movers:
-                return
-        moving_ids = {i for i, _ in movers}
-        for i, dest in movers:
-            x, y = batch.position_of(i, t_next)
+        for wid, dest, district in zip(
+            own[moving].tolist(),
+            owner[moving].tolist(),
+            self._districts(xs[moving], ys[moving]).tolist(),
+        ):
             out.setdefault(dest, []).append(
-                handoff.migrate(
-                    t_next, self.part.district_of(x, y), i, batch.dynamic_row(i)
-                )
+                handoff.migrate(t_next, district, wid, batch.dynamic_row(wid))
             )
-        self.owned = [i for i in own if i not in moving_ids]
-        self.metrics.inc("shardops.migrations_out", len(movers))
+        self._set_owned(own[staying])
+        self.metrics.inc("shardops.migrations_out", len(moving))
 
     # -- phase B ----------------------------------------------------------
 
@@ -440,35 +415,49 @@ class ShardRuntime:
         probes_in: List[tuple],
         out: Outbox,
     ) -> None:
-        t_deliver = self.barriers[epoch + 1]
+        popularity = freshness = 0
         for rec in handoff.sorted_records(feedbacks_in):
             _, t, district, wid, sid, ssid = rec
             bucket = self.hunters[sid].feedback(wid, ssid)
             self._log_applied(rec)
-            self.metrics.inc("shardsim.feedbacks")
             if bucket == BUCKET_POPULARITY:
-                self.metrics.inc("shardsim.hits_popularity")
+                popularity += 1
             elif bucket == BUCKET_FRESHNESS:
-                self.metrics.inc("shardsim.hits_freshness")
+                freshness += 1
+        offers = []
         for rec in handoff.sorted_records(probes_in):
             _, t, district, wid, sid = rec
             burst = self.hunters[sid].burst_for(wid)
             self._log_applied(rec)
-            if not burst:
-                self.metrics.inc("shardsim.bursts_exhausted")
-                continue
-            self.metrics.inc("shardsim.offers")
-            out.setdefault(self.walker_owner_at(t_deliver, wid), []).append(
-                handoff.offer(t, district, wid, sid, burst)
+            if burst:
+                offers.append(handoff.offer(t, district, wid, sid, burst))
+        if offers:
+            wids = np.array([rec[3] for rec in offers], dtype=np.int64)
+            dests = self._owners_at(
+                self.barriers[epoch + 1], self.walkers.static[:, wids]
             )
+            for rec, dest in zip(offers, dests.tolist()):
+                out.setdefault(dest, []).append(rec)
+        # Counted once per phase, and only when non-zero, so a counter
+        # the run never touches stays absent.
+        for name, value in (
+            ("shardsim.feedbacks", len(feedbacks_in)),
+            ("shardsim.hits_popularity", popularity),
+            ("shardsim.hits_freshness", freshness),
+            ("shardsim.bursts_exhausted", len(probes_in) - len(offers)),
+            ("shardsim.offers", len(offers)),
+        ):
+            if value:
+                self.metrics.inc(name, value)
 
     # -- finalisation -----------------------------------------------------
 
     def finalize(self, collect_states: bool = True) -> dict:
         """Close out the run: totals, gauges, and the picklable result."""
         batch = self.walkers
-        probed = sum(1 for i in self.owned if batch.probes[i] > 0)
-        connected = sum(1 for i in self.owned if batch.connected[i])
+        own = self.owned
+        probed = int(np.count_nonzero(batch.probes[own]))
+        connected = int(np.count_nonzero(batch.connected[own]))
         self.metrics.inc("shardsim.walkers_probed", probed)
         self.metrics.inc("shardsim.walkers_connected", connected)
         self.metrics.gauge_set("shardsim.stations", self.scenario.stations)
@@ -486,9 +475,7 @@ class ShardRuntime:
             "handoff_log": list(self._log) if self._log is not None else None,
         }
         if collect_states:
-            result["walker_rows"] = {
-                int(i): batch.dynamic_row(i) for i in self.owned
-            }
+            result["walker_rows"] = {i: batch.dynamic_row(i) for i in own.tolist()}
             result["hunter_states"] = {
                 sid: hunter.state() for sid, hunter in sorted(self.hunters.items())
             }
@@ -515,8 +502,8 @@ class ShardRuntime:
             "seed": self.scenario.seed,
             "epoch": self.epochs_done,
             "hits": self.hits,
-            "owned": list(self.owned),
-            "rows": {int(i): batch.dynamic_row(i) for i in self.owned},
+            "owned": self.owned.tolist(),
+            "rows": {i: batch.dynamic_row(i) for i in self.owned.tolist()},
             "hunters": {
                 sid: hunter.state()
                 for sid, hunter in sorted(self.hunters.items())
@@ -541,7 +528,7 @@ class ShardRuntime:
                 )
         for i, row in payload["rows"].items():
             self.walkers.apply_row(int(i), tuple(row))
-        self.owned = sorted(int(i) for i in payload["owned"])
+        self._set_owned(np.array(sorted(payload["owned"]), dtype=np.int64))
         sc = self.scenario
         restored_hunters = {}
         for sid, state in payload["hunters"].items():

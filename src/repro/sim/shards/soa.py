@@ -4,59 +4,32 @@ The event-driven simulator keeps one :class:`~repro.devices.phone.Phone`
 object per station; at district scale that representation is the
 bottleneck (object headers, per-phone scheduler events, per-call
 position math).  :class:`WalkerBatch` flips the layout: every per-walker
-quantity is one array column, so a shard steps thousands of walkers per
+quantity is one numpy column, so a shard steps thousands of walkers per
 scheduler callback with vector arithmetic.
 
-Two backends share the exact same semantics:
-
-* ``numpy`` — the default whenever numpy imports; column math runs as
-  float64 array expressions.
-* ``python`` — stdlib-only fallback (plain lists + the scalar helpers
-  in :mod:`repro.mobility.batch`).
-
-Only elementwise float operations are used, so the two backends — and
-any shard partition of the population — produce bit-identical results;
-``REPRO_SHARDS_BACKEND`` forces a backend and the differential tests
-pin the equivalence.
+The engine has one backend, numpy.  Only elementwise float operations
+are used, so any shard partition of the population produces
+bit-identical results; the tests pin that against a scalar reference
+that derives and steps one walker at a time.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.mobility.batch import position_scalar, positions_vec
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
-
-BACKEND_ENV = "REPRO_SHARDS_BACKEND"
-BACKENDS = ("numpy", "python")
+import numpy as np
 
 NO_SENSOR = -1
 NO_SSID = -1
 
+#: Rows of :attr:`WalkerBatch.static`: first scan time (entry time plus
+#: scan phase), scan period, exit time, entry time, entry point and
+#: velocity.
+START, PERIOD, T_EXIT, T0, X0, Y0, VX, VY = range(8)
+
 #: One walker's transferable dynamic state, as plain picklable scalars:
 #: (connected, conn_time, conn_sensor, conn_ssid, scans, probes, offers).
 DynamicRow = Tuple[bool, float, int, int, int, int, int]
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Batch backend: explicit argument, else ``REPRO_SHARDS_BACKEND``,
-    else ``numpy`` when importable (``python`` otherwise)."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not backend or backend == "auto":
-        return "numpy" if np is not None else "python"
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown shards backend %r (have: %s)" % (backend, ", ".join(BACKENDS))
-        )
-    if backend == "numpy" and np is None:
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    return backend
 
 
 class WalkerBatch:
@@ -65,22 +38,17 @@ class WalkerBatch:
     Static columns are derived for the *full* population in every shard
     (they are pure functions of the scenario, see
     :mod:`repro.sim.shards.srng`), so any shard can route records for
-    any walker.  Dynamic columns are only authoritative for the rows a
-    shard currently *owns*; ownership transfers carry
-    :data:`DynamicRow` tuples through the handoff protocol.
+    any walker.  They sit in one ``(8, n)`` float64 matrix, rows
+    :data:`START` .. :data:`VY`, so a shard gathers every static column
+    of a set of walkers with one index.  Dynamic columns are only
+    authoritative for the rows a shard currently *owns*; ownership
+    transfers carry :data:`DynamicRow` tuples through the handoff
+    protocol.
     """
 
     __slots__ = (
-        "backend",
         "n",
-        "t0",
-        "t_exit",
-        "x0",
-        "y0",
-        "vx",
-        "vy",
-        "period",
-        "phase",
+        "static",
         "pnl_open",
         "connected",
         "conn_time",
@@ -91,81 +59,17 @@ class WalkerBatch:
         "offers",
     )
 
-    def __init__(
-        self,
-        backend: str,
-        t0,
-        t_exit,
-        x0,
-        y0,
-        vx,
-        vy,
-        period,
-        phase,
-        pnl_open: Tuple[frozenset, ...],
-    ):
-        self.backend = backend
+    def __init__(self, static, pnl_open: Tuple[frozenset, ...]):
         self.n = len(pnl_open)
-        self.t0 = t0
-        self.t_exit = t_exit
-        self.x0 = x0
-        self.y0 = y0
-        self.vx = vx
-        self.vy = vy
-        self.period = period
-        self.phase = phase
+        self.static = static
         self.pnl_open = pnl_open
-        if backend == "numpy":
-            self.connected = np.zeros(self.n, dtype=bool)
-            self.conn_time = np.full(self.n, -1.0, dtype=np.float64)
-            self.conn_sensor = np.full(self.n, NO_SENSOR, dtype=np.int64)
-            self.conn_ssid = np.full(self.n, NO_SSID, dtype=np.int64)
-            self.scans = np.zeros(self.n, dtype=np.int64)
-            self.probes = np.zeros(self.n, dtype=np.int64)
-            self.offers = np.zeros(self.n, dtype=np.int64)
-        else:
-            self.connected = [False] * self.n
-            self.conn_time = [-1.0] * self.n
-            self.conn_sensor = [NO_SENSOR] * self.n
-            self.conn_ssid = [NO_SSID] * self.n
-            self.scans = [0] * self.n
-            self.probes = [0] * self.n
-            self.offers = [0] * self.n
-
-    # -- kinematics -------------------------------------------------------
-
-    def positions_at(self, t: float, idx: Sequence[int]):
-        """Positions of the walkers in ``idx`` at time ``t`` (two columns)."""
-        if self.backend == "numpy":
-            sel = np.asarray(idx, dtype=np.int64)
-            return positions_vec(
-                t,
-                self.t0[sel],
-                self.t_exit[sel],
-                self.x0[sel],
-                self.y0[sel],
-                self.vx[sel],
-                self.vy[sel],
-            )
-        xs: List[float] = []
-        ys: List[float] = []
-        for i in idx:
-            x, y = self.position_of(i, t)
-            xs.append(x)
-            ys.append(y)
-        return xs, ys
-
-    def position_of(self, i: int, t: float) -> Tuple[float, float]:
-        """Scalar position of walker ``i`` at time ``t`` (both backends)."""
-        return position_scalar(
-            t,
-            float(self.t0[i]),
-            float(self.t_exit[i]),
-            float(self.x0[i]),
-            float(self.y0[i]),
-            float(self.vx[i]),
-            float(self.vy[i]),
-        )
+        self.connected = np.zeros(self.n, dtype=bool)
+        self.conn_time = np.full(self.n, -1.0, dtype=np.float64)
+        self.conn_sensor = np.full(self.n, NO_SENSOR, dtype=np.int64)
+        self.conn_ssid = np.full(self.n, NO_SSID, dtype=np.int64)
+        self.scans = np.zeros(self.n, dtype=np.int64)
+        self.probes = np.zeros(self.n, dtype=np.int64)
+        self.offers = np.zeros(self.n, dtype=np.int64)
 
     # -- dynamic-state transfer ------------------------------------------
 

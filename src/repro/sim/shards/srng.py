@@ -14,19 +14,14 @@ The vector form (:func:`u01_vec`) exists for batch derivation and is
 pinned by tests to produce exactly the same floats as the scalar form:
 the hash pipeline is pure 64-bit integer arithmetic (numpy ``uint64``
 wraps exactly like the masked Python ints) and the final mapping
-``(h >> 11) * 2**-53`` is exact in both backends.
+``(h >> 11) * 2**-53`` is exact in both forms.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import numpy as np
 
 from repro.util.rng import derive_seed
-
-try:  # numpy is a hard dependency of the repo, but the pure-python
-    import numpy as np  # fallback keeps this module importable anywhere.
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
 
 _MASK = (1 << 64) - 1
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -68,11 +63,8 @@ def u01(base: int, ident: int, counter: int) -> float:
 def u01_vec(base: int, idents, counter: int):
     """Vectorised :func:`u01` over an array of entity ids.
 
-    Bit-identical to the scalar path (asserted by tests); requires
-    numpy — callers on the pure-python backend loop over :func:`u01`.
+    Bit-identical to the scalar path (asserted by tests).
     """
-    if np is None:  # pragma: no cover - numpy is baked into the image
-        raise RuntimeError("u01_vec requires numpy")
     ids = np.asarray(idents, dtype=np.uint64)
     key = ids * np.uint64(_ID_SALT) ^ np.uint64((counter * _CTR_SALT) & _MASK)
     key = _mix64_vec(key)
@@ -85,7 +77,3 @@ def _mix64_vec(x):
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
     return x ^ (x >> np.uint64(31))
 
-
-def numpy_available() -> Optional[bool]:
-    """Whether the vector backend can be used at all."""
-    return np is not None

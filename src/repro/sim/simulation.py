@@ -27,7 +27,6 @@ scheduling or metrics, so golden digests are identical on or off):
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.obs.events import EventSink
@@ -40,13 +39,9 @@ from repro.sim.events import EventHandle
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
 from repro.util.rng import RngRegistry
+from repro.util.settings import resolve_bool_env
 
 TRACE_ENV = "REPRO_TRACE"
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def _env_trace_default() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() in _TRUTHY
 
 
 class Simulation:
@@ -65,7 +60,7 @@ class Simulation:
         self.clock = Clock()
         self.scheduler = Scheduler(self.clock)
         if trace is None:
-            trace = _env_trace_default()
+            trace = resolve_bool_env(TRACE_ENV, False)
         self.trace = Trace(enabled=trace)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventSink()

@@ -43,7 +43,9 @@ class TestResolve:
         assert resolve_epoch_trace("1") is True
         assert resolve_epoch_trace("on") is True
         assert resolve_epoch_trace("0") is False
-        assert resolve_epoch_trace("sometimes") is False
+        # A word that is neither on nor off is a typo, not "off".
+        with pytest.raises(ValueError, match=EPOCH_TRACE_ENV):
+            resolve_epoch_trace("sometimes")
 
     def test_env_gate(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))

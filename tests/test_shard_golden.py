@@ -25,7 +25,6 @@ from repro.sim.shards import (
     SHARD_MODE_ENV,
     SHARDS_ENV,
 )
-from repro.sim.shards.soa import BACKEND_ENV
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 DOC_PATH = DATA_DIR / "golden_shards.json"
@@ -38,7 +37,6 @@ _SCOPED_ENV = (
     "REPRO_HEARTBEAT",
     SHARDS_ENV,
     SHARD_MODE_ENV,
-    BACKEND_ENV,
     CKPT_EVERY_ENV,
     PHASE_TIMEOUT_ENV,
     MAX_RECOVERIES_ENV,

@@ -50,18 +50,20 @@ def _scenario(seed: int, open_share: float = 0.6) -> ShardScenario:
 
 def _crossers(scenario: ShardScenario, shards: int):
     """Walkers whose shard owner changes during their in-city window."""
-    from repro.sim.shards.scenario import derive_walkers
+    from repro.sim.shards.soa import T0, T_EXIT
+
+    from .shard_oracle import derive_walkers_scalar, position_of
 
     part = scenario.partition()
-    batch = derive_walkers(scenario, "python")
+    batch = derive_walkers_scalar(scenario)
     out = []
     for i in range(batch.n):
-        t_in = batch.t0[i]
-        t_out = min(batch.t_exit[i], scenario.duration)
+        t_in = float(batch.static[T0, i])
+        t_out = min(float(batch.static[T_EXIT, i]), scenario.duration)
         if t_out <= t_in:
             continue
-        a = part.shard_of_point(*batch.position_of(i, t_in), shards)
-        b = part.shard_of_point(*batch.position_of(i, t_out), shards)
+        a = part.shard_of_point(*position_of(batch, i, t_in), shards)
+        b = part.shard_of_point(*position_of(batch, i, t_out), shards)
         if a != b:
             out.append(i)
     return out

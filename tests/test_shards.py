@@ -4,13 +4,13 @@ The contract under test is the tentpole of the sharding PR: a
 :class:`~repro.sim.shards.scenario.ShardScenario` produces the exact
 same result — ``shardsim.*`` metrics, walker rows, hunter states, and
 therefore :meth:`~repro.sim.shards.engine.ShardRunResult.digest` — at
-any shard count, with either array backend, in either execution mode.
+any shard count, in either execution mode, and equal to the scalar
+reference in ``tests/shard_oracle.py``.
 Everything here runs small scenarios (seconds, not minutes); the
 golden-scale pins live in ``test_shard_golden.py``.
 """
 
 import json
-import os
 import pathlib
 import sys
 
@@ -33,12 +33,14 @@ from repro.sim.shards import (
     resolve_shards,
     run_sharded,
 )
+from repro.sim.shards import shard as shard_module
 from repro.sim.shards.attacker import LiteHunter
 from repro.sim.shards.engine import resolve_max_recoveries, resolve_phase_timeout
 from repro.sim.shards.scenario import derive_sensors, derive_walkers
 from repro.sim.shards.shard import ShardRuntime
-from repro.sim.shards.soa import BACKEND_ENV, BACKENDS, WalkerBatch, resolve_backend
 from repro.sim.shards.srng import stream_base, u01, u01_vec
+
+from .shard_oracle import derive_walkers_scalar, run_scalar
 
 # Sized so shard seams see real traffic: walkers cover up to ~324 m in
 # the duration, crossing interior stripe boundaries at 2+ shards.
@@ -125,12 +127,12 @@ class TestDistrictPartition:
 
 class TestDerivations:
     def test_backends_derive_identical_walkers(self):
-        a = derive_walkers(SMALL, "numpy")
-        b = derive_walkers(SMALL, "python")
-        for col in ("t0", "t_exit", "x0", "y0", "vx", "vy", "period", "phase"):
-            va = [float(v) for v in getattr(a, col)]
-            vb = [float(v) for v in getattr(b, col)]
-            assert va == vb, f"column {col} differs between backends"
+        """The vector derivation against the one-walker-at-a-time
+        reference: every static column bit-identical, same PNLs."""
+        a = derive_walkers(SMALL)
+        b = derive_walkers_scalar(SMALL)
+        assert a.static.shape == b.static.shape == (8, SMALL.stations)
+        assert a.static.tolist() == b.static.tolist()
         assert a.pnl_open == b.pnl_open
 
     def test_sensors_inside_city(self):
@@ -199,9 +201,10 @@ class TestShardInvariance:
         epoch_s=st.floats(min_value=1.0, max_value=45.0),
     )
     def test_backend_invariance(self, seed, size_m, sensors, epoch_s):
-        """The numpy step (which builds positions and adjacency for the
-        scanning walkers only) against the python reference (which never
-        prunes): same digest at 1 and 4 shards, and the same records
+        """The engine's array step (every scan of an epoch at once,
+        against the stripe's candidate sensors) against the scalar
+        reference (one walker, one scan and one sensor at a time, no
+        pruning): same digest at 1, 2 and 4 shards, and the same records
         applied in the same order in every shard."""
         scenario = ShardScenario(
             stations=50,
@@ -211,18 +214,18 @@ class TestShardInvariance:
             size_m=size_m,
             epoch_s=epoch_s,
         )
-        runs = {
-            (backend, shards): run_sharded(
-                scenario, shards=shards, mode="inline", backend=backend,
-                log_handoffs=True,
+        runs = {}
+        for shards in (1, 2, 4):
+            runs["engine", shards] = run_sharded(
+                scenario, shards=shards, mode="inline", log_handoffs=True
             )
-            for backend in BACKENDS
-            for shards in (1, 4)
-        }
+            runs["scalar", shards] = run_scalar(
+                scenario, shards, log_handoffs=True
+            )
         assert len({r.digest() for r in runs.values()}) == 1
-        for shards in (1, 4):
-            numpy_logs = runs["numpy", shards].handoff_logs
-            assert numpy_logs == runs["python", shards].handoff_logs
+        for shards in (1, 2, 4):
+            engine_logs = runs["engine", shards].handoff_logs
+            assert engine_logs == runs["scalar", shards].handoff_logs
 
     def test_process_mode_invariance(self, small_result):
         result = run_sharded(SMALL, shards=2, mode="process")
@@ -255,39 +258,34 @@ class TestShardInvariance:
 
 
 def test_step_builds_rows_only_for_scanning_walkers(monkeypatch):
-    """Each epoch's step evaluates positions (and from them one row of
-    the motion-inflated adjacency each) for exactly the walkers that
-    scan in it, never for every owned walker: an epoch costs
-    O(scanning walkers x candidate sensors).  The python backend, which
-    never prunes, is the reference for what the run produces."""
-    reference = run_sharded(SMALL, shards=2, mode="inline", backend="python")
-    epochs = []  # [rows built, walkers scanned] per stepped epoch
+    """Each epoch's step evaluates one position per scan it emits, and
+    none for an owned walker that does not scan in it: an epoch costs
+    O(scans x candidate sensors), never O(owned walkers x candidate
+    sensors).  The scalar reference is what the run must produce."""
+    reference = run_scalar(SMALL, 2)
+    epochs = []  # [positions evaluated, scans emitted] per stepped epoch
     stepping = []
-    positions_at = WalkerBatch.positions_at
+    positions_vec = shard_module.positions_vec
     step_epoch = ShardRuntime._step_epoch
-    scan_walker = ShardRuntime._scan_walker
 
-    def counted_positions(batch, t, idx):
+    def counted_positions(t, t_enter, *cols):
         if stepping:
-            epochs[-1][0] += len(idx)
-        return positions_at(batch, t, idx)
+            epochs[-1][0] += len(t_enter)
+        return positions_vec(t, t_enter, *cols)
 
     def counted_step(runtime, t_e, t_next, out):
+        scans = int(runtime.walkers.scans.sum())
         epochs.append([0, 0])
         stepping.append(True)
         try:
             step_epoch(runtime, t_e, t_next, out)
         finally:
             stepping.pop()
+        epochs[-1][1] = int(runtime.walkers.scans.sum()) - scans
 
-    def counted_scan(runtime, *args):
-        epochs[-1][1] += 1
-        return scan_walker(runtime, *args)
-
-    monkeypatch.setattr(WalkerBatch, "positions_at", counted_positions)
+    monkeypatch.setattr(shard_module, "positions_vec", counted_positions)
     monkeypatch.setattr(ShardRuntime, "_step_epoch", counted_step)
-    monkeypatch.setattr(ShardRuntime, "_scan_walker", counted_scan)
-    result = run_sharded(SMALL, shards=2, mode="inline", backend="numpy")
+    result = run_sharded(SMALL, shards=2, mode="inline")
     assert result.digest() == reference.digest()
     assert sum(scanned for _, scanned in epochs) > 0
     assert [built for built, _ in epochs] == [scanned for _, scanned in epochs]
@@ -320,15 +318,6 @@ class TestKnobResolution:
         assert resolve_shard_mode() == "process"
         with pytest.raises(ValueError):
             resolve_shard_mode("threads")
-
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend() == "python"
-        assert resolve_backend("numpy") == "numpy"
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
 
     @pytest.mark.parametrize("resolve, env, arg", INT_KNOBS)
     @pytest.mark.parametrize("value", ["four", "2.5", "-1"])

@@ -6,12 +6,15 @@ from repro.attacks.stealth import StealthCityHunter
 from repro.defenses.detector import CanaryProbeDetector, MultiSsidDetector
 from repro.dot11.frames import (
     AssocRequest,
+    AssocResponse,
     AuthRequest,
+    AuthResponse,
     ProbeRequest,
     ProbeResponse,
 )
 from repro.dot11.medium import Medium
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
+from repro.faults.outages import OutageSchedule, OutageWindow
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 
@@ -79,15 +82,41 @@ class TestBssidRotation:
         hunter.receive(ProbeRequest(sniffer.mac), sim.now)
         responses = _drain(sim, sniffer)
         target = responses[3]
-        # The phone-side flow: auth then assoc, addressed to the alias.
-        alias_mac = target.src
-        hunter.receive_as(alias_mac, AuthRequest(sniffer.mac, alias_mac), sim.now)
-        hunter.receive_as(
-            alias_mac, AssocRequest(sniffer.mac, alias_mac, target.ssid), sim.now
-        )
+        # The phone-side flow: auth then assoc, addressed to the alias
+        # BSSID it saw, which the medium delivers to that alias.
+        alias = hunter.station_for(bssid=target.src)
+        assert alias is hunter.alias_for(target.ssid)
+        alias.receive(AuthRequest(sniffer.mac, alias.mac), sim.now)
+        alias.receive(AssocRequest(sniffer.mac, alias.mac, target.ssid), sim.now)
         rec = hunter.session.clients[sniffer.mac]
         assert rec.connected
         assert rec.hit_ssid == target.ssid
+        sim.run(sim.now + 1.0)
+        replies = [
+            f for f in sniffer.received
+            if isinstance(f, (AuthResponse, AssocResponse))
+        ]
+        assert [type(f) for f in replies] == [AuthResponse, AssocResponse]
+        assert all(f.src == alias.mac for f in replies)
+
+    def test_alias_handshake_dropped_during_outage(self, deployed):
+        """An alias is the hunter's own radio: while an injected outage
+        has it down, no handshake completes through any BSSID."""
+        sim, hunter, sniffer = deployed
+        hunter.receive(ProbeRequest(sniffer.mac), sim.now)
+        target = _drain(sim, sniffer)[3]
+        hunter.install_outages(
+            OutageSchedule((OutageWindow(sim.now, sim.now + 10.0),))
+        )
+        alias = hunter.station_for(bssid=target.src)
+        alias.receive(AuthRequest(sniffer.mac, alias.mac), sim.now)
+        alias.receive(AssocRequest(sniffer.mac, alias.mac, target.ssid), sim.now)
+        assert not hunter.session.clients[sniffer.mac].connected
+        sim.run(sim.now + 1.0)
+        assert not [
+            f for f in sniffer.received
+            if isinstance(f, (AuthResponse, AssocResponse))
+        ]
 
     def test_alias_ignores_broadcast_probes(self, deployed):
         """Only the main station answers probes — otherwise every alias
@@ -207,6 +236,47 @@ class TestDetectorEvasion:
         assert metrics.counter_value(
             "hunter.db_adds", provenance="overheard-direct"
         ) == learned
+
+    def test_lineage_records_every_burst_and_hit(self, city, wigle, monkeypatch):
+        """With lineage on, the stealth hunter leaves one ``burst_select``
+        record per burst and one ``hit`` record per hit, as the plain
+        hunter does."""
+        bursts = []
+
+        class CountingStealth(StealthCityHunter):
+            def send_ssid_burst(self, client, metas, time):
+                if metas:
+                    bursts.append(len(metas))
+                super().send_ssid_burst(client, metas, time)
+
+        def factory(sim, medium, venue):
+            return CountingStealth(
+                "02:aa:00:00:00:01",
+                venue.region.center,
+                medium,
+                wigle=wigle,
+                heatmap=city.heatmap,
+            )
+
+        monkeypatch.setenv("REPRO_LINEAGE", "1")
+        config = ScenarioConfig(
+            venue_name="University Canteen",
+            mobility="static",
+            people_per_min=25.0,
+            duration=300.0,
+            seed=4,
+        )
+        build = build_scenario(city, wigle, config, factory)
+        build.sim.run(330.0)
+        assert build.sim.lineage.enabled
+        records = build.sim.lineage.records()
+        selects = [r for r in records if r["kind"] == "burst_select"]
+        hits = [r for r in records if r["kind"] == "hit"]
+        clients = build.attacker.session.clients
+        hit_macs = sorted(m for m, c in clients.items() if c.connected)
+        assert bursts and hit_macs
+        assert [r["size"] for r in selects] == bursts
+        assert sorted(r["client"] for r in hits) == hit_macs
 
     def test_stealth_still_hunts(self, city, wigle):
         """Evasion must not destroy the hit rate."""
