@@ -57,7 +57,6 @@ class RogueAp:
     """Base evil twin: answers probes, completes handshakes, records hits."""
 
     name = "rogue"
-    max_speed_mps = 0.0  # fixed installation: spatial-index eligible
 
     def __init__(
         self,

@@ -39,7 +39,6 @@ class MultiSsidDetector:
     every overheard probe response and raises an alarm at ``threshold``.
     """
 
-    max_speed_mps = 0.0  # fixed observation post: spatial-index eligible
     hears_probe_requests = False  # counts probe responses only
 
     def __init__(
@@ -106,7 +105,6 @@ class CanaryProbeDetector:
     handler is not.)
     """
 
-    max_speed_mps = 0.0  # fixed observation post: spatial-index eligible
     hears_probe_requests = False  # checks probe responses only
 
     def __init__(

@@ -30,8 +30,6 @@ from repro.sim.simulation import Simulation
 class LegitAp:
     """An honest open AP serving one SSID."""
 
-    max_speed_mps = 0.0  # fixed installation: spatial-index eligible
-
     def __init__(
         self,
         mac: MacAddress,

@@ -108,14 +108,6 @@ class Phone:
         """Current location (delegates to mobility)."""
         return self.mobility.position_at(time)
 
-    @property
-    def max_speed_mps(self) -> Optional[float]:
-        """Speed bound (m/s) for the medium's spatial index, when the
-        mobility model can supply one; None keeps the phone on the
-        always-scanned exact path."""
-        bound = getattr(self.mobility, "max_speed", None)
-        return bound() if callable(bound) else None
-
     # -- lifecycle ------------------------------------------------------------
 
     def start(self, sim: Simulation) -> None:

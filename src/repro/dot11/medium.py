@@ -27,57 +27,31 @@ built before bursty loss existed.  Neither is assigned after
 construction, so a lossless channel (``loss_rate`` 0, no chain) is
 recognised once there and skips the loss call for every recipient.
 
-Spatial index
--------------
+Broadcast recipients
+--------------------
 
-Broadcast recipient resolution historically scanned every attached
-station per frame — O(N) per probe, O(N²)-ish per urban-scale run.  The
-medium now keeps a :class:`~repro.geo.grid.MutableSpatialGrid` of
-station positions and resolves broadcast recipients from the cells
-around the sender instead.  The index is *provably a pure accelerator*:
-
-* Stations carrying a finite speed bound (``max_speed_mps``; phones
-  derive it from their :meth:`~repro.mobility.base.PathMobility.max_speed`)
-  are binned at their last refresh position.  A query at time ``now``
-  inflates the search radius by ``v_max * (now - refresh_time)``, so a
-  station that walked since the refresh can never be missed; candidates
-  are then re-checked with the exact same distance predicate as the
-  brute-force scan.  The grid is refreshed lazily, at most once per
-  ``index_refresh_s`` of simulated time, rebinning only stations whose
-  cell changed.
-* Stations without a speed bound live in an always-scanned side set —
-  exactness never depends on cooperative station classes.
-* Candidates are re-ordered by attach sequence before delivery, so loss
-  draws and ``receive`` callbacks happen in the identical order as the
-  brute-force path.
-* Stochastic propagation models (``propagation.deterministic`` False)
-  consume one RNG draw per *candidate*, so the index automatically
-  falls back to the brute-force scan for them.
-
-Probe-request listeners
------------------------
+A broadcast is checked against the attached stations in attach order,
+with the same ``propagation.delivered`` predicate for each; the ones it
+reaches are its recipients, in that order.
 
 Most stations drop every probe request they hear: phones, detectors,
 alias BSSIDs and the deauth emitter declare so with the class attribute
-``hears_probe_requests = False``; stations without it hear them.  The
-index keeps two populations, listeners and the rest, each with its own
-grid, side set and refresh clock.  A broadcast ``ProbeRequest`` is
-resolved against the listeners alone whenever the channel draws no
-randomness per recipient (deterministic propagation, ``loss_rate`` 0,
-no Gilbert–Elliott chain): then the stations it skips would only have
+``hears_probe_requests = False``; stations without it hear them and are
+the medium's *listeners*.  A broadcast ``ProbeRequest`` is checked
+against the listeners alone whenever the channel draws no randomness
+per recipient (deterministic propagation, ``loss_rate`` 0, no
+Gilbert–Elliott chain): then the stations it skips would only have
 dropped the frame, so every receive that does something, every RNG draw
 and every metric is unchanged.  On a lossy or stochastic channel each
 recipient takes its loss or propagation draw whether or not it listens,
 so skipping one would shift every later draw; there, and for every
-other broadcast frame, both populations are merged in attach order.
-Skipped deliveries are not counted in ``frames_delivered`` and leave no
-lineage record.
+other broadcast frame, every attached station is checked.  Skipped
+deliveries are not counted in ``frames_delivered`` and leave no lineage
+record.
 
-``REPRO_MEDIUM_INDEX=off`` (or the ``index=False`` argument) forces the
-brute-force path, which hands every probe request to every station in
-range; the differential test suite pins the two paths to bit-identical
-deliveries to every station that acts on them, loss draws and run
-metrics.
+In a venue the listeners are the attacker and any access points, a
+handful of stations against the hundred or more phones that send the
+probes, so that scan is short.
 """
 
 from __future__ import annotations
@@ -90,56 +64,18 @@ from repro.dot11.mac import BROADCAST_MAC, MacAddress
 from repro.dot11.propagation import DiscPropagation, Propagation
 from repro.faults.gilbert import GilbertElliottChannel
 from repro.faults.plan import GilbertElliottParams
-from repro.geo.grid import MutableSpatialGrid
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 from repro.util.rng import BufferedUniform
-from repro.util.settings import resolve_bool_env
 from repro.util.units import MANAGEMENT_FRAME_AIRTIME_S, PROBE_RESPONSE_AIRTIME_S
-
-MEDIUM_INDEX_ENV = "REPRO_MEDIUM_INDEX"
-
-DEFAULT_INDEX_CELL_M = 60.0
-"""Grid cell edge — about one attacker radio range, so a broadcast
-query touches a 3×3 block of cells."""
-
-DEFAULT_INDEX_REFRESH_S = 0.5
-"""Maximum staleness of cached station positions.  At walking speeds
-(≤ 3 m/s) this costs at most 1.5 m of query-radius inflation."""
-
-
-def resolve_medium_index(index: Optional[bool] = None) -> bool:
-    """Whether the spatial index is enabled: explicit argument, else
-    ``REPRO_MEDIUM_INDEX`` (default on; ``0/off/false/no`` disable)."""
-    if index is not None:
-        return index
-    return resolve_bool_env(MEDIUM_INDEX_ENV, True)
-
-
-def reach_with_motion(reach: float, v_max: float, dt: float) -> float:
-    """Radio reach inflated by the worst-case motion over ``dt`` seconds.
-
-    A station binned (or bounded) ``dt`` seconds ago can have moved at
-    most ``v_max * dt`` metres, so any query within this inflated radius
-    is a guaranteed superset of the stations truly within ``reach`` —
-    the invariant behind both the medium's lazy index refresh and the
-    shard engine's candidate-sensor stripes
-    (:mod:`repro.sim.shards.shard`).
-    """
-    if dt <= 0:
-        return reach
-    return reach + v_max * dt
 
 
 class Station(Protocol):
     """What the medium requires of anything attached to it.
 
-    Stations *may* additionally expose ``max_speed_mps`` (metres per
-    second, or None when unbounded); the spatial index only bins
-    stations whose displacement it can bound, and scans the rest.
-    They *may* also set ``hears_probe_requests = False`` when their
+    Stations *may* also set ``hears_probe_requests = False`` when their
     ``receive`` drops every :class:`~repro.dot11.frames.ProbeRequest`;
-    the index then skips them for broadcast probe requests on channels
+    the medium then skips them for broadcast probe requests on channels
     that draw no randomness per recipient (see the module docstring).
     """
 
@@ -154,77 +90,6 @@ class Station(Protocol):
         ...
 
 
-def _speed_bound(station: Station) -> Optional[float]:
-    bound = getattr(station, "max_speed_mps", None)
-    if bound is None:
-        return None
-    bound = float(bound)
-    if bound < 0 or bound != bound or bound == float("inf"):
-        return None
-    return bound
-
-
-class _Population:
-    """Attached stations binned in one spatial grid with its own clock.
-
-    Stations with a speed bound are binned at their position at the last
-    refresh; the rest live in an always-scanned side set.
-    """
-
-    __slots__ = ("grid", "speeds", "unindexed", "vmax", "grid_time")
-
-    def __init__(self, cell_m: float):
-        self.grid: MutableSpatialGrid[MacAddress] = MutableSpatialGrid(cell_m)
-        self.speeds: Dict[MacAddress, float] = {}
-        self.unindexed: Dict[MacAddress, Station] = {}
-        self.vmax = 0.0
-        self.grid_time = float("-inf")
-
-    def add(self, station: Station, now: float) -> None:
-        bound = _speed_bound(station)
-        if bound is None:
-            self.unindexed[station.mac] = station
-            return
-        self.speeds[station.mac] = bound
-        if bound > self.vmax:
-            self.vmax = bound
-        # Binned at now (>= the last refresh time), so the refresh-based
-        # radius inflation also covers stations binned between sweeps.
-        self.grid.insert(station.mac, station.position_at(now))
-
-    def discard(self, mac: MacAddress) -> None:
-        self.unindexed.pop(mac, None)
-        if self.speeds.pop(mac, None) is not None:
-            self.grid.remove(mac)
-        # vmax stays conservative until the next refresh recomputes it.
-
-    def refresh(
-        self, stations: Dict[MacAddress, Station], now: float, every_s: float
-    ) -> bool:
-        """Rebin moving stations unless the last sweep is under
-        ``every_s`` old; True when it swept."""
-        if now - self.grid_time < every_s:
-            return False
-        grid = self.grid
-        vmax = 0.0
-        for mac, bound in self.speeds.items():
-            if bound > 0.0:
-                grid.move(mac, stations[mac].position_at(now))
-                if bound > vmax:
-                    vmax = bound
-        self.vmax = vmax
-        self.grid_time = now
-        return True
-
-    def candidates(self, pos: Point, reach: float, now: float) -> List[MacAddress]:
-        """A superset of the members within ``reach`` of ``pos`` at ``now``."""
-        radius = reach_with_motion(reach, self.vmax, now - self.grid_time)
-        macs = self.grid.candidates(pos, radius)
-        if self.unindexed:
-            macs.extend(self.unindexed)
-        return macs
-
-
 class Medium:
     """Disc-propagation broadcast medium with per-station TX range."""
 
@@ -235,23 +100,18 @@ class Medium:
         loss_rate: float = 0.0,
         propagation: Optional[Propagation] = None,
         burst_loss: Optional[GilbertElliottParams] = None,
-        index: Optional[bool] = None,
-        index_cell_m: float = DEFAULT_INDEX_CELL_M,
-        index_refresh_s: float = DEFAULT_INDEX_REFRESH_S,
     ):
         if fidelity not in ("frame", "burst"):
             raise ValueError("fidelity must be 'frame' or 'burst', got %r" % fidelity)
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1], got %r" % loss_rate)
-        if index_refresh_s < 0:
-            raise ValueError(
-                "index_refresh_s must be non-negative, got %r" % index_refresh_s
-            )
         self.sim = sim
         self.fidelity = fidelity
         self.loss_rate = loss_rate
         self.propagation = propagation if propagation is not None else DiscPropagation()
         self._stations: Dict[MacAddress, Station] = {}
+        # The stations that hear probe requests, also in attach order.
+        self._listeners: Dict[MacAddress, Station] = {}
         self._ranges: Dict[MacAddress, float] = {}
         self._monitors: Dict[MacAddress, Station] = {}
         self._rng = sim.rngs.stream("medium")
@@ -274,26 +134,15 @@ class Medium:
         self._uniform: Optional[BufferedUniform] = (
             BufferedUniform(self._rng) if deterministic else None
         )
-        self._index_on = resolve_medium_index(index) and deterministic
-        self._seq: Dict[MacAddress, int] = {}
-        self._seq_next = 0
-        self._refresh_s = index_refresh_s
-        # Probe-request listeners, and every other station.
-        self._listeners = _Population(index_cell_m)
-        self._others = _Population(index_cell_m)
-        self.index_queries = 0
+        self._probes_to_listeners = self._lossless and deterministic
+        # Stations examined by broadcast resolution; perfbench's tracer
+        # reads it under this name.
         self.index_candidates = 0
-        self.index_refreshes = 0
 
     @property
     def burst_loss(self) -> Optional[GilbertElliottChannel]:
         """The live Gilbert–Elliott chain (None without channel faults)."""
         return self._burst_loss
-
-    @property
-    def index_active(self) -> bool:
-        """Whether broadcast recipients are resolved through the grid."""
-        return self._index_on
 
     # -- membership -------------------------------------------------------
 
@@ -309,32 +158,23 @@ class Medium:
         if tx_range <= 0:
             raise ValueError("tx_range must be positive, got %r" % tx_range)
         mac = station.mac
-        if mac not in self._seq:
-            # Dict insertion order is delivery order; a re-attach keeps
-            # its original dict slot, so it keeps its sequence too.
-            self._seq[mac] = self._seq_next
-            self._seq_next += 1
+        # Dict insertion order is delivery order; a re-attach keeps its
+        # original dict slot.
         self._stations[mac] = station
         self._ranges[mac] = tx_range
         if promiscuous:
             self._monitors[mac] = station
-        if self._index_on:
-            self._listeners.discard(mac)
-            self._others.discard(mac)
-            if getattr(station, "hears_probe_requests", True):
-                self._listeners.add(station, self.sim.now)
-            else:
-                self._others.add(station, self.sim.now)
+        if getattr(station, "hears_probe_requests", True):
+            self._listeners[mac] = station
+        else:
+            self._listeners.pop(mac, None)
 
     def detach(self, mac: MacAddress) -> None:
         """Remove a station; unknown MACs are ignored (already gone)."""
         self._stations.pop(mac, None)
         self._ranges.pop(mac, None)
         self._monitors.pop(mac, None)
-        self._seq.pop(mac, None)
-        if self._index_on:
-            self._listeners.discard(mac)
-            self._others.discard(mac)
+        self._listeners.pop(mac, None)
 
     def is_attached(self, mac: MacAddress) -> bool:
         """Whether a station with this MAC is currently registered."""
@@ -373,48 +213,28 @@ class Medium:
             return self._uniform.next() < self.loss_rate
         return self._rng.random() < self.loss_rate
 
-    def _candidates(
-        self, population: _Population, pos: Point, reach: float, now: float
-    ) -> List[MacAddress]:
-        if population.refresh(self._stations, now, self._refresh_s):
-            self.index_refreshes += 1
-        return population.candidates(pos, reach, now)
-
     def _broadcast_recipients(
         self, sender: Station, frame: Frame, time: float
     ) -> List[Station]:
-        """Every station (sender excluded) in range, in attach order."""
+        """Every station (sender excluded) in range, in attach order; for
+        a probe request on a channel that draws nothing per recipient,
+        every listener in range."""
+        if self._probes_to_listeners and isinstance(frame, ProbeRequest):
+            pool = self._listeners
+        else:
+            pool = self._stations
+        self.index_candidates += len(pool)
         sender_mac = sender.mac
         reach = self._ranges[sender_mac]
         pos = sender.position_at(time)
         delivered = self.propagation.delivered
         rng = self._rng
-        stations = self._stations
-        if not self._index_on:
-            return [
-                st
-                for mac, st in stations.items()
-                if mac != sender_mac
-                and delivered(pos.distance_to(st.position_at(time)), reach, rng)
-            ]
-        macs = self._candidates(self._listeners, pos, reach, time)
-        if not (self._lossless and isinstance(frame, ProbeRequest)):
-            # Every recipient takes a loss draw here, or may act on the
-            # frame, so the stations that drop probe requests count too.
-            macs.extend(self._candidates(self._others, pos, reach, time))
-        # Re-establish attach order so loss draws and receive callbacks
-        # fire in the exact sequence of the brute-force scan.
-        macs.sort(key=self._seq.__getitem__)
-        self.index_queries += 1
-        self.index_candidates += len(macs)
-        out: List[Station] = []
-        for mac in macs:
-            if mac == sender_mac:
-                continue
-            st = stations[mac]
-            if delivered(pos.distance_to(st.position_at(time)), reach, rng):
-                out.append(st)
-        return out
+        return [
+            st
+            for mac, st in pool.items()
+            if mac != sender_mac
+            and delivered(pos.distance_to(st.position_at(time)), reach, rng)
+        ]
 
     def _recipients(self, sender: Station, frame: Frame, time: float) -> List[Station]:
         if frame.dst != BROADCAST_MAC:

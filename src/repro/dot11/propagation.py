@@ -20,10 +20,11 @@ class Propagation(Protocol):
     """Decides frame delivery as a function of distance."""
 
     deterministic: bool
-    """True when :meth:`delivered` never consumes the RNG.  The medium's
-    spatial index may then skip far-away candidates without perturbing
-    the draw sequence; stochastic models force the brute-force scan so
-    every station consumes its draw in attach order."""
+    """True when :meth:`delivered` never consumes the RNG.  On a lossless
+    channel the medium may then check a probe request against the
+    stations that hear it only, without perturbing the draw sequence;
+    with a stochastic model every station consumes its draw in attach
+    order."""
 
     def delivered(
         self, distance: float, tx_range: float, rng: np.random.Generator

@@ -7,8 +7,7 @@ tests assert the digest is reproduced
 
 * at any ``REPRO_WORKERS`` value (merge is spec-order, not
   scheduling-order);
-* with the medium's spatial index on *and* off (the index is a pure
-  accelerator);
+* with lineage tracing on *and* off (tracing only observes);
 
 so any change that moves simulation behaviour — intentional or not —
 shows up as a reviewable per-section diff, not a silent drift.

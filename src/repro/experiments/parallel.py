@@ -77,7 +77,6 @@ from repro.analysis.breakdown import (
 )
 from repro.analysis.metrics import SessionSummary, summarize
 from repro.core.config import CityHunterConfig
-from repro.dot11.medium import resolve_medium_index
 from repro.experiments.attackers import ATTACKER_NAMES, make_attacker
 from repro.experiments.calibration import default_city, venue_profile
 from repro.experiments.runner import (
@@ -1057,7 +1056,6 @@ def timings_doc(
         runs.append(entry)
     return {
         "workers": workers,
-        "medium_index": resolve_medium_index(),
         "run_count": len(results),
         "failed_count": len(results) - len(completed),
         "cache_build_s": round(cache_build, 4),

@@ -98,12 +98,6 @@ class ScenarioConfig:
     """Deterministic fault plan (None injects nothing — byte-identical
     to a build from before fault injection existed)."""
 
-    medium_index: Optional[bool] = None
-    """Spatial-index override for the medium's broadcast delivery:
-    True/False force it; None defers to ``REPRO_MEDIUM_INDEX`` (default
-    on).  Either setting yields bit-identical runs — the index is a pure
-    accelerator (see :mod:`repro.dot11.medium`)."""
-
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive, got %r" % self.duration)
@@ -188,7 +182,6 @@ def build_scenario(
         fidelity=config.fidelity,
         loss_rate=config.loss_rate,
         burst_loss=plan.channel if plan is not None else None,
-        index=config.medium_index,
     )
 
     near = wigle.nearest_free_ssids(venue.region.center, config.neighbour_count + 10)

@@ -1,33 +1,27 @@
-"""Uniform spatial hash grids for nearest-neighbour and range queries.
+"""Uniform spatial hash grid for nearest-neighbour and range queries.
 
-:class:`SpatialGrid` is the write-once variant used by the WiGLE
-registry ("100 SSIDs nearest the attack site") and by the heat map
-("heat value at an AP's location").  A uniform grid beats a k-d tree
-here: items are inserted once and queried with small radii.
-
-:class:`MutableSpatialGrid` is its dynamic sibling: keyed items can be
-inserted, moved and removed, which is what the radio medium needs to
-keep stations binned as they walk through the scene.  Queries come in
-two flavours — ``within`` (exact disc) and ``candidates`` (cell-coarse
-superset, for callers that apply their own exact predicate afterwards).
+:class:`SpatialGrid` is used by the WiGLE registry ("100 SSIDs nearest
+the attack site") and by the heat map ("heat value at an AP's
+location").  A uniform grid beats a k-d tree here: items are inserted
+once and queried with small radii.  :class:`DistrictPartition` cuts the
+sharded city along the same seam.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generic, Hashable, Iterable, List, Tuple, TypeVar
+from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
 
 from repro.geo.point import Point
 
 T = TypeVar("T")
-K = TypeVar("K", bound=Hashable)
 
 
 class DistrictPartition:
     """Fixed district grid over a square city, grouped into shards.
 
     Districts are ``district_m`` squares cut along the same axis-aligned
-    seam as the spatial hash grids above (``ix = x // cell``), numbered
+    seam as :class:`SpatialGrid` (``ix = x // cell``), numbered
     row-major; they are a property of the *workload*, so district ids —
     unlike shard ids — are identical at every shard count and safe to
     use in cross-shard handoff sort keys.  Shards group whole district
@@ -162,111 +156,3 @@ class SpatialGrid(Generic[T]):
         """Iterate over every stored (point, item) pair."""
         for bucket in self._cells.values():
             yield from bucket
-
-
-class MutableSpatialGrid(Generic[K]):
-    """Dynamic uniform hash grid of keyed, movable points.
-
-    Each key occupies exactly one cell; ``move`` rebins only when the
-    key's cell actually changed, so sweeping a mostly-stationary
-    population is O(changed cells), not O(items).
-    """
-
-    __slots__ = ("cell_size", "_cells", "_where")
-
-    def __init__(self, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive, got %r" % cell_size)
-        self.cell_size = cell_size
-        self._cells: Dict[Tuple[int, int], Dict[K, Point]] = {}
-        self._where: Dict[K, Tuple[Tuple[int, int], Point]] = {}
-
-    def _key(self, p: Point) -> Tuple[int, int]:
-        return (int(p.x // self.cell_size), int(p.y // self.cell_size))
-
-    def __len__(self) -> int:
-        return len(self._where)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._where
-
-    def position_of(self, key: K) -> Point:
-        """The stored (possibly stale) position of ``key``."""
-        return self._where[key][1]
-
-    def insert(self, key: K, p: Point) -> None:
-        """Add ``key`` at ``p`` (re-inserting an existing key moves it)."""
-        if key in self._where:
-            self.move(key, p)
-            return
-        cell = self._key(p)
-        self._cells.setdefault(cell, {})[key] = p
-        self._where[key] = (cell, p)
-
-    def move(self, key: K, p: Point) -> None:
-        """Update ``key``'s position, rebinning only on a cell change."""
-        cell, _ = self._where[key]
-        new_cell = self._key(p)
-        if new_cell == cell:
-            self._cells[cell][key] = p
-            self._where[key] = (cell, p)
-            return
-        bucket = self._cells[cell]
-        del bucket[key]
-        if not bucket:
-            del self._cells[cell]
-        self._cells.setdefault(new_cell, {})[key] = p
-        self._where[key] = (new_cell, p)
-
-    def remove(self, key: K) -> None:
-        """Drop ``key``; unknown keys are ignored (already gone)."""
-        entry = self._where.pop(key, None)
-        if entry is None:
-            return
-        cell, _ = entry
-        bucket = self._cells[cell]
-        del bucket[key]
-        if not bucket:
-            del self._cells[cell]
-
-    def candidates(self, center: Point, radius: float) -> List[K]:
-        """Keys of every cell overlapping the disc — a superset of the
-        keys within ``radius``, with no per-item distance filtering.
-
-        Callers that re-check candidates exactly (the radio medium does)
-        want this cheaper form; use :meth:`within` for an exact answer.
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative, got %r" % radius)
-        cx, cy = self._key(center)
-        reach = int(radius // self.cell_size) + 1
-        out: List[K] = []
-        cells = self._cells
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                bucket = cells.get((ix, iy))
-                if bucket:
-                    out.extend(bucket)
-        return out
-
-    def within(self, center: Point, radius: float) -> List[Tuple[Point, K]]:
-        """All (point, key) pairs within ``radius`` metres of ``center``."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative, got %r" % radius)
-        cx, cy = self._key(center)
-        reach = int(radius // self.cell_size) + 1
-        out: List[Tuple[Point, K]] = []
-        r2 = radius * radius
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                for key, p in self._cells.get((ix, iy), {}).items():
-                    dx = p.x - center.x
-                    dy = p.y - center.y
-                    if dx * dx + dy * dy <= r2:
-                        out.append((p, key))
-        return out
-
-    def items(self) -> Iterable[Tuple[K, Point]]:
-        """Iterate over every (key, stored position) pair."""
-        for key, (_, p) in self._where.items():
-            yield key, p

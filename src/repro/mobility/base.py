@@ -33,7 +33,7 @@ class PathMobility:
     knot is the first point, after the last knot the last point.
     """
 
-    __slots__ = ("_times", "_points", "_max_speed")
+    __slots__ = ("_times", "_points")
 
     def __init__(self, knots: Sequence[Tuple[float, Point]]):
         if not knots:
@@ -43,26 +43,6 @@ class PathMobility:
             raise ValueError("knot times must be strictly increasing")
         self._times: List[float] = times
         self._points: List[Point] = [p for _, p in knots]
-        self._max_speed: float = -1.0  # computed lazily
-
-    def max_speed(self) -> float:
-        """Fastest segment speed (m/s) over the whole path.
-
-        Positions clamp to the end points outside the knot range, so
-        this bounds displacement over *any* interval — the guarantee the
-        medium's spatial index needs to inflate its query radius safely.
-        """
-        if self._max_speed < 0.0:
-            top = 0.0
-            times, points = self._times, self._points
-            for i in range(1, len(times)):
-                speed = points[i - 1].distance_to(points[i]) / (
-                    times[i] - times[i - 1]
-                )
-                if speed > top:
-                    top = speed
-            self._max_speed = top
-        return self._max_speed
 
     @property
     def t_enter(self) -> float:

@@ -1,19 +1,15 @@
 """Bench-regression gate: current ``BENCH_*.json`` vs committed baseline.
 
-PR 4 started a performance trajectory (``BENCH_hotpath.json``), but
-nothing consumed it — a change could halve the spatial-index speedup and
-CI would stay green as long as the absolute 2x floor held.  This module
-closes the loop: a baseline benchmark document is committed under
-``benchmarks/baselines/``, CI re-runs the benchmark, and
-``repro obs bench`` compares the two with a configurable tolerance,
-failing on regressions and appending every comparison to a trajectory
-JSONL artefact so the history stays inspectable.
+A baseline benchmark document is committed under
+``benchmarks/baselines/``, CI re-runs the benchmark, and ``repro obs
+bench`` compares the two with a configurable tolerance, failing on
+regressions and appending every comparison to a trajectory JSONL
+artefact so the history stays inspectable.
 
-Schema awareness lives in :func:`extract_bench_metrics`: for
-``repro.bench_hotpath/v1`` the *gated* metrics are the per-grid-point
-speedups (relative measures, stable across runner hardware); absolute
-wall times and frame rates are extracted too but stay informational —
-CI runners are too noisy to gate on absolute seconds.
+Schema awareness lives in :func:`extract_bench_metrics`, one extractor
+per benchmark (``repro.bench_shards/v1`` and ``repro.bench_serve/v1``):
+each marks the metrics it gates and extracts the rest as informational
+rows for the trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from typing import Dict, List, Optional, Union
 BENCH_TOLERANCE_DEFAULT = 0.05
 """Allowed fractional regression before the gate fails (5 %)."""
 
-HOTPATH_SCHEMA = "repro.bench_hotpath/v1"
 SHARDS_SCHEMA = "repro.bench_shards/v1"
 SERVE_SCHEMA = "repro.bench_serve/v1"
 
@@ -47,33 +42,6 @@ def extract_bench_metrics(doc: dict) -> Dict[str, dict]:
     """
     schema = doc.get("schema")
     metrics: Dict[str, dict] = {}
-    if schema == HOTPATH_SCHEMA:
-        for point in doc.get("grid", []):
-            at = "%dst" % point["stations"]
-            metrics["speedup@%s" % at] = {
-                "value": float(point["speedup"]),
-                "higher_better": True,
-                "gated": True,
-            }
-            metrics["index_wall_s@%s" % at] = {
-                "value": float(point["index"]["wall_s"]),
-                "higher_better": False,
-                "gated": False,
-            }
-            fps = point["index"].get("frames_per_s")
-            if fps is not None:
-                metrics["index_frames_per_s@%s" % at] = {
-                    "value": float(fps),
-                    "higher_better": True,
-                    "gated": False,
-                }
-        if "max_speedup" in doc:
-            metrics["max_speedup"] = {
-                "value": float(doc["max_speedup"]),
-                "higher_better": True,
-                "gated": True,
-            }
-        return metrics
     if schema == SHARDS_SCHEMA:
         # Gated: per-point speedup vs the 1-shard run of the same
         # station count (relative, hardware-stable).  Informational:

@@ -5,8 +5,8 @@ three fields: the wall-clock ``timers`` sections, the top-level
 ``workers`` count, and the embedded ``timings`` section (all wall
 clock).  :func:`canonical_metrics_doc` strips exactly those,
 so the digest of the canonical form is the contract the golden tests
-pin down: bit-identical across ``REPRO_WORKERS`` values and across the
-spatial-index on/off delivery paths.
+pin down: bit-identical across ``REPRO_WORKERS`` values and with
+lineage tracing on or off.
 
 When a digest check fails, :func:`diff_metrics_docs` renders a per-
 section, per-key diff — "counter attacker.hits: 41 != 43 (runs[2])" —

@@ -38,12 +38,11 @@ client's full hunt story — the ``repro obs lineage <mac>`` CLI.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from collections import OrderedDict, deque
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.util.settings import resolve_bool_env
+from repro.util.settings import resolve_bool_env, resolve_int_env
 
 LINEAGE_ENV = "REPRO_LINEAGE"
 LINEAGE_MAX_ENV = "REPRO_LINEAGE_MAX"
@@ -61,21 +60,6 @@ simulated air."""
 TRACE_EVENT_REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 """Keys every exported trace event must carry (the schema contract the
 tests pin)."""
-
-
-def _default_max_records() -> int:
-    value = os.environ.get(LINEAGE_MAX_ENV, "").strip()
-    if value:
-        try:
-            cap = int(value)
-        except ValueError:
-            raise ValueError(
-                "%s must be an integer, got %r" % (LINEAGE_MAX_ENV, value)
-            ) from None
-        if cap < 1:
-            raise ValueError("%s must be >= 1, got %r" % (LINEAGE_MAX_ENV, cap))
-        return cap
-    return DEFAULT_MAX_RECORDS
 
 
 Ctx = Tuple[int, int]
@@ -111,7 +95,7 @@ class LineageTrace:
         if enabled is None:
             enabled = resolve_bool_env(LINEAGE_ENV, False)
         if max_records is None:
-            max_records = _default_max_records()
+            max_records = resolve_int_env(LINEAGE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
         if max_records < 1:
             raise ValueError("max_records must be >= 1, got %r" % max_records)
         self.enabled = bool(enabled)

@@ -3,9 +3,10 @@
 One :class:`~repro.sim.simulation.Simulation` owns one medium and tops
 out around 400 stations; this package is the scale path.  The city is
 partitioned into fixed *districts* (a grid over the square city, cut
-along the same spatial-hash seam as the medium's index), districts are
-grouped into *shards*, and each shard steps its owned walkers in a
-struct-of-arrays batch — thousands of phones per scheduler callback.
+along the same seam as the spatial hash grid of
+:class:`~repro.geo.grid.SpatialGrid`), districts are grouped into
+*shards*, and each shard steps its owned walkers in a struct-of-arrays
+batch — thousands of phones per phase call.
 
 Cross-shard effects (boundary-crossing walkers, frames delivered across
 a district edge) are exchanged only at fixed epoch barriers, as records

@@ -430,7 +430,7 @@ def _shard_worker(
         with maybe_heartbeat(
             "shard %d/%d" % (shard_id, shards),
             duration,
-            lambda: (runtime.sim.now, runtime.hits),
+            lambda: (runtime.barriers[runtime.epochs_done], runtime.hits),
             file_stem="shard-%d" % shard_id,
             extra=lambda: {
                 "epoch": runtime.epochs_done,
@@ -619,7 +619,7 @@ class ShardedCitySim:
                     maybe_heartbeat(
                         "shard %d/%d" % (k, shards),
                         duration,
-                        lambda rt=runtime: (rt.sim.now, rt.hits),
+                        lambda rt=runtime: (rt.barriers[rt.epochs_done], rt.hits),
                         file_stem="shard-%d" % k,
                         extra=lambda rt=runtime: {
                             "epoch": rt.epochs_done,

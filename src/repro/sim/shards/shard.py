@@ -3,8 +3,7 @@
 A :class:`ShardRuntime` owns a contiguous stripe of district columns
 (:meth:`~repro.geo.grid.DistrictPartition.stripe_bounds`).  Per epoch
 ``[t_e, t_{e+1})`` it runs two barrier-aligned phases, each a single
-callback on its own :class:`~repro.sim.simulation.Simulation` scheduler
-that works on the struct-of-arrays batch:
+call that works on the struct-of-arrays batch:
 
 * **Phase A** (walker side, at ``t_e``): apply handed-in migrations,
   then handed-in offer records, both in canonical
@@ -29,9 +28,9 @@ keys, and all arithmetic is elementwise over values derived from the
 stateless RNG.  Candidate sensors are pruned once, at construction: a
 walker owned at ``t_e`` lies in the stripe and moves at most
 ``speed_max * epoch_s`` before ``t_{e+1}``, so the stripe inflated by
-:func:`~repro.dot11.medium.reach_with_motion` holds every sensor it can
-reach this epoch; the exact distance check at each scan's own position
-then decides.  Pruning changes work, never results.
+:func:`reach_with_motion` holds every sensor it can reach this epoch;
+the exact distance check at each scan's own position then decides.
+Pruning changes work, never results.
 
 Workload metrics live under ``shardsim.*`` and are **integer-valued
 only** (float sums across different shard partitions are not
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dot11.medium import reach_with_motion
 from repro.mobility.batch import positions_vec
 from repro.obs.epochs import maybe_epoch_tracer
 from repro.obs.registry import MetricsRegistry
@@ -68,34 +66,24 @@ from repro.sim.shards.attacker import (
 )
 from repro.sim.shards.scenario import ShardScenario, derive_sensors, derive_walkers
 from repro.sim.shards.soa import PERIOD, START, T0, T_EXIT, VX, VY, X0, Y0
-from repro.sim.simulation import Simulation
-from repro.util.rng import derive_seed
 
 #: Handoff-log cap — enough for every test workload, bounded for big runs.
 HANDOFF_LOG_CAP = 50_000
 
 Outbox = Dict[int, List[tuple]]
 
-_SHARD_PREFIXES = ("shardsim.", "shardops.")
 
+def reach_with_motion(reach: float, v_max: float, dt: float) -> float:
+    """Radio reach inflated by the worst-case motion over ``dt`` seconds.
 
-def _namespace_snapshot(snap: dict) -> dict:
-    """Move every metric a shard's own :class:`Simulation` emitted
-    (``span.sim.*`` health counters, ``sim.*`` gauges, ...) under the
-    ``shardops.`` namespace.
-
-    Those values scale with the shard count — each shard runs its own
-    scheduler — so leaving them in the workload namespace would break
-    shard-count invariance of the merged document.  Workload metrics
-    are written as ``shardsim.*`` at the source and pass through.
+    A walker moves at most ``v_max * dt`` metres in ``dt`` seconds, so
+    the sensors within this radius of where it was include every sensor
+    within ``reach`` of where it is: the invariant behind the
+    candidate-sensor stripes.
     """
-    for section in ("counters", "gauges", "histograms", "series"):
-        values = snap.get(section)
-        if not isinstance(values, dict):
-            continue
-        for key in [k for k in values if not k.startswith(_SHARD_PREFIXES)]:
-            values["shardops." + key] = values.pop(key)
-    return snap
+    if dt <= 0:
+        return reach
+    return reach + v_max * dt
 
 
 def _cells(vs, cell_m: float, n: int):
@@ -133,11 +121,6 @@ class ShardRuntime:
         self.barriers = epoch_schedule(scenario.duration, scenario.epoch_s)
         self.epochs = len(self.barriers) - 1
         self.metrics = MetricsRegistry()
-        self.sim = Simulation(
-            seed=derive_seed(scenario.seed, "shard:%d" % shard_id),
-            trace=False,
-            metrics=self.metrics,
-        )
         self.walkers = derive_walkers(scenario)
         self.sensors = derive_sensors(scenario)
         self.sensor_owner = {
@@ -235,13 +218,11 @@ class ShardRuntime:
         offers_in: List[tuple],
         last: bool = False,
     ) -> Outbox:
-        """Drive phase A of ``epoch`` through the scheduler; returns the
-        outboxes (dest shard -> records) for the X1 exchange."""
+        """Run phase A of ``epoch``; returns the outboxes (dest shard ->
+        records) for the X1 exchange."""
         pc0 = _time.perf_counter()
-        t_e = self.barriers[epoch]
         out: Outbox = {}
-        self.sim.at_time(t_e, self._phase_a, epoch, migrations_in, offers_in, out, last)
-        self.sim.run(t_e)
+        self._phase_a(epoch, migrations_in, offers_in, out, last)
         if self.tracer is not None:
             pc1 = _time.perf_counter()
             self.tracer.record(
@@ -384,12 +365,10 @@ class ShardRuntime:
     def run_phase_b(
         self, epoch: int, feedbacks_in: List[tuple], probes_in: List[tuple]
     ) -> Outbox:
-        """Drive phase B of ``epoch``; returns offer outboxes for X2."""
+        """Run phase B of ``epoch``; returns offer outboxes for X2."""
         pc0 = _time.perf_counter()
-        t_next = self.barriers[epoch + 1]
         out: Outbox = {}
-        self.sim.at_time(t_next, self._phase_b, epoch, feedbacks_in, probes_in, out)
-        self.sim.run(t_next)
+        self._phase_b(epoch, feedbacks_in, probes_in, out)
         if self.tracer is not None:
             pc1 = _time.perf_counter()
             self.tracer.record(
@@ -467,7 +446,7 @@ class ShardRuntime:
         self.metrics.gauge_set("shardops.owned_final", len(self.owned), shard=self.shard_id)
         result = {
             "shard": self.shard_id,
-            "metrics": _namespace_snapshot(self.metrics.to_dict()),
+            "metrics": self.metrics.to_dict(),
             "summary": {"probed": probed, "connected": connected},
             "hits": self.hits,
             "walker_rows": None,

@@ -5,7 +5,7 @@ object per station; at district scale that representation is the
 bottleneck (object headers, per-phone scheduler events, per-call
 position math).  :class:`WalkerBatch` flips the layout: every per-walker
 quantity is one numpy column, so a shard steps thousands of walkers per
-scheduler callback with vector arithmetic.
+phase call with vector arithmetic.
 
 The engine has one backend, numpy.  Only elementwise float operations
 are used, so any shard partition of the population produces

@@ -10,31 +10,17 @@ avoid holding millions of rows).
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
+
+from repro.util.settings import resolve_int_env
 
 DEFAULT_MAX_RECORDS = 1_000_000
 """Generous default cap — a 30-minute canteen run emits a few thousand
 rows, so only the multi-hour sweep grids ever approach it."""
 
 TRACE_MAX_ENV = "REPRO_TRACE_MAX"
-
-
-def _default_max_records() -> int:
-    value = os.environ.get(TRACE_MAX_ENV, "").strip()
-    if value:
-        try:
-            cap = int(value)
-        except ValueError:
-            raise ValueError(
-                "%s must be an integer, got %r" % (TRACE_MAX_ENV, value)
-            ) from None
-        if cap < 1:
-            raise ValueError("%s must be >= 1, got %r" % (TRACE_MAX_ENV, cap))
-        return cap
-    return DEFAULT_MAX_RECORDS
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,7 @@ class Trace:
 
     def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
         if max_records is None:
-            max_records = _default_max_records()
+            max_records = resolve_int_env(TRACE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
         if max_records < 1:
             raise ValueError("max_records must be >= 1, got %r" % max_records)
         self.enabled = enabled

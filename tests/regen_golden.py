@@ -46,7 +46,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         # Keep the batches' own artefacts out of benchmarks/out.
         os.environ["REPRO_ARTIFACT_DIR"] = scratch
-        os.environ.pop("REPRO_MEDIUM_INDEX", None)
         os.environ.pop("REPRO_SHARDS", None)
         from repro.experiments.golden import run_golden, run_golden_shards
 

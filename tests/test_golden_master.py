@@ -2,9 +2,9 @@
 
 The committed fixture (``tests/data/golden_metrics.*``) pins the exact
 merged metrics of the canonical batch.  These tests assert the live
-tree still reproduces it — serially, at worker count 4, and with the
-medium's spatial index forced off — so both the parallel merge and the
-spatial-index delivery path are locked to bit-identical behaviour.
+tree still reproduces it — serially, at worker count 4, and with
+lineage tracing on — so the parallel merge is locked to bit-identical
+behaviour and tracing is locked to observing only.
 
 On mismatch the assertion message is a per-section diff (via
 :func:`repro.obs.golden.diff_metrics_docs`), not two hashes; if the
@@ -18,7 +18,6 @@ import pathlib
 
 import pytest
 
-from repro.dot11.medium import MEDIUM_INDEX_ENV
 from repro.experiments.golden import golden_specs, run_golden
 from repro.obs.lineage import LINEAGE_ENV
 from repro.obs.golden import (
@@ -34,7 +33,6 @@ DIGEST_PATH = DATA_DIR / "golden_metrics.digest"
 
 _SCOPED_ENV = (
     "REPRO_ARTIFACT_DIR",
-    MEDIUM_INDEX_ENV,
     "REPRO_WORKERS",
     LINEAGE_ENV,
 )
@@ -43,10 +41,9 @@ _SCOPED_ENV = (
 @pytest.fixture(scope="module")
 def golden_env(tmp_path_factory):
     """Module-scoped artefact isolation: batch artefacts go to a tmp
-    dir and no ambient index/worker override leaks into the runs."""
+    dir and no ambient worker or lineage override leaks into the runs."""
     saved = {k: os.environ.get(k) for k in _SCOPED_ENV}
     os.environ["REPRO_ARTIFACT_DIR"] = str(tmp_path_factory.mktemp("golden"))
-    os.environ.pop(MEDIUM_INDEX_ENV, None)
     os.environ.pop("REPRO_WORKERS", None)
     os.environ.pop(LINEAGE_ENV, None)
     yield
@@ -59,7 +56,7 @@ def golden_env(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def serial_doc(golden_env):
-    """The canonical batch, serial, index on — shared across tests."""
+    """The canonical batch, serial — shared across tests."""
     return run_golden(workers=1)
 
 
@@ -116,16 +113,6 @@ class TestGoldenEquivalence:
         parallel_doc = run_golden(workers=4)
         assert parallel_doc["workers"] == 4
         _assert_same(serial_doc, parallel_doc, "workers=1 vs workers=4")
-
-    def test_medium_index_off_invariance(self, serial_doc):
-        os.environ[MEDIUM_INDEX_ENV] = "off"
-        try:
-            brute_doc = run_golden(workers=1)
-        finally:
-            os.environ.pop(MEDIUM_INDEX_ENV, None)
-        _assert_same(
-            serial_doc, brute_doc, "spatial index on vs REPRO_MEDIUM_INDEX=off"
-        )
 
     def test_lineage_on_invariance(self, serial_doc):
         """Causal lineage tracing is observation-only: with REPRO_LINEAGE

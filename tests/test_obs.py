@@ -17,6 +17,7 @@ from repro.analysis.observability import (
 )
 from repro.obs.artifacts import artifact_dir, artifact_path
 from repro.obs.events import EventSink, read_jsonl, write_events_jsonl
+from repro.obs.lineage import LineageTrace
 from repro.obs.registry import (
     FixedHistogram,
     MetricsRegistry,
@@ -254,6 +255,15 @@ class TestTraceRing:
         monkeypatch.setenv("REPRO_TRACE_MAX", "zero")
         with pytest.raises(ValueError, match="REPRO_TRACE_MAX"):
             Trace()
+
+    @pytest.mark.parametrize(
+        "env, make", [("REPRO_TRACE_MAX", Trace), ("REPRO_LINEAGE_MAX", LineageTrace)]
+    )
+    @pytest.mark.parametrize("bad", ["zero", "0", "2.5"])
+    def test_env_cap_rejects_bad_values(self, monkeypatch, env, make, bad):
+        monkeypatch.setenv(env, bad)
+        with pytest.raises(ValueError, match=env):
+            make()
 
     def test_repro_trace_env_enables_simulation_trace(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")

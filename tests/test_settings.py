@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dot11.medium import resolve_medium_index
 from repro.experiments.parallel import write_metrics, write_timings
 from repro.obs.epochs import resolve_epoch_trace
 from repro.obs.lineage import LineageTrace
@@ -43,7 +42,6 @@ SWITCHES = [
     ("REPRO_PROFILE", env_profile_default, False),
     ("REPRO_EPOCH_TRACE", resolve_epoch_trace, False),
     ("REPRO_REQ_TRACE", resolve_req_trace, False),
-    ("REPRO_MEDIUM_INDEX", resolve_medium_index, True),
     ("REPRO_METRICS", lambda: write_metrics([], workers=1) is not None, True),
     ("REPRO_TIMINGS", lambda: write_timings([], 1, 0.0) is not None, True),
 ]

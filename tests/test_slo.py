@@ -146,7 +146,7 @@ class TestEvaluate:
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="cannot evaluate"):
-            evaluate_slo(default_slo(), {"schema": "repro.bench_hotpath/v1"})
+            evaluate_slo(default_slo(), {"schema": "repro.bench_shards/v1"})
 
     def test_bench_doc_checks_every_grid_point(self):
         doc = {
