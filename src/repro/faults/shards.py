@@ -7,10 +7,11 @@ schedules exactly one of each failure class against one *seed-hashed*
 target shard:
 
 * **crash** — the target shard hard-exits (``os._exit``) when it
-  receives phase A of ``crash_epoch``, exactly like an OOM kill.  In
-  inline mode the driver raises :class:`InjectedShardCrash` instead
-  (inline has no recovery path — taking down the caller would be more
-  chaos than requested).
+  receives phase A of ``crash_epoch``, exactly like an OOM kill.  An
+  inline shard runs in the caller's process, so the same command
+  handler raises :class:`InjectedShardCrash` there instead (inline has
+  no recovery path — taking down the caller would be more chaos than
+  requested).
 * **stall** — the target sleeps ``stall_s`` wall seconds before phase A
   of ``stall_epoch``, tripping the coordinator's per-phase deadline.
 * **corrupt** — one record of the target's phase A outbox at

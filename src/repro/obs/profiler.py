@@ -117,7 +117,9 @@ def merge_profiles(docs: Iterable[dict]) -> dict:
     merged: Dict[str, List[float]] = {}
     for doc in docs:
         if doc.get("schema") != PROFILE_SCHEMA:
-            raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
+            raise ValueError(
+                "not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema"))
+            )
         for row in doc.get("handlers", []):
             cell = merged.setdefault(row["name"], [0, 0.0, 0.0])
             cell[0] += row["calls"]

@@ -31,7 +31,9 @@ BUCKET_FRESHNESS = "F"
 class LiteHunter:
     """Per-sensor probe→burst→feedback core with PB/FB buffers."""
 
-    __slots__ = ("universe", "pb_size", "fb_size", "burst_size", "weights", "order", "fb", "sent")
+    __slots__ = (
+        "universe", "pb_size", "fb_size", "burst_size", "weights", "order", "fb", "sent"
+    )
 
     def __init__(self, universe: int, pb_size: int, fb_size: int, burst_size: int):
         self.universe = universe

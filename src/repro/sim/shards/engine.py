@@ -1,4 +1,4 @@
-"""The sharded city engine: shard drivers + deterministic exchange.
+"""The sharded city engine: one epoch loop + deterministic exchange.
 
 :class:`ShardedCitySim` cuts the city into district-column stripes,
 runs one :class:`~repro.sim.shards.shard.ShardRuntime` per shard, and
@@ -14,20 +14,24 @@ Receivers sort every batch by the shard-count-invariant
 :func:`~repro.sim.shards.handoff.sort_key` before applying, so the
 result — metrics, walker rows, hunter states, and therefore
 :meth:`ShardRunResult.digest` — is bit-identical at any shard count, in
-either execution mode:
+either execution mode.  Both modes run the same epoch loop and the
+same checkpoint barrier; they differ only in the transport that carries
+the loop's commands to the shards, and every shard runs its commands
+through :func:`_run_command`, the one place shard faults fire:
 
-* ``inline`` — all shards stepped in this process (the default).  On
-  one core, extra inline shards only add handoff work: a shard's epoch
-  costs O(scans x candidate sensors) at any stripe width.
+* ``inline`` — all shards stepped in this process (the default): each
+  command runs on its shard as it is sent.  On one core, extra inline
+  shards only add handoff work: a shard's epoch costs O(scans x
+  candidate sensors) at any stripe width.
 * ``process`` — one OS process per shard, exchanged over pipes.
 
-**Fault tolerance** (PR 8, process mode): with
+**Fault tolerance** (process mode): with
 ``REPRO_SHARD_CKPT_EVERY=N`` every shard serialises its barrier state
 to ``checkpoints/`` every N epochs and the coordinator commits a
 manifest naming the last globally consistent barrier (see
-:mod:`repro.sim.shards.checkpoint`).  The coordinator detects dead
-shards (pipe ``EOFError`` + exitcode polling), hung shards (a per-phase
-deadline derived from recent phase walls, or the explicit
+:mod:`repro.sim.shards.checkpoint`).  The process transport detects
+dead shards (pipe ``EOFError`` + exitcode polling), hung shards (a
+per-phase deadline derived from recent phase walls, or the explicit
 ``REPRO_SHARD_PHASE_TIMEOUT_S``), and corrupt handoff batches
 (:func:`~repro.sim.shards.handoff.validate_outbox` on every received
 outbox); any of the three raises :class:`ShardCrash`, after which *all*
@@ -35,9 +39,11 @@ shards are torn down, respawned from the manifest barrier, and the run
 replays — deterministically, so the recovered digest is bit-identical
 to an uninterrupted run.  At most ``REPRO_SHARD_MAX_RECOVERIES``
 (default 3) recoveries are attempted; an ``("err", traceback)`` reply
-is a deterministic bug, never retried.  All recovery accounting lands
-under stripped ``shardops.recovery.*`` / ``shardops.ckpt.*`` metrics
-and as ``telemetry/shardops-events.jsonl`` events — digests never move.
+is a deterministic bug, never retried.  Inline shards cannot be lost,
+so inline mode never recovers: an injected crash or corrupt batch
+raises.  All recovery accounting lands under stripped
+``shardops.recovery.*`` / ``shardops.ckpt.*`` metrics and as
+``telemetry/shardops-events.jsonl`` events — digests never move.
 
 ``REPRO_SHARDS`` / ``REPRO_SHARD_MODE`` select count and mode the same
 way ``REPRO_WORKERS`` selects executor width.  When ``REPRO_HEARTBEAT``
@@ -72,7 +78,6 @@ from repro.faults.shards import (
     corrupt_outbox,
     crash_now,
     stall_seconds,
-    target_shard,
 )
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.telemetry import append_ops_event, maybe_heartbeat
@@ -295,80 +300,6 @@ def _empty_ops() -> Dict[str, float]:
     }
 
 
-def _merge_results(
-    scenario: ShardScenario,
-    shards: int,
-    mode: str,
-    epochs: int,
-    results: List[dict],
-    wall_phase: float,
-    wall_handoff: float,
-    collect_states: bool,
-    log_handoffs: bool,
-    ops: Optional[Dict[str, float]] = None,
-) -> ShardRunResult:
-    """Fold per-shard finalise payloads (in shard order) into one result."""
-    engine = MetricsRegistry()
-    engine.gauge_set("shardops.shards", shards)
-    engine.timer_add("shards.phase_wall", wall_phase)
-    engine.timer_add("shards.handoff_wall", wall_handoff)
-    if ops:
-        # Nonzero-only, so fault-free runs emit byte-identical metrics
-        # documents whether or not the recovery machinery was armed.
-        if ops["crashes"]:
-            engine.inc("shardops.recovery.crashes", int(ops["crashes"]))
-            engine.inc("shardops.recovery.respawns", int(ops["respawns"]))
-            engine.inc(
-                "shardops.recovery.rollback_epochs",
-                int(ops["rollback_epochs"]),
-            )
-            engine.timer_add("shardops.recovery_wall", ops["recovery_wall"])
-        if ops["ckpt_barriers"]:
-            engine.inc("shardops.ckpt.barriers", int(ops["ckpt_barriers"]))
-            engine.inc(
-                "shardops.ckpt.pending_bytes", int(ops["ckpt_pending_bytes"])
-            )
-            engine.timer_add(
-                "shardops.ckpt_barrier_wall", ops["ckpt_barrier_wall"]
-            )
-    merged = merge_snapshots([r["metrics"] for r in results] + [engine.to_dict()])
-    counters = merged["counters"]
-    summary = {
-        "stations": scenario.stations,
-        "sensors": scenario.sensors,
-        "probed": sum(r["summary"]["probed"] for r in results),
-        "connected": sum(r["summary"]["connected"] for r in results),
-        "hits": int(counters.get("shardsim.hits", 0)),
-        "scans": int(counters.get("shardsim.scans", 0)),
-        "probes": int(counters.get("shardsim.probes", 0)),
-        "offers": int(counters.get("shardsim.offers", 0)),
-        "feedbacks": int(counters.get("shardsim.feedbacks", 0)),
-    }
-    walker_rows = hunter_states = None
-    if collect_states:
-        walker_rows = {}
-        hunter_states = {}
-        for r in results:
-            walker_rows.update(r["walker_rows"])
-            hunter_states.update(r["hunter_states"])
-    handoff_logs = (
-        {r["shard"]: r["handoff_log"] for r in results} if log_handoffs else None
-    )
-    return ShardRunResult(
-        scenario,
-        shards,
-        mode,
-        epochs,
-        merged,
-        summary,
-        walker_rows,
-        hunter_states,
-        handoff_logs,
-        wall_phase,
-        wall_handoff,
-    )
-
-
 def _route(outboxes: List[dict], shards: int) -> List[list]:
     """Merge per-shard outboxes into per-destination inboxes."""
     inboxes: List[list] = [[] for _ in range(shards)]
@@ -394,6 +325,67 @@ def _split_sensor_in(
             else:
                 migrations[dest].append(rec)
     return migrations, probes_in, feedbacks_in
+
+
+def _heartbeat(runtime: ShardRuntime):
+    """Shard ``runtime``'s live-progress writer (a no-op unless
+    ``REPRO_HEARTBEAT`` is set), in either execution mode."""
+    return maybe_heartbeat(
+        "shard %d/%d" % (runtime.shard_id, runtime.shards),
+        runtime.barriers[-1],
+        lambda: (runtime.barriers[runtime.epochs_done], runtime.hits),
+        file_stem="shard-%d" % runtime.shard_id,
+        extra=lambda: {"epoch": runtime.epochs_done, "epochs": runtime.epochs},
+    )
+
+
+def _run_command(
+    runtime: ShardRuntime,
+    msg: tuple,
+    collect_states: bool,
+    fault: Optional[ShardFaultParams],
+    fault_seed: int,
+    incarnation: int,
+    in_worker: bool,
+):
+    """Run one coordinator command (``a``, ``b``, ``ckpt`` or ``fin``)
+    on ``runtime`` and return its reply.
+
+    The only place shard faults fire.  An injected crash kills a worker
+    process outright; inline there is no process to lose, so it raises
+    :class:`InjectedShardCrash` instead.
+    """
+    op = msg[0]
+    if op == "a":
+        _, epoch, migrations, offers, last = msg
+        at = (fault, fault_seed, runtime.shard_id, runtime.shards, epoch, incarnation)
+        if fault is not None:
+            if crash_now(*at):
+                if in_worker:
+                    # Die like an OOM kill: no cleanup, no reply, a
+                    # distinctive exitcode for the coordinator.
+                    os._exit(SHARD_CRASH_EXIT_CODE)
+                raise InjectedShardCrash(
+                    "injected crash of shard %d at epoch %d "
+                    "(inline mode has no recovery; use mode='process')"
+                    % (runtime.shard_id, epoch)
+                )
+            stall = stall_seconds(*at)
+            if stall > 0:
+                _time.sleep(stall)
+        out = runtime.run_phase_a(epoch, migrations, offers, last)
+        if fault is not None and corrupt_now(*at):
+            corrupt_outbox(fault, out)
+        return out
+    if op == "b":
+        _, epoch, feedbacks, probes = msg
+        return runtime.run_phase_b(epoch, feedbacks, probes)
+    if op == "ckpt":
+        _, epoch, directory = msg
+        return runtime.write_checkpoint(epoch, pathlib.Path(directory))
+    if op == "fin":
+        return runtime.finalize(collect_states)
+    raise RuntimeError("unknown shard command %r" % (op,))  # protocol bug guard
 
 
 def _shard_worker(
@@ -426,53 +418,16 @@ def _shard_worker(
         )
         if restore_path is not None:
             runtime.restore_file(pathlib.Path(restore_path))
-        duration = runtime.barriers[-1]
-        with maybe_heartbeat(
-            "shard %d/%d" % (shard_id, shards),
-            duration,
-            lambda: (runtime.barriers[runtime.epochs_done], runtime.hits),
-            file_stem="shard-%d" % shard_id,
-            extra=lambda: {
-                "epoch": runtime.epochs_done,
-                "epochs": runtime.epochs,
-            },
-        ):
+        with _heartbeat(runtime):
             while True:
                 msg = conn.recv()
-                op = msg[0]
-                if op == "a":
-                    _, epoch, migrations, offers, last = msg
-                    if fault is not None:
-                        if crash_now(
-                            fault, fault_seed, shard_id, shards, epoch, incarnation
-                        ):
-                            # Die like an OOM kill: no cleanup, no reply,
-                            # a distinctive exitcode for the coordinator.
-                            os._exit(SHARD_CRASH_EXIT_CODE)
-                        stall = stall_seconds(
-                            fault, fault_seed, shard_id, shards, epoch, incarnation
-                        )
-                        if stall > 0:
-                            _time.sleep(stall)
-                    out = runtime.run_phase_a(epoch, migrations, offers, last)
-                    if fault is not None and corrupt_now(
-                        fault, fault_seed, shard_id, shards, epoch, incarnation
-                    ):
-                        corrupt_outbox(fault, out)
-                    conn.send(("ok", out))
-                elif op == "b":
-                    _, epoch, feedbacks, probes = msg
-                    conn.send(("ok", runtime.run_phase_b(epoch, feedbacks, probes)))
-                elif op == "ckpt":
-                    _, epoch, directory = msg
-                    conn.send(
-                        ("ok", runtime.write_checkpoint(epoch, pathlib.Path(directory)))
-                    )
-                elif op == "fin":
-                    conn.send(("ok", runtime.finalize(collect_states)))
+                reply = _run_command(
+                    runtime, msg, collect_states, fault, fault_seed,
+                    incarnation, in_worker=True,
+                )
+                conn.send(("ok", reply))
+                if msg[0] == "fin":
                     return
-                else:  # pragma: no cover - protocol bug guard
-                    raise RuntimeError("unknown shard command %r" % (op,))
     except Exception:
         try:
             conn.send(("err", traceback.format_exc()))
@@ -490,6 +445,147 @@ def _shard_worker(
             conn.close()
         except OSError:  # pragma: no cover
             pass
+
+
+class _InlineShards:
+    """Inline transport: every shard is a runtime in this process, and
+    each command runs on its shard as it is sent.
+
+    Outboxes are validated only when a fault plan is armed: the check
+    is per-record Python, and only an injected fault can produce a bad
+    batch here.  There is no recovery, so a bad batch raises
+    :class:`CorruptHandoffError`.
+    """
+
+    def __init__(self, sim: "ShardedCitySim"):
+        self.sim = sim
+        self.runtimes = [
+            ShardRuntime(
+                sim.scenario,
+                k,
+                sim.shards,
+                log_handoffs=sim.log_handoffs,
+                epoch_trace=sim.epoch_trace,
+            )
+            for k in range(sim.shards)
+        ]
+        self.replies: list = [None] * sim.shards
+        with ExitStack() as stack:
+            for runtime in self.runtimes:
+                stack.enter_context(_heartbeat(runtime))
+            self._heartbeats = stack.pop_all()
+
+    def send(self, k: int, msg: tuple) -> None:
+        sim = self.sim
+        self.replies[k] = _run_command(
+            self.runtimes[k], msg, sim.collect_states, sim.fault,
+            sim.fault_seed, incarnation=0, in_worker=False,
+        )
+
+    def recv(self, k: int, epoch: int, phase: str):
+        reply = self.replies[k]
+        if self.sim.fault is not None and phase in ("a", "b"):
+            handoff.validate_outbox(reply)
+        return reply
+
+    def close(self) -> None:
+        self._heartbeats.close()
+
+    kill = close
+
+
+class _ProcessShards:
+    """Process transport: one OS process per shard, commands and
+    replies over pipes, with crash, hang and corrupt-batch detection.
+    Any of the three raises :class:`ShardCrash`."""
+
+    def __init__(
+        self,
+        sim: "ShardedCitySim",
+        incarnation: int,
+        restore_paths: Optional[Dict[int, pathlib.Path]],
+    ):
+        self.sim = sim
+        self.parents: list = []
+        self.procs: list = []
+        for k in range(sim.shards):
+            parent, child = mp.Pipe()
+            proc = mp.Process(
+                target=_shard_worker,
+                args=(
+                    child,
+                    sim.scenario,
+                    k,
+                    sim.shards,
+                    sim.collect_states,
+                    sim.log_handoffs,
+                    sim.epoch_trace,
+                    sim.fault,
+                    sim.fault_seed,
+                    incarnation,
+                    str(restore_paths[k]) if restore_paths else None,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self.parents.append(parent)
+            self.procs.append(proc)
+
+    def send(self, k: int, msg: tuple) -> None:
+        self.parents[k].send(msg)
+
+    def recv(self, k: int, epoch: int, phase: str):
+        """One reply off shard ``k``'s pipe.  A torn or mangled outbox
+        is a shard crash (recoverable), never an applied record."""
+        parent, proc = self.parents[k], self.procs[k]
+        deadline = self.sim._phase_deadline()
+        t0 = _time.perf_counter()
+        while True:
+            try:
+                ready = parent.poll(0.05)
+            except (OSError, EOFError) as exc:  # pragma: no cover - race
+                raise ShardCrash(
+                    k, epoch, phase, "pipe failed: %s" % exc, proc.exitcode
+                )
+            if ready:
+                break
+            if not proc.is_alive():
+                # Drain a reply the shard may have flushed before dying.
+                if parent.poll(0.2):
+                    break
+                raise ShardCrash(k, epoch, phase, "process died", proc.exitcode)
+            if _time.perf_counter() - t0 > deadline:
+                raise ShardCrash(
+                    k, epoch, phase,
+                    "phase deadline %.1fs exceeded" % deadline, None,
+                )
+        try:
+            status, payload = parent.recv()
+        except (EOFError, OSError) as exc:
+            # Reap briefly so the crash event carries the real exitcode
+            # (e.g. the injected-crash status 86).
+            proc.join(timeout=1.0)
+            raise ShardCrash(
+                k, epoch, phase, "pipe closed: %s" % exc, proc.exitcode
+            )
+        if status != "ok":
+            raise RuntimeError("shard %d failed:\n%s" % (k, payload))
+        if phase in ("a", "b"):
+            try:
+                handoff.validate_outbox(payload)
+            except CorruptHandoffError as exc:
+                raise ShardCrash(
+                    k, epoch, phase, "corrupt handoff: %s" % exc,
+                    proc.exitcode,
+                )
+        return payload
+
+    def close(self) -> None:
+        ShardedCitySim._shutdown_procs(self.procs, self.parents)
+
+    def kill(self) -> None:
+        ShardedCitySim._kill_procs(self.procs, self.parents)
 
 
 class ShardedCitySim:
@@ -526,9 +622,66 @@ class ShardedCitySim:
         self._last_ckpt_epoch = -1
 
     def run(self) -> ShardRunResult:
-        if self.mode == "process" and self.shards > 1:
-            return self._run_process()
-        return self._run_inline()
+        """Step every epoch over the shard transport.  On a
+        :class:`ShardCrash` (process mode only) tear every shard down,
+        roll back to the last committed barrier and replay from it."""
+        shards = self.shards
+        ckpt_dir = checkpoint_dir() if self.ckpt_every > 0 else None
+        ops = _empty_ops()
+        walls = {"phase": 0.0, "handoff": 0.0}
+        incarnation = 0
+        start_epoch, migrations, offers, restore_paths = self._scratch()
+        while True:
+            if self.mode == "process" and shards > 1:
+                transport = _ProcessShards(self, incarnation, restore_paths)
+            else:
+                transport = _InlineShards(self)
+            try:
+                results = self._drive(
+                    transport, start_epoch, migrations, offers, ckpt_dir,
+                    ops, walls,
+                )
+            except ShardCrash as crash:
+                transport.kill()
+                ops["crashes"] += 1
+                append_ops_event(
+                    "shard.crash",
+                    shard=crash.shard_id,
+                    epoch=crash.epoch,
+                    phase=crash.phase,
+                    reason=crash.reason,
+                    exitcode=crash.exitcode,
+                )
+                if ops["crashes"] > self.max_recoveries:
+                    raise RuntimeError(
+                        "recovery budget exhausted (%d recoveries): %s"
+                        % (self.max_recoveries, crash)
+                    ) from crash
+                rec0 = _time.perf_counter()
+                (
+                    start_epoch,
+                    migrations,
+                    offers,
+                    restore_paths,
+                ) = self._load_recovery_point(ckpt_dir)
+                ops["rollback_epochs"] += max(0, crash.epoch - start_epoch)
+                incarnation += 1
+                ops["respawns"] += shards
+                append_ops_event(
+                    "shard.respawn",
+                    shards=shards,
+                    epoch=start_epoch,
+                    incarnation=incarnation,
+                    from_checkpoint=restore_paths is not None,
+                )
+                ops["recovery_wall"] += _time.perf_counter() - rec0
+                continue
+            except BaseException:
+                transport.kill()
+                raise
+            transport.close()
+            break
+        return self._merge_results(results, walls, ops)
 
     # -- checkpoint barrier (shared by both modes) ------------------------
 
@@ -587,224 +740,11 @@ class ShardedCitySim:
         ops["ckpt_pending_bytes"] += pending_bytes
         ops["ckpt_barrier_wall"] += _time.perf_counter() - pc0
 
-    # -- inline mode ------------------------------------------------------
+    # -- the epoch loop ---------------------------------------------------
 
-    def _run_inline(self) -> ShardRunResult:
-        shards = self.shards
-        fault = self.fault
-        target = (
-            target_shard(fault, self.fault_seed, shards)
-            if fault is not None
-            else None
-        )
-        ckpt_dir = checkpoint_dir() if self.ckpt_every > 0 else None
-        ops = _empty_ops()
-        runtimes = [
-            ShardRuntime(
-                self.scenario,
-                k,
-                shards,
-                log_handoffs=self.log_handoffs,
-                epoch_trace=self.epoch_trace,
-            )
-            for k in range(shards)
-        ]
-        duration = runtimes[0].barriers[-1]
-        migrations: List[list] = [[] for _ in range(shards)]
-        offers: List[list] = [[] for _ in range(shards)]
-        wall_phase = wall_handoff = 0.0
-        with ExitStack() as stack:
-            for k, runtime in enumerate(runtimes):
-                stack.enter_context(
-                    maybe_heartbeat(
-                        "shard %d/%d" % (k, shards),
-                        duration,
-                        lambda rt=runtime: (rt.barriers[rt.epochs_done], rt.hits),
-                        file_stem="shard-%d" % k,
-                        extra=lambda rt=runtime: {
-                            "epoch": rt.epochs_done,
-                            "epochs": rt.epochs,
-                        },
-                    )
-                )
-            for epoch in range(self.epochs):
-                if ckpt_dir is not None and self._ckpt_due(epoch):
-                    pc0 = _time.perf_counter()
-                    infos = [
-                        rt.write_checkpoint(epoch, ckpt_dir) for rt in runtimes
-                    ]
-                    self._commit_barrier(
-                        infos, epoch, migrations, offers, ckpt_dir, ops, pc0
-                    )
-                if fault is not None:
-                    if crash_now(
-                        fault, self.fault_seed, target, shards, epoch, 0
-                    ):
-                        raise InjectedShardCrash(
-                            "injected crash of shard %d at epoch %d "
-                            "(inline mode has no recovery; use mode='process')"
-                            % (target, epoch)
-                        )
-                    stall = stall_seconds(
-                        fault, self.fault_seed, target, shards, epoch, 0
-                    )
-                    if stall > 0:
-                        _time.sleep(stall)
-                last = epoch == self.epochs - 1
-                t0 = _time.perf_counter()
-                outs_a = [
-                    rt.run_phase_a(epoch, migrations[k], offers[k], last)
-                    for k, rt in enumerate(runtimes)
-                ]
-                t1 = _time.perf_counter()
-                if fault is not None:
-                    if corrupt_now(
-                        fault, self.fault_seed, target, shards, epoch, 0
-                    ):
-                        corrupt_outbox(fault, outs_a[target])
-                    for out in outs_a:
-                        handoff.validate_outbox(out)
-                # X1: probes + feedbacks to sensor owners, migrations to
-                # each walker's next owner.
-                sensor_in = _route(outs_a, shards)
-                migrations, probes_in, feedbacks_in = _split_sensor_in(
-                    sensor_in, shards
-                )
-                t2 = _time.perf_counter()
-                outs_b = [
-                    rt.run_phase_b(epoch, feedbacks_in[k], probes_in[k])
-                    for k, rt in enumerate(runtimes)
-                ]
-                t3 = _time.perf_counter()
-                if fault is not None:
-                    for out in outs_b:
-                        handoff.validate_outbox(out)
-                # X2: offers buffered for the next epoch's phase A.
-                offers = _route(outs_b, shards) if not last else [[] for _ in range(shards)]
-                wall_phase += (t1 - t0) + (t3 - t2)
-                wall_handoff += (t2 - t1) + (_time.perf_counter() - t3)
-            results = [rt.finalize(self.collect_states) for rt in runtimes]
-        return _merge_results(
-            self.scenario,
-            shards,
-            self.mode,
-            self.epochs,
-            results,
-            wall_phase,
-            wall_handoff,
-            self.collect_states,
-            self.log_handoffs,
-            ops=ops,
-        )
-
-    # -- process mode -----------------------------------------------------
-
-    def _run_process(self) -> ShardRunResult:
-        shards = self.shards
-        ckpt_dir = checkpoint_dir() if self.ckpt_every > 0 else None
-        ops = _empty_ops()
-        walls = {"phase": 0.0, "handoff": 0.0}
-        incarnation = 0
-        start_epoch = 0
-        migrations: List[list] = [[] for _ in range(shards)]
-        offers: List[list] = [[] for _ in range(shards)]
-        restore_paths: Optional[Dict[int, pathlib.Path]] = None
-        while True:
-            parents, procs = self._spawn_all(incarnation, restore_paths)
-            try:
-                results = self._drive_process(
-                    parents, procs, start_epoch, migrations, offers, ckpt_dir,
-                    ops, walls,
-                )
-            except ShardCrash as crash:
-                self._kill_procs(procs, parents)
-                ops["crashes"] += 1
-                append_ops_event(
-                    "shard.crash",
-                    shard=crash.shard_id,
-                    epoch=crash.epoch,
-                    phase=crash.phase,
-                    reason=crash.reason,
-                    exitcode=crash.exitcode,
-                )
-                if ops["crashes"] > self.max_recoveries:
-                    raise RuntimeError(
-                        "recovery budget exhausted (%d recoveries): %s"
-                        % (self.max_recoveries, crash)
-                    ) from crash
-                rec0 = _time.perf_counter()
-                (
-                    start_epoch,
-                    migrations,
-                    offers,
-                    restore_paths,
-                ) = self._load_recovery_point(ckpt_dir)
-                ops["rollback_epochs"] += max(0, crash.epoch - start_epoch)
-                incarnation += 1
-                ops["respawns"] += shards
-                append_ops_event(
-                    "shard.respawn",
-                    shards=shards,
-                    epoch=start_epoch,
-                    incarnation=incarnation,
-                    from_checkpoint=restore_paths is not None,
-                )
-                ops["recovery_wall"] += _time.perf_counter() - rec0
-                continue
-            except BaseException:
-                self._kill_procs(procs, parents)
-                raise
-            self._shutdown_procs(procs, parents)
-            break
-        return _merge_results(
-            self.scenario,
-            shards,
-            self.mode,
-            self.epochs,
-            results,
-            walls["phase"],
-            walls["handoff"],
-            self.collect_states,
-            self.log_handoffs,
-            ops=ops,
-        )
-
-    def _spawn_all(
+    def _drive(
         self,
-        incarnation: int,
-        restore_paths: Optional[Dict[int, pathlib.Path]],
-    ) -> Tuple[list, list]:
-        parents = []
-        procs = []
-        for k in range(self.shards):
-            parent, child = mp.Pipe()
-            proc = mp.Process(
-                target=_shard_worker,
-                args=(
-                    child,
-                    self.scenario,
-                    k,
-                    self.shards,
-                    self.collect_states,
-                    self.log_handoffs,
-                    self.epoch_trace,
-                    self.fault,
-                    self.fault_seed,
-                    incarnation,
-                    str(restore_paths[k]) if restore_paths else None,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            parents.append(parent)
-            procs.append(proc)
-        return parents, procs
-
-    def _drive_process(
-        self,
-        parents: list,
-        procs: list,
+        transport,
         start_epoch: int,
         migrations: List[list],
         offers: List[list],
@@ -812,71 +752,124 @@ class ShardedCitySim:
         ops: Dict[str, float],
         walls: Dict[str, float],
     ) -> List[dict]:
-        """Step epochs over the pipes; raises :class:`ShardCrash` on any
-        recoverable failure, returns the finalise payloads otherwise."""
+        """The epoch loop: step epochs from ``start_epoch`` over
+        ``transport`` and return the finalise payloads, or raise
+        :class:`ShardCrash` on any recoverable failure."""
         shards = self.shards
         for epoch in range(start_epoch, self.epochs):
             if ckpt_dir is not None and self._ckpt_due(epoch):
                 pc0 = _time.perf_counter()
-                for k in range(shards):
-                    parents[k].send(("ckpt", epoch, str(ckpt_dir)))
-                infos = [
-                    self._recv(parents[k], procs[k], k, epoch, "ckpt")
-                    for k in range(shards)
-                ]
+                infos = self._round(
+                    transport, epoch, [("ckpt", epoch, str(ckpt_dir))] * shards
+                )
                 self._commit_barrier(
                     infos, epoch, migrations, offers, ckpt_dir, ops, pc0
                 )
             last = epoch == self.epochs - 1
             t0 = _time.perf_counter()
-            for k in range(shards):
-                parents[k].send(("a", epoch, migrations[k], offers[k], last))
-            outs_a = [
-                self._recv(parents[k], procs[k], k, epoch, "a")
-                for k in range(shards)
-            ]
+            outs_a = self._round(
+                transport,
+                epoch,
+                [("a", epoch, migrations[k], offers[k], last) for k in range(shards)],
+            )
             t1 = _time.perf_counter()
             self._phase_walls.append(t1 - t0)
-            self._validate_outboxes(outs_a, procs, epoch, "a")
-            sensor_in = _route(outs_a, shards)
+            # X1: probes + feedbacks to sensor owners, migrations to each
+            # walker's next owner.
             migrations, probes_in, feedbacks_in = _split_sensor_in(
-                sensor_in, shards
+                _route(outs_a, shards), shards
             )
             t2 = _time.perf_counter()
-            for k in range(shards):
-                parents[k].send(("b", epoch, feedbacks_in[k], probes_in[k]))
-            outs_b = [
-                self._recv(parents[k], procs[k], k, epoch, "b")
-                for k in range(shards)
-            ]
+            outs_b = self._round(
+                transport,
+                epoch,
+                [("b", epoch, feedbacks_in[k], probes_in[k]) for k in range(shards)],
+            )
             t3 = _time.perf_counter()
             self._phase_walls.append(t3 - t2)
-            self._validate_outboxes(outs_b, procs, epoch, "b")
+            # X2: offers buffered for the next epoch's phase A.
             offers = (
                 _route(outs_b, shards) if not last else [[] for _ in range(shards)]
             )
             walls["phase"] += (t1 - t0) + (t3 - t2)
             walls["handoff"] += (t2 - t1) + (_time.perf_counter() - t3)
-        for k in range(shards):
-            parents[k].send(("fin",))
-        return [
-            self._recv(parents[k], procs[k], k, self.epochs, "fin")
-            for k in range(shards)
-        ]
+        return self._round(transport, self.epochs, [("fin",)] * shards)
 
-    def _validate_outboxes(
-        self, outs: List[dict], procs: list, epoch: int, phase: str
-    ) -> None:
-        """Receiver-side schema check: a torn or mangled batch is a
-        shard crash (recoverable), never an applied record."""
-        for k, out in enumerate(outs):
-            try:
-                handoff.validate_outbox(out)
-            except CorruptHandoffError as exc:
-                raise ShardCrash(
-                    k, epoch, phase, "corrupt handoff: %s" % exc,
-                    procs[k].exitcode,
-                )
+    @staticmethod
+    def _round(transport, epoch: int, msgs: List[tuple]) -> list:
+        """Send shard ``k`` the command ``msgs[k]``, then collect every
+        reply in shard order."""
+        for k, msg in enumerate(msgs):
+            transport.send(k, msg)
+        return [transport.recv(k, epoch, msg[0]) for k, msg in enumerate(msgs)]
+
+    def _merge_results(
+        self, results: List[dict], walls: Dict[str, float], ops: Dict[str, float]
+    ) -> ShardRunResult:
+        """Fold per-shard finalise payloads (in shard order) into one result."""
+        scenario = self.scenario
+        engine = MetricsRegistry()
+        engine.gauge_set("shardops.shards", self.shards)
+        engine.timer_add("shards.phase_wall", walls["phase"])
+        engine.timer_add("shards.handoff_wall", walls["handoff"])
+        # Nonzero-only, so fault-free runs emit byte-identical metrics
+        # documents whether or not the recovery machinery was armed.
+        if ops["crashes"]:
+            engine.inc("shardops.recovery.crashes", int(ops["crashes"]))
+            engine.inc("shardops.recovery.respawns", int(ops["respawns"]))
+            engine.inc(
+                "shardops.recovery.rollback_epochs",
+                int(ops["rollback_epochs"]),
+            )
+            engine.timer_add("shardops.recovery_wall", ops["recovery_wall"])
+        if ops["ckpt_barriers"]:
+            engine.inc("shardops.ckpt.barriers", int(ops["ckpt_barriers"]))
+            engine.inc(
+                "shardops.ckpt.pending_bytes", int(ops["ckpt_pending_bytes"])
+            )
+            engine.timer_add(
+                "shardops.ckpt_barrier_wall", ops["ckpt_barrier_wall"]
+            )
+        merged = merge_snapshots(
+            [r["metrics"] for r in results] + [engine.to_dict()]
+        )
+        counters = merged["counters"]
+        summary = {
+            "stations": scenario.stations,
+            "sensors": scenario.sensors,
+            "probed": sum(r["summary"]["probed"] for r in results),
+            "connected": sum(r["summary"]["connected"] for r in results),
+            "hits": int(counters.get("shardsim.hits", 0)),
+            "scans": int(counters.get("shardsim.scans", 0)),
+            "probes": int(counters.get("shardsim.probes", 0)),
+            "offers": int(counters.get("shardsim.offers", 0)),
+            "feedbacks": int(counters.get("shardsim.feedbacks", 0)),
+        }
+        walker_rows = hunter_states = None
+        if self.collect_states:
+            walker_rows = {}
+            hunter_states = {}
+            for r in results:
+                walker_rows.update(r["walker_rows"])
+                hunter_states.update(r["hunter_states"])
+        handoff_logs = None
+        if self.log_handoffs:
+            handoff_logs = {r["shard"]: r["handoff_log"] for r in results}
+        return ShardRunResult(
+            scenario,
+            self.shards,
+            self.mode,
+            self.epochs,
+            merged,
+            summary,
+            walker_rows,
+            hunter_states,
+            handoff_logs,
+            walls["phase"],
+            walls["handoff"],
+        )
+
+    # -- process mode: deadlines, rollback, teardown ---------------------
 
     def _phase_deadline(self) -> float:
         """How long a single phase reply may take before the shard is
@@ -889,69 +882,24 @@ class ShardedCitySim:
         mean = sum(self._phase_walls) / len(self._phase_walls)
         return max(DEADLINE_FLOOR_S, DEADLINE_FACTOR * mean)
 
-    def _recv(self, parent, proc, shard_id: int, epoch: int, phase: str):
-        """One reply off a shard pipe, with crash + hang detection."""
-        deadline = self._phase_deadline()
-        t0 = _time.perf_counter()
-        while True:
-            try:
-                ready = parent.poll(0.05)
-            except (OSError, EOFError) as exc:  # pragma: no cover - race
-                raise ShardCrash(
-                    shard_id, epoch, phase, "pipe failed: %s" % exc,
-                    proc.exitcode,
-                )
-            if ready:
-                try:
-                    status, payload = parent.recv()
-                except (EOFError, OSError) as exc:
-                    # Reap briefly so the crash event carries the real
-                    # exitcode (e.g. the injected-crash status 86).
-                    proc.join(timeout=1.0)
-                    raise ShardCrash(
-                        shard_id, epoch, phase, "pipe closed: %s" % exc,
-                        proc.exitcode,
-                    )
-                if status != "ok":
-                    raise RuntimeError(
-                        "shard %d failed:\n%s" % (shard_id, payload)
-                    )
-                return payload
-            if not proc.is_alive():
-                # Drain a reply the shard may have flushed before dying.
-                if parent.poll(0.2):
-                    continue
-                raise ShardCrash(
-                    shard_id, epoch, phase, "process died", proc.exitcode
-                )
-            if _time.perf_counter() - t0 > deadline:
-                raise ShardCrash(
-                    shard_id,
-                    epoch,
-                    phase,
-                    "phase deadline %.1fs exceeded" % deadline,
-                    None,
-                )
+    def _scratch(self) -> Tuple[int, List[list], List[list], None]:
+        """Epoch 0 with empty inboxes and nothing to restore: where a run
+        starts, and where it rolls back to without a usable checkpoint."""
+        self._last_ckpt_epoch = -1
+        shards = self.shards
+        return 0, [[] for _ in range(shards)], [[] for _ in range(shards)], None
 
     def _load_recovery_point(
         self, ckpt_dir: Optional[pathlib.Path]
     ) -> Tuple[int, List[list], List[list], Optional[Dict[int, pathlib.Path]]]:
         """The barrier to roll back to: the manifest's, or scratch."""
         shards = self.shards
-        scratch = (
-            0,
-            [[] for _ in range(shards)],
-            [[] for _ in range(shards)],
-            None,
-        )
         if ckpt_dir is None:
-            self._last_ckpt_epoch = -1
-            return scratch
+            return self._scratch()
         try:
             manifest = load_manifest(ckpt_dir)
             if manifest is None:
-                self._last_ckpt_epoch = -1
-                return scratch
+                return self._scratch()
             if (
                 manifest["shards"] != shards
                 or manifest["seed"] != self.scenario.seed
@@ -972,8 +920,7 @@ class ShardedCitySim:
             }
         except (CheckpointError, CorruptHandoffError, KeyError, TypeError) as exc:
             append_ops_event("shard.ckpt_invalid", reason=str(exc))
-            self._last_ckpt_epoch = -1
-            return scratch
+            return self._scratch()
         self._last_ckpt_epoch = int(manifest["epoch"])
         return int(manifest["epoch"]), migrations, offers, restore
 

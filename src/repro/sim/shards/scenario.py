@@ -97,6 +97,12 @@ class ShardScenario:
             raise ValueError("reach_m must be positive, got %r" % self.reach_m)
         if self.ssid_universe < 1:
             raise ValueError("ssid_universe must be >= 1")
+        if self.pb_size < 1:
+            raise ValueError("pb_size must be >= 1, got %r" % self.pb_size)
+        if self.fb_size < 0:
+            raise ValueError("fb_size must be >= 0, got %r" % self.fb_size)
+        if self.burst_size < 1:
+            raise ValueError("burst_size must be >= 1, got %r" % self.burst_size)
         if self.pnl_max < 2:
             raise ValueError("pnl_max must be >= 2, got %r" % self.pnl_max)
         if not 0.0 < self.open_share <= 1.0:

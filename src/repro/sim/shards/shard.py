@@ -113,7 +113,9 @@ class ShardRuntime:
         epoch_trace: Optional[bool] = None,
     ):
         if not 0 <= shard_id < shards:
-            raise ValueError("shard_id %r out of range for %d shards" % (shard_id, shards))
+            raise ValueError(
+                "shard_id %r out of range for %d shards" % (shard_id, shards)
+            )
         self.scenario = scenario
         self.shard_id = shard_id
         self.shards = shards
@@ -162,7 +164,9 @@ class ShardRuntime:
             shard_id, shards, self.epochs, enabled=epoch_trace
         )
         self._phase_end_pc: Optional[float] = None
-        self.metrics.gauge_set("shardops.owned_initial", len(self.owned), shard=shard_id)
+        self.metrics.gauge_set(
+            "shardops.owned_initial", len(self.owned), shard=shard_id
+        )
         self.metrics.gauge_set(
             "shardops.sensors_owned", len(self.hunters), shard=shard_id
         )
@@ -209,6 +213,24 @@ class ShardRuntime:
         if self._log is not None and len(self._log) < HANDOFF_LOG_CAP:
             self._log.append(handoff.applied_key(record))
 
+    def _trace_phase(
+        self, epoch: int, phase: str, pc0: float, records_in: dict, out: Outbox
+    ) -> None:
+        """Record the phase that started at ``pc0`` as one epoch-trace
+        span, with the wait since the previous phase ended."""
+        pc1 = _time.perf_counter()
+        self.tracer.record(
+            epoch,
+            phase,
+            wall_s=pc1 - pc0,
+            barrier_s=(
+                pc0 - self._phase_end_pc if self._phase_end_pc is not None else 0.0
+            ),
+            records_in=records_in,
+            outboxes=out,
+        )
+        self._phase_end_pc = pc1
+
     # -- phase A ----------------------------------------------------------
 
     def run_phase_a(
@@ -224,20 +246,9 @@ class ShardRuntime:
         out: Outbox = {}
         self._phase_a(epoch, migrations_in, offers_in, out, last)
         if self.tracer is not None:
-            pc1 = _time.perf_counter()
-            self.tracer.record(
-                epoch,
-                "a",
-                wall_s=pc1 - pc0,
-                barrier_s=(
-                    pc0 - self._phase_end_pc
-                    if self._phase_end_pc is not None
-                    else 0.0
-                ),
-                records_in={"m": len(migrations_in), "o": len(offers_in)},
-                outboxes=out,
+            self._trace_phase(
+                epoch, "a", pc0, {"m": len(migrations_in), "o": len(offers_in)}, out
             )
-            self._phase_end_pc = pc1
         return out
 
     def _phase_a(
@@ -370,20 +381,9 @@ class ShardRuntime:
         out: Outbox = {}
         self._phase_b(epoch, feedbacks_in, probes_in, out)
         if self.tracer is not None:
-            pc1 = _time.perf_counter()
-            self.tracer.record(
-                epoch,
-                "b",
-                wall_s=pc1 - pc0,
-                barrier_s=(
-                    pc0 - self._phase_end_pc
-                    if self._phase_end_pc is not None
-                    else 0.0
-                ),
-                records_in={"f": len(feedbacks_in), "p": len(probes_in)},
-                outboxes=out,
+            self._trace_phase(
+                epoch, "b", pc0, {"f": len(feedbacks_in), "p": len(probes_in)}, out
             )
-            self._phase_end_pc = pc1
         self.epochs_done = epoch + 1
         return out
 
@@ -443,7 +443,9 @@ class ShardRuntime:
         self.metrics.gauge_set("shardsim.sensors", self.scenario.sensors)
         self.metrics.gauge_set("shardsim.districts", self.part.districts)
         self.metrics.gauge_set("shardsim.epochs", self.epochs)
-        self.metrics.gauge_set("shardops.owned_final", len(self.owned), shard=self.shard_id)
+        self.metrics.gauge_set(
+            "shardops.owned_final", len(self.owned), shard=self.shard_id
+        )
         result = {
             "shard": self.shard_id,
             "metrics": self.metrics.to_dict(),

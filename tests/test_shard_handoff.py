@@ -122,7 +122,10 @@ if HAVE_HYPOTHESIS:
 
     @needs_hypothesis
     @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6), shards=st.sampled_from([2, 3]))
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        shards=st.sampled_from([2, 3]),
+    )
     def test_boundary_crossing_is_invisible_property(seed, shards):
         check_crossing_invisible(seed, shards)
 

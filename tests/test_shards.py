@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import FaultPlan
+from repro.faults.shards import ShardFaultParams
 from repro.geo.grid import DistrictPartition
 from repro.obs.artifacts import ARTIFACT_DIR_ENV
 from repro.sim.shards import (
@@ -35,6 +37,7 @@ from repro.sim.shards import (
 )
 from repro.sim.shards import shard as shard_module
 from repro.sim.shards.attacker import LiteHunter
+from repro.sim.shards.checkpoint import checkpoint_dir, load_manifest
 from repro.sim.shards.engine import resolve_max_recoveries, resolve_phase_timeout
 from repro.sim.shards.scenario import derive_sensors, derive_walkers
 from repro.sim.shards.shard import ShardRuntime
@@ -147,6 +150,16 @@ class TestDerivations:
             ShardScenario(stations=4, sensors=4, duration=60.0, size_m=50.0)
         with pytest.raises(ValueError):
             ShardScenario(stations=4, sensors=4, duration=60.0, open_share=0.0)
+        for field, bad in (
+            ("burst_size", 0),
+            ("pb_size", 0),
+            ("pb_size", -3),
+            ("fb_size", -1),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ShardScenario(stations=4, sensors=4, duration=60.0, **{field: bad})
+        # An empty FB is allowed: every burst then comes from the PB top.
+        ShardScenario(stations=4, sensors=4, duration=60.0, fb_size=0)
 
 
 # -- LiteHunter core ------------------------------------------------------
@@ -231,6 +244,34 @@ class TestShardInvariance:
         result = run_sharded(SMALL, shards=2, mode="process")
         assert result.mode == "process"
         assert result.digest() == small_result.digest()
+
+    def test_transport_parity(self, tmp_path, monkeypatch, small_result):
+        """Inline and process shards run one epoch loop: with handoff
+        logs and checkpoints on, the process transport applies the same
+        records and commits the same barrier as inline, and an inline
+        stall fault moves nothing."""
+        runs, manifests = {}, {}
+        for mode in ("inline", "process"):
+            monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / mode))
+            runs[mode] = run_sharded(
+                SMALL, shards=2, mode=mode, log_handoffs=True, ckpt_every=6
+            )
+            manifests[mode] = load_manifest(checkpoint_dir())
+        inline, process = runs["inline"], runs["process"]
+        assert process.digest() == inline.digest() == small_result.digest()
+        assert all(inline.handoff_logs.values())
+        assert process.handoff_logs == inline.handoff_logs
+        for name in ("shardops.ckpt.barriers", "shardops.ckpt.writes"):
+            counters = (inline.metrics["counters"], process.metrics["counters"])
+            assert counters[0][name] == counters[1][name] > 0
+        assert manifests["process"]["epoch"] == manifests["inline"]["epoch"] == 30
+        assert manifests["process"]["files"] == manifests["inline"]["files"]
+        stall = FaultPlan(
+            seed=SMALL.seed,
+            shard_faults=ShardFaultParams(stall_epoch=3, stall_s=0.01),
+        )
+        stalled = run_sharded(SMALL, shards=2, mode="inline", faults=stall)
+        assert stalled.digest() == small_result.digest()
 
     def test_run_is_not_trivially_empty(self, small_result):
         s = small_result.summary
