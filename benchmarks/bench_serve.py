@@ -47,11 +47,8 @@ from repro.obs.bench import (  # noqa: E402
     compare_bench,
     load_bench_doc,
 )
-from repro.obs.reqtrace import (  # noqa: E402
-    load_reqtrace_dir,
-    reqtrace_dir,
-    write_req_trace,
-)
+from repro.obs.records import telemetry_dir, write_json  # noqa: E402
+from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc  # noqa: E402
 from repro.serve.workload import run_bench_grid  # noqa: E402
 
 ARTIFACT = "BENCH_serve.json"
@@ -127,12 +124,12 @@ def main(argv=None):
     print(f"\nwrote {artifact}")
 
     if args.req_trace:
-        records = load_reqtrace_dir(reqtrace_dir())
+        records = load_reqtrace_dir(telemetry_dir())
         if not records:
             print("FAIL: --req-trace captured no request spans")
             return 1
         trace_path = out_dir() / "req_trace.json"
-        write_req_trace(records, trace_path)
+        write_json(trace_path, req_trace_doc(records))
         print(f"wrote {trace_path} ({len(records)} span(s))")
 
     # Feed the serve perf trajectory on every local run too, not only

@@ -290,11 +290,14 @@ def main(argv=None):
     print(f"\nwrote {artifact}")
 
     if args.epoch_trace:
-        from repro.obs.epochs import epoch_trace_dir, load_epoch_dir, write_epoch_trace
+        from repro.obs.epochs import epoch_trace_doc, load_epoch_dir
+        from repro.obs.records import telemetry_dir, write_json
 
-        records = load_epoch_dir(epoch_trace_dir(out_dir()))
+        records = load_epoch_dir(telemetry_dir(out_dir()))
         if records:
-            trace = write_epoch_trace(records, out_dir() / "epoch_trace.json")
+            trace = write_json(
+                out_dir() / "epoch_trace.json", epoch_trace_doc(records)
+            )
             print(f"wrote {trace}")
         else:
             print("no epoch spans recorded (all traced points single-shard?)")

@@ -41,6 +41,7 @@ from repro.analysis.export import clients_to_csv, session_to_json
 from repro.experiments.attackers import ATTACKER_NAMES, make_attacker
 from repro.experiments.calibration import all_profiles, default_city, venue_profile
 from repro.experiments.runner import run_experiment, shared_wigle
+from repro.obs.records import telemetry_dir, write_json, write_jsonl
 from repro.util.tables import render_table
 
 ATTACKERS = ATTACKER_NAMES
@@ -117,10 +118,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f.write(session_to_json(result.session, label=args.attacker))
         print(f"summary written to {args.json}")
     if args.lineage_out:
-        from repro.obs.lineage import write_chrome_trace
+        from repro.obs.lineage import chrome_trace_doc
 
         lineage = result.attacker.sim.lineage
-        write_chrome_trace(lineage.records(), args.lineage_out)
+        write_json(args.lineage_out, chrome_trace_doc(lineage.records()))
         print(
             f"{len(lineage)} lineage records "
             f"({lineage.dropped} dropped) written to {args.lineage_out} "
@@ -362,9 +363,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             until=args.until,
         )
         if args.jsonl:
-            with open(args.jsonl, "w") as f:
-                for event in events:
-                    f.write(json.dumps(event, sort_keys=True) + "\n")
+            write_jsonl(args.jsonl, events, mode="w")
             print(f"{len(events)} events written to {args.jsonl}")
         else:
             for event in events:
@@ -440,13 +439,9 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 def _cmd_obs_watch(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.telemetry import (
-        heartbeat_dir,
-        render_watch,
-        watch_snapshot,
-    )
+    from repro.obs.telemetry import render_watch, watch_snapshot
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     while True:
         rows = watch_snapshot(directory, stall_after_s=args.stall_after)
         print(render_watch(rows, args.stall_after))
@@ -459,13 +454,9 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.telemetry import (
-        fleet_snapshot,
-        heartbeat_dir,
-        render_top,
-    )
+    from repro.obs.telemetry import fleet_snapshot, render_top
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     while True:
         doc = fleet_snapshot(
             directory,
@@ -485,10 +476,9 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
     from repro.obs.artifacts import artifact_path
-    from repro.obs.epochs import load_epoch_dir, write_epoch_trace
-    from repro.obs.telemetry import heartbeat_dir
+    from repro.obs.epochs import epoch_trace_doc, load_epoch_dir
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     records = load_epoch_dir(directory)
     if not records:
         print(
@@ -497,7 +487,9 @@ def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    path = write_epoch_trace(records, args.out or artifact_path("epoch_trace"))
+    path = write_json(
+        args.out or artifact_path("epoch_trace"), epoch_trace_doc(records)
+    )
     spans = sum(len(r) for r in records.values())
     print(
         f"{spans} epoch spans across {len(records)} shard(s) written to "
@@ -508,10 +500,9 @@ def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
 
 def _cmd_obs_serve_trace(args: argparse.Namespace) -> int:
     from repro.obs.artifacts import artifact_path
-    from repro.obs.reqtrace import load_reqtrace_dir, write_req_trace
-    from repro.obs.telemetry import heartbeat_dir
+    from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     records = load_reqtrace_dir(directory)
     if not records:
         print(
@@ -520,7 +511,9 @@ def _cmd_obs_serve_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    path = write_req_trace(records, args.out or artifact_path("req_trace"))
+    path = write_json(
+        args.out or artifact_path("req_trace"), req_trace_doc(records)
+    )
     seqs = {r["seq"] for r in records}
     print(
         f"{len(records)} request spans over {len(seqs)} event(s) "
@@ -671,9 +664,7 @@ def _cmd_shards_run(args: argparse.Namespace) -> int:
         },
     }
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, doc, indent=2)
     summary = result.session_summary()
     print(
         "sharded city: %d shards (%s), %d epochs"
@@ -725,9 +716,7 @@ def _cmd_shards_golden(args: argparse.Namespace) -> int:
         % (args.shards or "env", ", chaos" if args.chaos else "", digest)
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, doc, indent=2)
     if args.check:
         with open(args.check) as fh:
             expected = fh.read().strip()
@@ -799,11 +788,9 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     doc = serve_metrics_doc(
         service, seed=args.seed, venue=args.venue
     )
-    metrics_path = pathlib.Path(args.metrics_out or artifact_path("metrics"))
-    metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(metrics_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    metrics_path = write_json(
+        args.metrics_out or artifact_path("metrics"), doc, indent=2
+    )
     prom_path = write_prom(doc, metrics_path.with_suffix(".prom"))
     samples = validate_prom_text(prom_path.read_text())
     print(f"metrics written to {metrics_path}")
@@ -877,18 +864,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     ))
     print(f"max sustained probes/s: {doc['max_probes_per_s']}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, doc, indent=2)
         print(f"benchmark document written to {args.json}")
     if args.req_trace:
         from repro.obs.artifacts import artifact_path
-        from repro.obs.reqtrace import load_reqtrace_dir, write_req_trace
-        from repro.obs.telemetry import heartbeat_dir
+        from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc
 
-        records = load_reqtrace_dir(heartbeat_dir())
+        records = load_reqtrace_dir(telemetry_dir())
         if records:
-            path = write_req_trace(records, artifact_path("req_trace"))
+            path = write_json(artifact_path("req_trace"), req_trace_doc(records))
             print(
                 f"{len(records)} request spans from the heaviest grid "
                 f"point written to {path} (Chrome trace-event JSON)"

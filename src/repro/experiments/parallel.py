@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import pathlib
 import time
@@ -87,12 +86,9 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.faults.chaos import InjectedWorkerCrash, mark_pool_worker, maybe_crash
 from repro.faults.plan import FaultPlan
-from repro.obs.artifacts import (
-    LEGACY_TIMINGS_DIR_ENV,
-    artifact_path,
-    ensure_artifact_dir,
-)
+from repro.obs.artifacts import LEGACY_TIMINGS_DIR_ENV, artifact_path
 from repro.obs.profiler import merge_profiles
+from repro.obs.records import read_jsonl, write_json, write_jsonl
 from repro.obs.registry import (
     METRICS_SCHEMA,
     MetricsRegistry,
@@ -446,17 +442,8 @@ class RunCheckpoint:
         self.restored = 0
         """Runs served from this checkpoint by the current invocation."""
 
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # truncated mid-append; the spec just re-runs
-                if record.get("schema") != CHECKPOINT_SCHEMA:
-                    continue
+        for record in read_jsonl(self.path, "schema", "digest", "result"):
+            if record["schema"] == CHECKPOINT_SCHEMA:
                 self._done[record["digest"]] = record["result"]
 
     @classmethod
@@ -482,17 +469,13 @@ class RunCheckpoint:
         doc = _summary_to_doc(result)
         self._done[digest] = doc
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "digest": digest,
-                "tag": result.spec.tag,
-                "result": doc,
-            },
-            sort_keys=True,
-        )
-        with self.path.open("a") as f:
-            f.write(line + "\n")
+        record = {
+            "schema": CHECKPOINT_SCHEMA,
+            "digest": digest,
+            "tag": result.spec.tag,
+            "result": doc,
+        }
+        write_jsonl(self.path, (record,))
 
 
 # -- single-run execution --------------------------------------------------
@@ -1008,9 +991,7 @@ def write_metrics(
     if not resolve_bool_env(METRICS_ENV, True):
         return None
     doc = metrics_doc(results, workers, timings=timings)
-    ensure_artifact_dir()
-    path = metrics_path(name)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path = write_json(metrics_path(name), doc, indent=2)
     # Scrape-able twin of the JSON artefact: same merged counters and
     # gauges in Prometheus text exposition format, for node_exporter's
     # textfile collector or a CI health check (``repro obs prom``
@@ -1088,10 +1069,7 @@ def write_timings(
         doc = timings_doc(
             results, workers, total_wall, cache_build=cache_build
         )
-    path = timings_path(name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+    return write_json(timings_path(name), doc, indent=2)
 
 
 def write_batch_profile(
@@ -1107,9 +1085,4 @@ def write_batch_profile(
     ]
     if not docs:
         return None
-    ensure_artifact_dir()
-    path = artifact_path(name)
-    path.write_text(
-        json.dumps(merge_profiles(docs), indent=2, sort_keys=True) + "\n"
-    )
-    return path
+    return write_json(artifact_path(name), merge_profiles(docs), indent=2)

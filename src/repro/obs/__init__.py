@@ -4,7 +4,10 @@ The package gives every run three cheap, always-on artefact streams —
 a :class:`MetricsRegistry` of counters/gauges/histograms, a capped
 :class:`EventSink` of structured events, and span/timer context
 managers — plus the single artefact-directory resolution rule shared by
-the timings and metrics writers.
+the timings and metrics writers.  :mod:`~repro.obs.records` is the
+record plumbing every recorder shares: the bounded ring, the telemetry
+directory, ``.old`` rotation, the JSONL writer and reader, the JSON
+document writer and the Chrome trace-event builder.
 
 On top of those sit the opt-in deep-observability layers (see
 OBSERVABILITY.md): causal :mod:`~repro.obs.lineage` tracing with Chrome
@@ -26,11 +29,15 @@ from repro.obs.artifacts import (
     artifact_path,
     ensure_artifact_dir,
 )
-from repro.obs.events import (
-    DEFAULT_MAX_EVENTS,
-    EventSink,
+from repro.obs.events import DEFAULT_MAX_EVENTS, EventSink
+from repro.obs.records import (
+    ChromeTrace,
+    Ring,
     read_jsonl,
-    write_events_jsonl,
+    telemetry_dir,
+    validate_chrome_trace,
+    write_json,
+    write_jsonl,
 )
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -52,7 +59,6 @@ from repro.obs.reqtrace import (
     read_reqtrace_records,
     req_trace_doc,
     resolve_req_trace,
-    write_req_trace,
 )
 from repro.obs.slo import (
     SLO_SCHEMA,
@@ -76,7 +82,6 @@ from repro.obs.epochs import (
     maybe_epoch_tracer,
     read_epoch_records,
     resolve_epoch_trace,
-    write_epoch_trace,
 )
 from repro.obs.lineage import (
     LINEAGE_ENV,
@@ -84,8 +89,6 @@ from repro.obs.lineage import (
     chrome_trace_doc,
     hunt_story,
     load_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.profiler import (
     PROFILE_ENV,
@@ -96,7 +99,6 @@ from repro.obs.profiler import (
     profile_collapsed,
     render_hot_table,
     write_collapsed,
-    write_profile,
 )
 from repro.obs.prom import (
     PROM_ARTIFACT,
@@ -111,11 +113,8 @@ from repro.obs.telemetry import (
     HEARTBEAT_ENV,
     SERVE_HEARTBEAT_ENV,
     HeartbeatWriter,
-    clear_heartbeats,
     fleet_snapshot,
-    heartbeat_dir,
     maybe_heartbeat,
-    read_heartbeats,
     render_top,
     render_watch,
     resolve_serve_heartbeat_interval,
@@ -131,8 +130,13 @@ __all__ = [
     "ensure_artifact_dir",
     "DEFAULT_MAX_EVENTS",
     "EventSink",
+    "ChromeTrace",
+    "Ring",
     "read_jsonl",
-    "write_events_jsonl",
+    "telemetry_dir",
+    "validate_chrome_trace",
+    "write_json",
+    "write_jsonl",
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
     "FixedHistogram",
@@ -150,7 +154,6 @@ __all__ = [
     "read_reqtrace_records",
     "req_trace_doc",
     "resolve_req_trace",
-    "write_req_trace",
     "SLO_SCHEMA",
     "ServeSlo",
     "default_slo",
@@ -166,8 +169,6 @@ __all__ = [
     "chrome_trace_doc",
     "hunt_story",
     "load_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
     "PROFILE_ENV",
     "PROFILE_SCHEMA",
     "SimProfiler",
@@ -176,7 +177,6 @@ __all__ = [
     "profile_collapsed",
     "render_hot_table",
     "write_collapsed",
-    "write_profile",
     "EPOCH_TRACE_ENV",
     "EpochTracer",
     "epoch_trace_doc",
@@ -184,7 +184,6 @@ __all__ = [
     "maybe_epoch_tracer",
     "read_epoch_records",
     "resolve_epoch_trace",
-    "write_epoch_trace",
     "PROM_ARTIFACT",
     "parse_prom_text",
     "prom_lines",
@@ -195,11 +194,8 @@ __all__ = [
     "SERVE_HEARTBEAT_ENV",
     "resolve_serve_heartbeat_interval",
     "HeartbeatWriter",
-    "clear_heartbeats",
     "fleet_snapshot",
-    "heartbeat_dir",
     "maybe_heartbeat",
-    "read_heartbeats",
     "render_top",
     "render_watch",
     "watch_snapshot",

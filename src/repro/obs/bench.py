@@ -18,6 +18,8 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Union
 
+from repro.obs.records import write_jsonl
+
 BENCH_TOLERANCE_DEFAULT = 0.05
 """Allowed fractional regression before the gate fails (5 %)."""
 
@@ -228,6 +230,5 @@ def append_trajectory(
     }
     if meta:
         entry.update(meta)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_jsonl(path, (entry,))
     return path

@@ -9,8 +9,8 @@ records exactly that.
 
 With ``REPRO_EPOCH_TRACE`` set (truthy), every
 :class:`~repro.sim.shards.shard.ShardRuntime` owns an
-:class:`EpochTracer` that appends one JSON record per phase to
-``<artifact_dir>/telemetry/epochs-<k>.jsonl``:
+:class:`EpochTracer` that appends one record per phase to its own
+``epochs-<k>.jsonl`` in the telemetry directory:
 
 * wall-clock start/duration of the phase (``wall``/``wall_s``);
 * time spent waiting at the barrier before the phase (``barrier_s`` —
@@ -20,36 +20,33 @@ With ``REPRO_EPOCH_TRACE`` set (truthy), every
 * handed-in record counts by kind (``in``) and handed-out record
   counts and bytes by destination shard (``out``/``out_bytes``).
 
-Files are append-only with one writer each, exactly like the heartbeat
-files — the live aggregator (``repro obs top``) only reads.
-
-Determinism contract: the tracer only observes.  It never draws from an
-RNG stream, never touches the workload metrics, never schedules an
-event — golden digests are bit-identical with tracing on or off
-(asserted in ``tests/test_shard_golden.py``).
-
-Exports: :func:`epoch_trace_doc` renders the records as Chrome
-trace-event JSON with one track per shard, a span per phase, a span per
-barrier wait, and flow arrows for every cross-shard handoff batch — an
-epoch-barrier stall reads as one visibly long span in Perfetto.  That
-is the ``repro obs shard-trace`` CLI.
+:func:`epoch_trace_doc` maps the records to Chrome trace events: one
+track per shard, a span per phase, a span per barrier wait, and flow
+arrows for every cross-shard handoff batch — an epoch-barrier stall
+reads as one visibly long span in Perfetto.  That is the ``repro obs
+shard-trace`` CLI.  Golden digests are bit-identical with tracing on
+or off (asserted in ``tests/test_shard_golden.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time as _time
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.records import (
+    ChromeTrace,
+    read_jsonl,
+    rotate,
+    telemetry_dir,
+    write_jsonl,
+)
 from repro.util.settings import parse_bool_setting
 
 EPOCH_TRACE_ENV = "REPRO_EPOCH_TRACE"
 
 EPOCH_FILE_PREFIX = "epochs-"
-TELEMETRY_SUBDIR = "telemetry"
 
 #: Phases in barrier order within one epoch.
 PHASES = ("a", "b")
@@ -66,19 +63,11 @@ def resolve_epoch_trace(value: Optional[str] = None) -> bool:
     return parse_bool_setting(EPOCH_TRACE_ENV, value)
 
 
-def epoch_trace_dir(
-    base: Optional[Union[str, pathlib.Path]] = None,
-) -> pathlib.Path:
-    """Directory the epoch files live in (shared with heartbeats)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
-
-
 def epoch_file(
     shard_id: int, base: Optional[Union[str, pathlib.Path]] = None
 ) -> pathlib.Path:
     """Path of one shard's epoch-span file."""
-    return epoch_trace_dir(base) / ("%s%d.jsonl" % (EPOCH_FILE_PREFIX, shard_id))
+    return telemetry_dir(base) / ("%s%d.jsonl" % (EPOCH_FILE_PREFIX, shard_id))
 
 
 def _record_bytes(records) -> int:
@@ -91,9 +80,8 @@ class EpochTracer:
     """Append-only per-shard epoch recorder (one instance per shard).
 
     The shard calls :meth:`record` once per phase, after the phase ran
-    and its outboxes are assembled.  The first record rotates any
-    leftover file from a previous run to ``<name>.old`` so epoch counts
-    are never inflated by stale runs.
+    and its outboxes are assembled.  The first record rotates a previous
+    run's file away, so epoch counts are never inflated by stale runs.
     """
 
     def __init__(
@@ -111,12 +99,6 @@ class EpochTracer:
         self._clock = clock
         self._opened = False
 
-    def _open(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            self.path.replace(self.path.with_name(self.path.name + ".old"))
-        self._opened = True
-
     def record(
         self,
         epoch: int,
@@ -132,7 +114,8 @@ class EpochTracer:
         carries phase-specific fields (e.g. checkpoint ``bytes`` on
         ``"c"`` records) and never overrides the core keys."""
         if not self._opened:
-            self._open()
+            rotate(self.path)
+            self._opened = True
         rec = {
             "wall": self._clock(),
             "shard": self.shard_id,
@@ -149,8 +132,7 @@ class EpochTracer:
         if extra:
             for key, value in extra.items():
                 rec.setdefault(key, value)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec) + "\n")
+        write_jsonl(self.path, (rec,))
 
 
 def maybe_epoch_tracer(
@@ -172,24 +154,8 @@ def maybe_epoch_tracer(
 
 
 def read_epoch_records(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All epoch records in one shard file.
-
-    Torn or partial lines (a shard killed mid-write) are skipped, the
-    same tolerance the heartbeat reader applies.
-    """
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict) and "epoch" in rec and "phase" in rec:
-                out.append(rec)
-    return out
+    """All epoch records in one shard file."""
+    return read_jsonl(path, "epoch", "phase")
 
 
 def load_epoch_dir(
@@ -213,44 +179,22 @@ def load_epoch_dir(
 # -- Chrome trace-event export ----------------------------------------------
 
 
-def _span_name(rec: dict) -> str:
-    return "epoch %d %s" % (rec["epoch"], rec["phase"].upper())
-
-
 def epoch_trace_doc(records_by_shard: Dict[int, List[dict]]) -> dict:
     """Chrome trace-event JSON for the epoch spans of one run.
 
-    One track (``tid``) per shard.  Every phase becomes a complete
-    (``X``) event whose duration is the phase wall time; the barrier
-    wait before it becomes its own dimmer ``barrier`` span, so a stall
-    at a barrier is a visibly long box.  Every non-empty handoff batch
-    becomes a flow arrow (``s``/``f``) from the emitting phase span to
-    the receiving shard's matching span — X1 lands in the same epoch's
-    phase B, X2 and migrations land in the next epoch's phase A.
+    One track per shard (``tid`` = shard id).  Every phase becomes a
+    span whose duration is the phase wall time; the barrier wait before
+    it becomes its own dimmer ``barrier`` span, so a stall at a barrier
+    is a visibly long box.  Every non-empty handoff batch becomes a flow
+    arrow from the end of the emitting phase to the receiving shard's
+    matching span — X1 lands in the same epoch's phase B, X2 and
+    migrations land in the next epoch's phase A.
     """
-    events: List[dict] = [
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": "repro-shards"},
-        }
-    ]
+    trace = ChromeTrace("repro-shards")
     starts: Dict[tuple, float] = {}
     t0 = None
     for shard_id, records in records_by_shard.items():
-        events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": 1,
-                "tid": shard_id,
-                "name": "thread_name",
-                "args": {"name": "shard %d" % shard_id},
-            }
-        )
+        trace.track("shard %d" % shard_id, tid=shard_id)
         for rec in records:
             start = float(rec["wall"]) - float(rec["wall_s"])
             starts[(shard_id, int(rec["epoch"]), rec["phase"])] = start
@@ -262,93 +206,50 @@ def epoch_trace_doc(records_by_shard: Dict[int, List[dict]]) -> dict:
     def ts(wall: float) -> float:
         return round((wall - t0) * 1e6, 1)
 
-    flow_id = 0
     for shard_id, records in records_by_shard.items():
         for rec in records:
             epoch = int(rec["epoch"])
             phase = rec["phase"]
             start = starts[(shard_id, epoch, phase)]
-            if rec.get("barrier_s", 0.0) > 0.0:
-                events.append(
-                    {
-                        "ph": "X",
-                        "ts": ts(start - float(rec["barrier_s"])),
-                        "dur": round(float(rec["barrier_s"]) * 1e6, 1),
-                        "pid": 1,
-                        "tid": shard_id,
-                        "name": "barrier",
-                        "cat": "barrier",
-                        "args": {"epoch": epoch, "before_phase": phase},
-                    }
+            wall_s, barrier_s = float(rec["wall_s"]), float(rec["barrier_s"])
+            if barrier_s > 0.0:
+                trace.span(
+                    shard_id,
+                    ts(start - barrier_s),
+                    round(barrier_s * 1e6, 1),
+                    "barrier",
+                    "barrier",
+                    {"epoch": epoch, "before_phase": phase},
                 )
-            events.append(
+            trace.span(
+                shard_id,
+                ts(start),
+                round(wall_s * 1e6, 1),
+                "epoch %d %s" % (epoch, phase.upper()),
+                "phase",
                 {
-                    "ph": "X",
-                    "ts": ts(start),
-                    "dur": round(float(rec["wall_s"]) * 1e6, 1),
-                    "pid": 1,
-                    "tid": shard_id,
-                    "name": _span_name(rec),
-                    "cat": "phase",
-                    "args": {
-                        "epoch": epoch,
-                        "phase": phase,
-                        "in": rec.get("in", {}),
-                        "out": rec.get("out", {}),
-                        "out_bytes": rec.get("out_bytes", 0),
-                    },
-                }
+                    "epoch": epoch,
+                    "phase": phase,
+                    "in": rec.get("in", {}),
+                    "out": rec.get("out", {}),
+                    "out_bytes": rec.get("out_bytes", 0),
+                },
             )
-            # Flow arrows: phase A feeds the same epoch's phase B on the
-            # destination shard (X1); phase B feeds the next epoch's
-            # phase A (X2, buffered one epoch like the protocol).
-            if phase == "a":
-                target = lambda dest: (dest, epoch, "b")  # noqa: E731
-            else:
-                target = lambda dest: (dest, epoch + 1, "a")  # noqa: E731
+            # Phase A feeds the same epoch's phase B on the destination
+            # shard (X1); phase B feeds the next epoch's phase A (X2,
+            # buffered one epoch like the protocol).
+            lands = (epoch, "b") if phase == "a" else (epoch + 1, "a")
             for dest_str, count in rec.get("out", {}).items():
                 dest = int(dest_str)
-                key = target(dest)
+                key = (dest,) + lands
                 if not count or key not in starts:
                     continue
-                flow_id += 1
-                end = start + float(rec["wall_s"])
-                events.append(
-                    {
-                        "ph": "s",
-                        "ts": ts(end),
-                        "pid": 1,
-                        "tid": shard_id,
-                        "id": flow_id,
-                        "name": "handoff",
-                        "cat": "handoff",
-                        "args": {"records": count, "to": dest},
-                    }
+                trace.flow(
+                    "handoff",
+                    "handoff",
+                    (shard_id, ts(start + wall_s)),
+                    (dest, ts(starts[key])),
+                    src_args={"records": count, "to": dest},
+                    dst_args={"records": count, "from": shard_id},
                 )
-                events.append(
-                    {
-                        "ph": "f",
-                        "bp": "e",
-                        "ts": ts(starts[key]),
-                        "pid": 1,
-                        "tid": dest,
-                        "id": flow_id,
-                        "name": "handoff",
-                        "cat": "handoff",
-                        "args": {"records": count, "from": shard_id},
-                    }
-                )
-    events.sort(key=lambda e: (e["ts"], e["tid"], e["ph"]))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_epoch_trace(
-    records_by_shard: Dict[int, List[dict]],
-    path: Union[str, pathlib.Path],
-) -> pathlib.Path:
-    """Write :func:`epoch_trace_doc` to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = epoch_trace_doc(records_by_shard)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path
+    return trace.doc(by_time=True)

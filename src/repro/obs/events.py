@@ -1,26 +1,22 @@
-"""Buffered structured-event sink with a bounded ring buffer.
+"""Buffered structured-event sink on a bounded ring.
 
 The sink is the exportable counterpart of :class:`~repro.sim.tracing.Trace`:
 low-frequency, *structured* events (phase spans, PB/FB swaps, deauth
-cycles) written as dicts, capped so it can stay enabled during the full
-Fig. 5 sweeps, and serialisable to JSON Lines for offline analysis.
-
-When the buffer is full the *oldest* events are evicted and counted in
-``dropped`` — recent history is what post-mortems want, and the drop
-counter keeps the loss honest in the artefact.
+cycles) kept as dicts, capped so it can stay enabled during the full
+Fig. 5 sweeps.  The executor ships each run's events in its result,
+and ``repro obs events`` exports them as JSON Lines.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, List
+
+from repro.obs.records import Ring
 
 DEFAULT_MAX_EVENTS = 65_536
 
 
-class EventSink:
+class EventSink(Ring):
     """Capped, append-only store of timestamped event dicts."""
 
     def __init__(
@@ -28,75 +24,13 @@ class EventSink:
         max_events: int = DEFAULT_MAX_EVENTS,
         enabled: bool = True,
     ):
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1, got %r" % max_events)
-        self.enabled = enabled
-        self.max_events = max_events
-        self._buf: "deque[Dict[str, object]]" = deque(maxlen=max_events)
-        self.dropped = 0
+        super().__init__(max_events, enabled)
 
     def emit(self, time: float, kind: str, **fields: object) -> None:
         """Record one event (no-op when disabled)."""
-        if not self.enabled:
-            return
-        if len(self._buf) == self.max_events:
-            self.dropped += 1
-        event: Dict[str, object] = {"time": time, "kind": kind}
-        event.update(fields)
-        self._buf.append(event)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self) -> Iterator[Dict[str, object]]:
-        return iter(self._buf)
-
-    def records(self) -> List[Dict[str, object]]:
-        """All retained events, oldest first."""
-        return list(self._buf)
+        if self.enabled:
+            self.append({"time": time, "kind": kind, **fields})
 
     def of_kind(self, kind: str) -> List[Dict[str, object]]:
         """Retained events of one kind, oldest first."""
-        return [e for e in self._buf if e.get("kind") == kind]
-
-    def write_jsonl(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the retained events as JSON Lines; returns the path."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as f:
-            for event in self._buf:
-                f.write(json.dumps(event, sort_keys=True) + "\n")
-        return path
-
-
-def write_events_jsonl(
-    events: Iterable[Dict[str, object]],
-    path: Union[str, pathlib.Path],
-    run: Optional[str] = None,
-) -> int:
-    """Append event dicts to a JSONL file; returns the line count written.
-
-    ``run`` tags every line with its originating run so the per-run
-    streams of one batch can share a file and still be separable.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("a") as f:
-        for event in events:
-            if run is not None:
-                event = {"run": run, **event}
-            f.write(json.dumps(event, sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, object]]:
-    """Load a JSONL event file back into a list of dicts."""
-    out: List[Dict[str, object]] = []
-    with pathlib.Path(path).open() as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        return [e for e in self._ring if e.get("kind") == kind]

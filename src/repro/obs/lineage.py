@@ -24,24 +24,22 @@ station and free-form attributes.  Causality is threaded two ways:
   receiver emits synchronously (a response burst, a hit record) becomes
   a child of that delivery without the receiver knowing about frames.
 
-Determinism contract: the tracer only *observes*.  It never draws from
-any RNG stream, never schedules events, never touches the metrics
-registry or the event sink — so the golden-master digests are
-bit-identical with lineage off and on (asserted by the golden tests).
-
-Exports: :func:`write_chrome_trace` renders records as Chrome
-trace-event JSON (loadable in Perfetto / ``chrome://tracing``), with
-flow arrows along parent links; :func:`hunt_story` reconstructs one
-client's full hunt story — the ``repro obs lineage <mac>`` CLI.
+The tracer only observes, so golden digests are bit-identical with
+lineage off and on (asserted by the golden tests).  Its records live in
+a :class:`~repro.obs.records.Ring`; :func:`chrome_trace_doc` puts them
+on one track per station with flow arrows along parent links, and
+:func:`hunt_story` reconstructs one client's full hunt story — the
+``repro obs lineage <mac>`` CLI.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.obs.records import ChromeTrace, Ring, validate_chrome_trace
 from repro.util.settings import resolve_bool_env, resolve_int_env
 
 LINEAGE_ENV = "REPRO_LINEAGE"
@@ -56,11 +54,6 @@ up between its transmission and its delivery (plus the scan window a
 phone holds candidate responses), so the map only needs to cover the
 frames currently in flight — 64k is orders of magnitude above any
 simulated air."""
-
-TRACE_EVENT_REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
-"""Keys every exported trace event must carry (the schema contract the
-tests pin)."""
-
 
 Ctx = Tuple[int, int]
 """A lineage context: (node id, root trace id)."""
@@ -84,7 +77,7 @@ class _Pushed:
         self._ln.current = self._prev
 
 
-class LineageTrace:
+class LineageTrace(Ring):
     """Bounded, append-only store of causal lineage records."""
 
     def __init__(
@@ -96,12 +89,7 @@ class LineageTrace:
             enabled = resolve_bool_env(LINEAGE_ENV, False)
         if max_records is None:
             max_records = resolve_int_env(LINEAGE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1, got %r" % max_records)
-        self.enabled = bool(enabled)
-        self.max_records = max_records
-        self._records: "deque[Dict[str, object]]" = deque(maxlen=max_records)
-        self.dropped = 0
+        super().__init__(max_records, enabled)
         self._next_id = 1
         self.current: Optional[Ctx] = None
         self._frame_ctx: "OrderedDict[int, Ctx]" = OrderedDict()
@@ -129,9 +117,7 @@ class LineageTrace:
         }
         if attrs:
             record.update(attrs)
-        if len(self._records) == self.max_records:
-            self.dropped += 1
-        self._records.append(record)
+        self.append(record)
         return (node, trace)
 
     def event(
@@ -198,14 +184,9 @@ class LineageTrace:
         """``with ln.push(ctx): ...`` — scope the current context."""
         return _Pushed(self, ctx)
 
-    # -- reading ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records(self) -> List[Dict[str, object]]:
         """All retained records, oldest first (plain dicts, JSON-safe)."""
-        return [dict(r) for r in self._records]
+        return [dict(r) for r in self._ring]
 
 
 # -- Chrome trace-event export ---------------------------------------------
@@ -220,134 +201,32 @@ def chrome_trace_doc(
 ) -> dict:
     """Render lineage records as a Chrome trace-event document.
 
-    Every record becomes one complete ("X") event — ``ts`` in
-    microseconds of simulated time, one ``tid`` per acting station —
-    and every parent link becomes a flow arrow ("s" → "f"), so Perfetto
-    draws the probe → burst → response → hit chain as connected arrows
-    across the per-station tracks.  The full lineage record rides along
-    in ``args`` so the document is also the machine-readable artefact
-    the ``repro obs lineage`` CLI reconstructs stories from.
+    Every record becomes one span — ``ts`` in microseconds of simulated
+    time, one track per acting station — and every parent link becomes
+    a flow arrow, so Perfetto draws the probe → burst → response → hit
+    chain as connected arrows across the per-station tracks.  The full
+    lineage record rides along in ``args`` so the document is also the
+    machine-readable artefact the ``repro obs lineage`` CLI
+    reconstructs stories from.
     """
-    events: List[dict] = []
-    tids: Dict[str, int] = {}
-    events.append(
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": pid,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": process_name},
-        }
-    )
-    by_id: Dict[int, Dict[str, object]] = {}
+    trace = ChromeTrace(process_name, pid)
     records = list(records)
+    by_id = {int(rec["id"]): rec for rec in records}
     for rec in records:
-        by_id[int(rec["id"])] = rec
-    for rec in records:
-        actor = str(rec.get("actor", "?"))
-        tid = tids.get(actor)
-        if tid is None:
-            tid = tids[actor] = len(tids) + 1
-            events.append(
-                {
-                    "ph": "M",
-                    "ts": 0,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": actor},
-                }
-            )
+        tid = trace.track(str(rec.get("actor", "?")))
         ts = round(float(rec["time"]) * 1e6)
-        name = str(rec["kind"])
-        if "ssid" in rec:
-            name = f"{name} {rec['ssid']}"
-        events.append(
-            {
-                "ph": "X",
-                "ts": ts,
-                "dur": 1,
-                "pid": pid,
-                "tid": tid,
-                "name": name,
-                "cat": str(rec["kind"]),
-                "args": {"lineage": rec},
-            }
-        )
+        kind = str(rec["kind"])
+        name = f"{kind} {rec['ssid']}" if "ssid" in rec else kind
+        trace.span(tid, ts, 1, name, kind, {"lineage": rec})
         parent = rec.get("parent")
-        if parent is not None and int(parent) in by_id:
-            parent_rec = by_id[int(parent)]
-            parent_actor = str(parent_rec.get("actor", "?"))
-            parent_tid = tids.get(parent_actor)
-            if parent_tid is None:
-                parent_tid = tids[parent_actor] = len(tids) + 1
-                events.append(
-                    {
-                        "ph": "M",
-                        "ts": 0,
-                        "pid": pid,
-                        "tid": parent_tid,
-                        "name": "thread_name",
-                        "args": {"name": parent_actor},
-                    }
-                )
-            flow = {
-                "ph": "s",
-                "ts": round(float(parent_rec["time"]) * 1e6),
-                "pid": pid,
-                "tid": parent_tid,
-                "name": "lineage",
-                "cat": "lineage",
-                "id": int(rec["id"]),
-            }
-            events.append(flow)
-            events.append(
-                {
-                    "ph": "f",
-                    "bp": "e",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": "lineage",
-                    "cat": "lineage",
-                    "id": int(rec["id"]),
-                }
+        parent_rec = by_id.get(int(parent)) if parent is not None else None
+        if parent_rec is not None:
+            src = (
+                trace.track(str(parent_rec.get("actor", "?"))),
+                round(float(parent_rec["time"]) * 1e6),
             )
-    return {
-        "schema": TRACE_SCHEMA,
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    }
-
-
-def write_chrome_trace(
-    records: Iterable[Dict[str, object]],
-    path: Union[str, pathlib.Path],
-    pid: int = 1,
-    process_name: str = "repro",
-) -> pathlib.Path:
-    """Write :func:`chrome_trace_doc` to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = chrome_trace_doc(records, pid=pid, process_name=process_name)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path
-
-
-def validate_chrome_trace(doc: dict) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a valid trace-event file."""
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        raise ValueError("trace document has no traceEvents list")
-    for i, event in enumerate(events):
-        for key in TRACE_EVENT_REQUIRED_KEYS:
-            if key not in event:
-                raise ValueError(
-                    "traceEvents[%d] missing required key %r" % (i, key)
-                )
-        if event["ph"] == "X" and "dur" not in event:
-            raise ValueError("traceEvents[%d] complete event lacks dur" % i)
+            trace.flow("lineage", "lineage", src, (tid, ts), int(rec["id"]))
+    return trace.doc(schema=TRACE_SCHEMA)
 
 
 def load_chrome_trace(path: Union[str, pathlib.Path]) -> List[Dict[str, object]]:

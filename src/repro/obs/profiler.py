@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.util.settings import resolve_bool_env
 
@@ -169,15 +169,6 @@ def render_hot_table(doc: dict, top: int = 15) -> str:
     return "\n".join(lines)
 
 
-def write_profile(
-    doc: dict, path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def load_profile(path: Union[str, pathlib.Path]) -> dict:
     doc = json.loads(pathlib.Path(path).read_text())
     if doc.get("schema") != PROFILE_SCHEMA:
@@ -193,10 +184,3 @@ def write_collapsed(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(profile_collapsed(doc, root=root)) + "\n")
     return path
-
-
-def load_profile_optional(path: Union[str, pathlib.Path]) -> Optional[dict]:
-    path = pathlib.Path(path)
-    if not path.exists():
-        return None
-    return load_profile(path)

@@ -1,6 +1,6 @@
 """Per-probe request tracing through the serving path.
 
-PR 5's lineage tracer answered *where did this hit come from* in the
+The lineage tracer answers *where did this hit come from* in the
 simulation; this module answers *where did this probe's microseconds
 go* in the serving plane.  When ``REPRO_REQ_TRACE`` is truthy, the
 :class:`~repro.serve.service.RankingService` records one span per
@@ -15,36 +15,32 @@ pipeline stage for every accepted event:
 * ``apply``       — decision emission: appending the burst decision and
   running the decision callback.
 
-**Observe-only, bounded.**  Spans land in an in-memory ring
-(:class:`RequestTrace`, capacity ``REPRO_REQ_TRACE_MAX``, default
-200 000 records) as plain dicts stamped with ``perf_counter`` readings.
-Nothing here draws from an RNG stream or schedules work, so decision
-streams and differential-parity digests are bit-identical with tracing
-on or off — the same contract the lineage and epoch tracers honour.
-When the ring is full the *oldest* spans are dropped and counted
-(``reqtrace.dropped`` gauge): under overload you keep the most recent
-window, which is the one you are debugging.
-
-**Files and export.**  ``RankingService.finish`` flushes the ring to
-``<artifact_dir>/telemetry/reqtrace-<pid>.jsonl`` (previous file
-rotated to ``.old``, like heartbeats).  :func:`req_trace_doc` folds one
-or more such files into Chrome trace-event JSON — an ingress track and
-a consumer track, with flow arrows following each sequence number from
-its ingress enqueue to its ``rank`` span — satisfying the same
-:func:`~repro.obs.lineage.validate_chrome_trace` contract as the
-lineage and epoch exporters.  ``repro obs serve-trace`` and ``repro
-serve bench --req-trace`` drive the export.
+Spans are plain dicts stamped with ``perf_counter`` readings, kept in a
+ring of ``REPRO_REQ_TRACE_MAX`` records (default 200 000; the
+``reqtrace.dropped`` gauge counts evictions).  Decision streams and
+differential-parity digests are bit-identical with tracing on or off.
+``RankingService.finish`` flushes the ring to ``reqtrace-<pid>.jsonl``
+in the telemetry directory; :func:`req_trace_doc` maps spans to Chrome
+trace events — an ingress track and a consumer track, with a flow
+arrow from each sequence number's ``enqueue`` to its ``rank`` span.
+``repro obs serve-trace`` and ``repro serve bench --req-trace`` drive
+the export.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-from collections import deque
 from typing import Dict, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.records import (
+    ChromeTrace,
+    Ring,
+    read_jsonl,
+    rotate,
+    telemetry_dir,
+    write_jsonl,
+)
 from repro.util.settings import parse_int_setting, resolve_bool_env, resolve_int_env
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
@@ -54,7 +50,6 @@ DEFAULT_MAX_RECORDS = 200_000
 """Ring capacity: at 4 spans per probe this holds the last ~50k probes."""
 
 REQTRACE_FILE_PREFIX = "reqtrace-"
-TELEMETRY_SUBDIR = "telemetry"
 
 #: Stage names in pipeline order; only ``enqueue`` runs on the ingress
 #: side, the rest on the consumer.
@@ -77,30 +72,15 @@ def resolve_req_trace_max(value: Optional[int] = None) -> int:
     return resolve_int_env(REQ_TRACE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
 
 
-def reqtrace_dir(
-    base: Optional[Union[str, pathlib.Path]] = None,
-) -> pathlib.Path:
-    """Directory request-trace files live in (same as heartbeats)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
-
-
-class RequestTrace:
+class RequestTrace(Ring):
     """Bounded in-memory ring of per-stage spans for one service.
 
     ``record`` is called from the serving hot path, so it does the
-    minimum: build one plain dict, append to a ``deque`` with
-    ``maxlen``.  Eviction of the oldest record is counted in
-    ``dropped`` so the export can say how much history was lost.
+    minimum: build one plain dict and append it to the ring.
     """
 
     def __init__(self, max_records: Optional[int] = None):
-        self.max_records = resolve_req_trace_max(max_records)
-        self._records: deque = deque(maxlen=self.max_records)
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
+        super().__init__(resolve_req_trace_max(max_records))
 
     def record(
         self,
@@ -111,8 +91,6 @@ class RequestTrace:
         **attrs: object,
     ) -> None:
         """Append one stage span (``start``/``dur`` in perf-counter s)."""
-        if len(self._records) == self.max_records:
-            self.dropped += 1
         rec: Dict[str, object] = {
             "stage": stage,
             "seq": int(seq),
@@ -122,32 +100,18 @@ class RequestTrace:
         for key, value in attrs.items():
             if value is not None:
                 rec[key] = value
-        self._records.append(rec)
-
-    def records(self) -> List[dict]:
-        """The retained spans, oldest first."""
-        return list(self._records)
+        self.append(rec)
 
     def flush(
         self, base: Optional[Union[str, pathlib.Path]] = None
     ) -> pathlib.Path:
-        """Write the retained spans to ``reqtrace-<pid>.jsonl``.
-
-        The previous file (an earlier run by the same pid) is rotated to
-        ``.old`` first, mirroring heartbeat rotation, so readers only
-        ever see the current run.
-        """
-        directory = reqtrace_dir(base)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / ("%s%d.jsonl" % (REQTRACE_FILE_PREFIX, os.getpid()))
-        if path.exists():
-            try:
-                path.replace(path.with_name(path.name + ".old"))
-            except OSError:
-                pass
-        with open(path, "w") as fh:
-            for rec in self._records:
-                fh.write(json.dumps(rec) + "\n")
+        """Write the retained spans to ``reqtrace-<pid>.jsonl``, rotating
+        an earlier run's file by the same pid away first."""
+        path = telemetry_dir(base) / (
+            "%s%d.jsonl" % (REQTRACE_FILE_PREFIX, os.getpid())
+        )
+        rotate(path)
+        write_jsonl(path, self._ring)
         return path
 
 
@@ -166,25 +130,8 @@ def maybe_request_trace(
 
 
 def read_reqtrace_records(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All spans in one reqtrace file (torn/malformed lines skipped)."""
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a killed service
-            if (
-                isinstance(rec, dict)
-                and "stage" in rec
-                and "seq" in rec
-                and "start" in rec
-            ):
-                out.append(rec)
-    return out
+    """All spans in one reqtrace file."""
+    return read_jsonl(path, "stage", "seq", "start")
 
 
 def load_reqtrace_dir(
@@ -214,41 +161,15 @@ CONSUMER_TID = 1
 def req_trace_doc(records: List[dict]) -> dict:
     """Chrome trace-event JSON for a list of request spans.
 
-    One ``X`` (complete) event per span on the ingress track (tid 0) or
-    the consumer track (tid 1); an ``s``/``f`` flow-arrow pair per
-    sequence number connecting the ingress ``enqueue`` span to its
-    ``rank`` span.  Passes
-    :func:`~repro.obs.lineage.validate_chrome_trace`; open in Perfetto /
-    ``chrome://tracing``.
+    One span per record on the ingress track (tid 0) or the consumer
+    track (tid 1); a flow arrow per sequence number from the end of its
+    ingress ``enqueue`` span to the start of its ``rank`` span.
     """
     if not records:
         raise ValueError("no request spans to export")
-    events: List[Dict[str, object]] = [
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": "repro-serve"},
-        },
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": INGRESS_TID,
-            "name": "thread_name",
-            "args": {"name": "ingress"},
-        },
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": CONSUMER_TID,
-            "name": "thread_name",
-            "args": {"name": "consumer"},
-        },
-    ]
+    trace = ChromeTrace("repro-serve", pid=0)
+    ingress = trace.track("ingress", tid=INGRESS_TID)
+    consumer = trace.track("consumer", tid=CONSUMER_TID)
     t0 = min(float(r["start"]) for r in records)
 
     def ts(start: float) -> float:
@@ -267,56 +188,20 @@ def req_trace_doc(records: List[dict]) -> dict:
         for key in ("mac", "etype", "kind"):
             if rec.get(key) is not None:
                 args[key] = rec[key]
-        events.append(
-            {
-                "ph": "X",
-                "ts": ts(float(rec["start"])),
-                "dur": round(float(rec.get("dur", 0.0)) * 1e6, 1),
-                "pid": 0,
-                "tid": INGRESS_TID if stage == "enqueue" else CONSUMER_TID,
-                "name": stage,
-                "cat": "serve",
-                "args": args,
-            }
+        trace.span(
+            ingress if stage == "enqueue" else consumer,
+            ts(float(rec["start"])),
+            round(float(rec.get("dur", 0.0)) * 1e6, 1),
+            stage,
+            "serve",
+            args,
         )
-    # Flow arrows: ingress enqueue -> that sequence's rank span.
-    flow_id = 0
     for seq in sorted(set(enqueue_by_seq) & set(rank_by_seq)):
         enq, rank = enqueue_by_seq[seq], rank_by_seq[seq]
-        flow_id += 1
-        events.append(
-            {
-                "ph": "s",
-                "ts": ts(float(enq["start"]) + float(enq.get("dur", 0.0))),
-                "pid": 0,
-                "tid": INGRESS_TID,
-                "name": "probe",
-                "cat": "serve.flow",
-                "id": flow_id,
-            }
+        trace.flow(
+            "probe",
+            "serve.flow",
+            (ingress, ts(float(enq["start"]) + float(enq.get("dur", 0.0)))),
+            (consumer, ts(float(rank["start"]))),
         )
-        events.append(
-            {
-                "ph": "f",
-                "bp": "e",
-                "ts": ts(float(rank["start"])),
-                "pid": 0,
-                "tid": CONSUMER_TID,
-                "name": "probe",
-                "cat": "serve.flow",
-                "id": flow_id,
-            }
-        )
-    events.sort(key=lambda e: (e["ts"], e["tid"], e["ph"]))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_req_trace(
-    records: List[dict], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Export spans as a Chrome trace file; returns the path."""
-    doc = req_trace_doc(records)
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc))
-    return path
+    return trace.doc(by_time=True)

@@ -1,13 +1,9 @@
 """Live executor telemetry: worker heartbeats and the stall watcher.
 
-PR 3 gave the executor a kill switch (``REPRO_SPEC_TIMEOUT_S``); this
-module gives it *visibility before the kill*.  When ``REPRO_HEARTBEAT``
-is set, every worker process in :mod:`repro.experiments.parallel`
-appends heartbeat records to its own JSONL file under
-``<artifact_dir>/telemetry/worker-<pid>.jsonl`` while a spec runs:
+When ``REPRO_HEARTBEAT`` is set, every worker process in
+:mod:`repro.experiments.parallel` appends heartbeat records to its own
+``worker-<pid>.jsonl`` in the telemetry directory while a spec runs:
 spec id, wall-clock timestamp, simulated-time fraction, and hits so far.
-One writer per process and append-only files mean no cross-process
-locking — the watcher only ever reads.
 
 ``repro obs watch`` tails those files and renders a live table; a
 worker whose newest heartbeat is older than ``--stall-after`` seconds
@@ -33,7 +29,6 @@ with heartbeats on or off.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pathlib
@@ -42,7 +37,7 @@ import time as _time
 from contextlib import nullcontext
 from typing import Callable, ContextManager, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.records import read_jsonl, rotate, telemetry_dir, write_jsonl
 from repro.util.settings import OFF_WORDS, ON_WORDS, parse_float_setting
 
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
@@ -51,7 +46,6 @@ SERVE_HEARTBEAT_ENV = "REPRO_SERVE_HEARTBEAT"
 DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
 DEFAULT_SHED_THRESHOLD = 0.05
-TELEMETRY_SUBDIR = "telemetry"
 
 #: Anomaly events of the sharded engine (crash / respawn / kill / ...).
 #: Written only when something goes wrong — clean runs never create it.
@@ -106,12 +100,6 @@ def resolve_serve_heartbeat_interval(
     return resolve_heartbeat_interval(value, SERVE_HEARTBEAT_ENV)
 
 
-def heartbeat_dir(base: Optional[Union[str, pathlib.Path]] = None) -> pathlib.Path:
-    """Directory heartbeat files live in (under the artefact dir)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
-
-
 class HeartbeatWriter:
     """Daemon thread appending progress records for one running spec.
 
@@ -148,7 +136,7 @@ class HeartbeatWriter:
         # pass ``shard-<k>`` so inline shards get distinct files too.
         if file_stem is None:
             file_stem = "worker-%d" % os.getpid()
-        self.path = heartbeat_dir(base_dir) / (file_stem + ".jsonl")
+        self.path = telemetry_dir(base_dir) / (file_stem + ".jsonl")
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._seq = 0
@@ -180,8 +168,7 @@ class HeartbeatWriter:
             except RuntimeError:
                 pass  # same torn-read tolerance as the progress callable
         self._seq += 1
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record) + "\n")
+        write_jsonl(self.path, (record,))
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):
@@ -190,17 +177,11 @@ class HeartbeatWriter:
     # -- context manager --------------------------------------------------
 
     def __enter__(self) -> "HeartbeatWriter":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Rotation on re-entry: a worker process (or inline shard stem)
-        # starting a new spec moves its previous file aside so the
-        # watcher's row — fractions, beat counts, done flags — only ever
-        # describes the *current* run.  ``.old`` does not match the
-        # watcher's ``*.jsonl`` globs.
-        if self.path.exists():
-            try:
-                self.path.replace(self.path.with_name(self.path.name + ".old"))
-            except OSError:
-                pass
+        # A worker process (or inline shard stem) starting a new spec
+        # rotates its previous file away, so the watcher's row —
+        # fractions, beat counts, done flags — only ever describes the
+        # *current* run.
+        rotate(self.path)
         self._write()
         self._thread = threading.Thread(
             target=self._loop, name="repro-heartbeat", daemon=True
@@ -264,7 +245,7 @@ def ops_events_path(
     base: Optional[Union[str, pathlib.Path]] = None,
 ) -> pathlib.Path:
     """Path of the shard-ops anomaly event file."""
-    return heartbeat_dir(base) / OPS_EVENTS_FILE
+    return telemetry_dir(base) / OPS_EVENTS_FILE
 
 
 def append_ops_event(
@@ -280,38 +261,15 @@ def append_ops_event(
     """
     path = ops_events_path(base)
     path.parent.mkdir(parents=True, exist_ok=True)
-    record = {"wall": clock(), "kind": kind}
-    record.update(fields)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
+    write_jsonl(path, ({"wall": clock(), "kind": kind, **fields},))
 
 
 def read_ops_events(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All ops events in one file ([] when absent; torn lines skipped)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [rec for rec in read_heartbeats(path) if "kind" in rec]
+    """All ops events in one file ([] when absent)."""
+    return read_jsonl(path, "kind")
 
 
 # -- the watcher ------------------------------------------------------------
-
-
-def read_heartbeats(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All heartbeat records in one worker file (bad lines skipped)."""
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a crashed worker
-            if isinstance(rec, dict):
-                out.append(rec)
-    return out
 
 
 def watch_snapshot(
@@ -340,7 +298,7 @@ def watch_snapshot(
         + list(directory.glob("serve-*.jsonl"))
     )
     for path in paths:
-        records = read_heartbeats(path)
+        records = read_jsonl(path)
         if not records:
             continue
         last = records[-1]
@@ -472,30 +430,6 @@ def render_watch(rows: List[dict], stall_after_s: float) -> str:
     return "\n".join(lines)
 
 
-def clear_heartbeats(
-    base: Optional[Union[str, pathlib.Path]] = None,
-) -> None:
-    """Remove stale worker files before a new batch starts."""
-    directory = heartbeat_dir(base)
-    if not directory.is_dir():
-        return
-    patterns = (
-        "worker-*.jsonl",
-        "shard-*.jsonl",
-        "serve-*.jsonl",
-        "reqtrace-*.jsonl",
-        "epochs-*.jsonl",
-        OPS_EVENTS_FILE,
-        "*.jsonl.old",
-    )
-    for pattern in patterns:
-        for path in directory.glob(pattern):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-
 # -- the fleet aggregator ---------------------------------------------------
 
 
@@ -598,8 +532,12 @@ def fleet_snapshot(
         for e in events
         if e.get("kind") in RECOVERY_EVENT_KINDS
     ]
-    recovery_active = bool(recovery_walls) and (
-        now - max(recovery_walls) <= stall_after_s
+    # A recovery is in flight while its events are recent and, when
+    # shards heartbeat, until every shard row reads done.
+    recovery_active = (
+        bool(recovery_walls)
+        and now - max(recovery_walls) <= stall_after_s
+        and not (shards and all(row["done"] for row in shards))
     )
     crashes_by_shard: dict = {}
     for e in crash_events:

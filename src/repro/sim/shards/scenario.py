@@ -64,9 +64,9 @@ class ShardScenario:
     seed: int = 0
     size_m: float = 960.0
     district_m: float = 120.0
-    """District edge — a multiple of the medium index cell
-    (:data:`~repro.dot11.medium.DEFAULT_INDEX_CELL_M`) keeps the
-    district seam aligned with the spatial-hash seam."""
+    """District edge: the cell of the
+    :class:`~repro.geo.grid.DistrictPartition` whose columns the shards
+    take as x-stripes."""
 
     epoch_s: float = 5.0
     reach_m: float = 60.0

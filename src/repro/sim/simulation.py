@@ -142,7 +142,7 @@ class Simulation:
         self.metrics.gauge_set("trace.cap", self.trace.max_records)
         self.metrics.gauge_set("events.buffered", len(self.events))
         self.metrics.gauge_set("events.dropped", self.events.dropped)
-        self.metrics.gauge_set("events.cap", self.events.max_events)
+        self.metrics.gauge_set("events.cap", self.events.max_records)
 
     def emit(self, kind: str, subject: str, detail: str = "") -> None:
         """Trace helper stamped with the current time."""

@@ -23,9 +23,8 @@ from repro.obs.epochs import (
     maybe_epoch_tracer,
     read_epoch_records,
     resolve_epoch_trace,
-    write_epoch_trace,
 )
-from repro.obs.lineage import validate_chrome_trace
+from repro.obs.records import validate_chrome_trace, write_json
 from repro.sim.shards import ShardScenario, run_sharded
 
 SCENARIO = ShardScenario(
@@ -206,8 +205,8 @@ class TestChromeExport:
         assert len(starts) == len(ends) == 2
 
     def test_write_epoch_trace(self, tmp_path):
-        path = write_epoch_trace(
-            _synthetic_records(), tmp_path / "sub" / "trace.json"
+        path = write_json(
+            tmp_path / "sub" / "trace.json", epoch_trace_doc(_synthetic_records())
         )
         doc = json.loads(path.read_text())
         validate_chrome_trace(doc)

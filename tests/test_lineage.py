@@ -17,14 +17,16 @@ from repro.experiments.calibration import venue_profile
 from repro.experiments.runner import run_experiment
 from repro.obs.lineage import (
     FRAME_MAP_CAP,
-    TRACE_EVENT_REQUIRED_KEYS,
     LineageTrace,
     chrome_trace_doc,
     client_traces,
     hunt_story,
     load_chrome_trace,
+)
+from repro.obs.records import (
+    TRACE_EVENT_REQUIRED_KEYS,
     validate_chrome_trace,
-    write_chrome_trace,
+    write_json,
 )
 
 
@@ -170,7 +172,7 @@ class TestChromeTraceExport:
 
     def test_write_load_roundtrip(self, tmp_path):
         records = self._records()
-        path = write_chrome_trace(records, tmp_path / "t" / "lineage.json")
+        path = write_json(tmp_path / "t" / "lineage.json", chrome_trace_doc(records))
         assert path.is_file()
         assert load_chrome_trace(path) == records
 
@@ -268,7 +270,7 @@ def lineage_records(city, wigle, tmp_path_factory):
     lineage = result.attacker.sim.lineage
     assert lineage.enabled
     path = tmp_path_factory.mktemp("lineage") / "lineage.json"
-    write_chrome_trace(lineage.records(), path)
+    write_json(path, chrome_trace_doc(lineage.records()))
     return result, path
 
 

@@ -16,8 +16,9 @@ from repro.analysis.observability import (
     trace_window_counts,
 )
 from repro.obs.artifacts import artifact_dir, artifact_path
-from repro.obs.events import EventSink, read_jsonl, write_events_jsonl
+from repro.obs.events import EventSink
 from repro.obs.lineage import LineageTrace
+from repro.obs.records import read_jsonl, write_jsonl
 from repro.obs.registry import (
     FixedHistogram,
     MetricsRegistry,
@@ -174,14 +175,9 @@ class TestEventSink:
         sink = EventSink()
         sink.emit(1.0, "span", name="run")
         sink.emit(2.0, "hit", ssid="Free WiFi")
-        path = sink.write_jsonl(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
+        write_jsonl(path, sink)
         assert read_jsonl(path) == sink.records()
-
-    def test_write_events_jsonl_tags_runs(self, tmp_path):
-        path = tmp_path / "all.jsonl"
-        write_events_jsonl([{"time": 1.0, "kind": "e"}], path, run="r0")
-        write_events_jsonl([{"time": 2.0, "kind": "e"}], path, run="r1")
-        assert [e["run"] for e in read_jsonl(path)] == ["r0", "r1"]
 
 
 class TestArtifactDir:

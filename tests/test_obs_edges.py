@@ -7,7 +7,8 @@ the main obs tests skip over.
 
 import pytest
 
-from repro.obs.events import EventSink, read_jsonl, write_events_jsonl
+from repro.obs.events import EventSink
+from repro.obs.records import read_jsonl, write_jsonl
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.spans import NullSpan, Span, maybe_span, span
 from repro.sim.simulation import Simulation
@@ -119,17 +120,10 @@ class TestEventSinkEdges:
 
     def test_write_jsonl_empty_sink(self, tmp_path):
         sink = EventSink()
-        path = sink.write_jsonl(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
+        write_jsonl(path, sink)
         assert path.read_text() == ""
         assert read_jsonl(path) == []
-
-    def test_append_with_run_tag(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        n = write_events_jsonl([{"time": 0.0, "kind": "a"}], path, run="r1")
-        n += write_events_jsonl([{"time": 1.0, "kind": "b"}], path, run="r2")
-        assert n == 2
-        events = read_jsonl(path)
-        assert [e["run"] for e in events] == ["r1", "r2"]
 
 
 class TestRegistryMergeEdges:

@@ -247,11 +247,11 @@ class TestMetricsArtefact:
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.2")
         run_specs(_quick_specs(n=1), workers=1)
-        from repro.obs.telemetry import read_heartbeats
+        from repro.obs.records import read_jsonl
 
         files = list((tmp_path / "telemetry").glob("worker-*.jsonl"))
         assert files
-        records = read_heartbeats(files[0])
+        records = read_jsonl(files[0])
         assert records[-1]["done"] is True
         assert records[-1]["fraction"] == 1.0
         assert records[0]["spec"].startswith("quick:0")

@@ -9,13 +9,12 @@ from repro.obs.profiler import (
     PROFILE_SCHEMA,
     SimProfiler,
     load_profile,
-    load_profile_optional,
     merge_profiles,
     profile_collapsed,
     render_hot_table,
     write_collapsed,
-    write_profile,
 )
+from repro.obs.records import write_json
 from repro.sim.simulation import Simulation
 
 
@@ -140,9 +139,8 @@ class TestMergeAndRender:
 
     def test_write_load_roundtrip(self, tmp_path):
         doc = self._doc()
-        path = write_profile(doc, tmp_path / "profile.json")
+        path = write_json(tmp_path / "profile.json", doc, indent=2)
         assert load_profile(path) == doc
-        assert load_profile_optional(tmp_path / "absent.json") is None
 
     def test_write_collapsed(self, tmp_path):
         doc = self._doc("X.h", calls=1, wall=0.001)
@@ -156,7 +154,7 @@ class TestCli:
         p.record("Medium._deliver", 0.1, 50.0)
         p.record("Phone._probe_channel", 0.05, 10.0)
         path = tmp_path / "profile.json"
-        write_profile(p.to_dict(), path)
+        write_json(path, p.to_dict(), indent=2)
         return path
 
     def test_profile_table(self, tmp_path, capsys):

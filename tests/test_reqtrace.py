@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.lineage import validate_chrome_trace
+from repro.obs.records import telemetry_dir, validate_chrome_trace, write_json
 from repro.obs.reqtrace import (
     DEFAULT_MAX_RECORDS,
     STAGES,
@@ -23,10 +23,8 @@ from repro.obs.reqtrace import (
     maybe_request_trace,
     read_reqtrace_records,
     req_trace_doc,
-    reqtrace_dir,
     resolve_req_trace,
     resolve_req_trace_max,
-    write_req_trace,
 )
 from repro.serve.core import RankingCore
 from repro.serve.service import run_stream
@@ -115,7 +113,7 @@ class TestFilesAndReaders:
         trace = RequestTrace(max_records=10)
         trace.record("rank", 0, 5.0, 0.001)
         first = trace.flush(tmp_path)
-        assert first.parent == reqtrace_dir(tmp_path)
+        assert first.parent == telemetry_dir(tmp_path)
         trace.record("rank", 1, 6.0, 0.001)
         second = trace.flush(tmp_path)
         assert second == first
@@ -181,7 +179,7 @@ class TestChromeExport:
 
     def test_write_req_trace_roundtrip(self, tmp_path):
         out = tmp_path / "req_trace.json"
-        write_req_trace(spans(n_seq=2), out)
+        write_json(out, req_trace_doc(spans(n_seq=2)))
         validate_chrome_trace(json.loads(out.read_text()))
 
 
@@ -202,7 +200,7 @@ class TestServiceWiring:
     def test_off_by_default(self, city, wigle, artifact_dir):
         service = self.run(city, wigle)
         assert service.reqtrace is None
-        assert not list(reqtrace_dir(artifact_dir).glob("reqtrace-*"))
+        assert not list(telemetry_dir(artifact_dir).glob("reqtrace-*"))
 
     def test_all_stages_recorded_and_flushed(
         self, city, wigle, artifact_dir
@@ -222,7 +220,7 @@ class TestServiceWiring:
         assert gauges["reqtrace.records"] == len(records)
         assert gauges["reqtrace.dropped"] == 0
         # finish() flushed the ring; the export validates end to end
-        flushed = load_reqtrace_dir(reqtrace_dir(artifact_dir))
+        flushed = load_reqtrace_dir(telemetry_dir(artifact_dir))
         assert len(flushed) == len(records)
         doc = req_trace_doc(flushed)
         validate_chrome_trace(doc)

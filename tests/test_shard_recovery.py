@@ -520,3 +520,26 @@ class TestRecoveryObservability:
         assert row["stalled"] is True
         assert doc["recovery"]["active"] is False
         assert doc["health"]["healthy"] is False
+
+    def test_finished_recovery_is_not_in_flight(self, tmp_path):
+        """Recent crash/respawn events no longer mean "in flight" once
+        every shard's heartbeat file ends ``done``."""
+        now = time.time()
+        telemetry = tmp_path / "telemetry"
+        telemetry.mkdir(parents=True)
+        for shard in (0, 1):
+            with open(telemetry / ("shard-%d.jsonl" % shard), "w") as fh:
+                fh.write(json.dumps({
+                    "wall": now - 1.0, "spec": "shard %d/2" % shard,
+                    "sim_time": 60.0, "fraction": 1.0, "hits": 0,
+                    "done": True, "epoch": 36, "epochs": 36, "seq": 0,
+                }) + "\n")
+        append_ops_event("shard.crash", base=tmp_path, shard=1, epoch=18)
+        append_ops_event("shard.respawn", base=tmp_path, shards=2, epoch=18)
+        doc = fleet_snapshot(telemetry, stall_after_s=30.0, now=now)
+        assert doc["recovery"]["active"] is False
+        assert doc["health"]["recovery_active"] is False
+        assert doc["recovery"]["crashes"] == 1
+        rendered = render_top(doc)
+        assert "recoveries 1 (1 crash(es))" in rendered
+        assert "in flight" not in rendered

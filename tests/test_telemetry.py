@@ -12,13 +12,11 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.obs.records import read_jsonl, telemetry_dir
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL_S,
     HeartbeatWriter,
-    clear_heartbeats,
-    heartbeat_dir,
     maybe_heartbeat,
-    read_heartbeats,
     render_watch,
     resolve_heartbeat_interval,
     set_current_spec,
@@ -58,7 +56,7 @@ class TestHeartbeatWriter:
             "spec-a", 300.0, progress, interval_s=60.0, base_dir=tmp_path
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert len(records) == 2
         first, last = records
         assert first["spec"] == "spec-a"
@@ -74,7 +72,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path,
         ) as hb:
             time.sleep(0.3)
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert len(records) >= 4  # enter + several beats + done
 
     def test_fraction_capped_at_one(self, tmp_path):
@@ -83,7 +81,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path,
         ) as hb:
             pass
-        assert all(r["fraction"] == 1.0 for r in read_heartbeats(hb.path))
+        assert all(r["fraction"] == 1.0 for r in read_jsonl(hb.path))
 
     def test_torn_progress_reuses_last(self, tmp_path):
         calls = {"n": 0}
@@ -98,7 +96,7 @@ class TestHeartbeatWriter:
             "spec-d", 100.0, progress, interval_s=60.0, base_dir=tmp_path
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert records[-1]["sim_time"] == 42.0
         assert records[-1]["hits"] == 3
 
@@ -132,15 +130,13 @@ class TestHeartbeatWriter:
             pass
         with HeartbeatWriter("spec-2", 10.0, lambda: (0.0, 0), **kwargs) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert {r["spec"] for r in records} == {"spec-2"}
         old = hb.path.with_name(hb.path.name + ".old")
-        assert {r["spec"] for r in read_heartbeats(old)} == {"spec-1"}
+        assert {r["spec"] for r in read_jsonl(old)} == {"spec-1"}
         # rows come only from the live file
         rows = watch_snapshot(tmp_path / "telemetry", now=time.time())
         assert len(rows) == 1 and rows[0]["spec"] == "spec-2"
-        clear_heartbeats(tmp_path)
-        assert not old.exists()
 
     def test_extra_fields_merged_into_records(self, tmp_path):
         with HeartbeatWriter(
@@ -148,7 +144,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path, extra=lambda: {"epoch": 3, "epochs": 12},
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert all(r["epoch"] == 3 and r["epochs"] == 12 for r in records)
 
     def test_extra_torn_read_skipped(self, tmp_path):
@@ -160,7 +156,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path, extra=extra,
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert records and all("epoch" not in r for r in records)
 
 
@@ -200,7 +196,7 @@ class TestWatcher:
         path = _write_worker(tmp_path, 21, 10.0)
         with open(path, "a") as fh:
             fh.write('{"wall": 99, "truncat')  # crashed mid-write
-        records = read_heartbeats(path)
+        records = read_jsonl(path)
         assert len(records) == 1
         assert records[0]["wall"] == 10.0
 
@@ -216,14 +212,9 @@ class TestWatcher:
         assert "STALLED" in out
         assert "1 worker(s) stalled" in out
 
-    def test_clear_heartbeats(self, tmp_path):
-        _write_worker(tmp_path / "telemetry", 41, 0.0)
-        clear_heartbeats(tmp_path)
-        assert list((tmp_path / "telemetry").glob("worker-*.jsonl")) == []
-
     def test_heartbeat_dir_under_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        assert heartbeat_dir() == tmp_path / "telemetry"
+        assert telemetry_dir() == tmp_path / "telemetry"
 
 
 class TestWatchCli:
@@ -563,7 +554,7 @@ class TestServiceHeartbeatIntegration:
         run_stream(core, synthetic_stream(8, 200, seed=0))
         files = list((tmp_path / "telemetry").glob("serve-*.jsonl"))
         assert len(files) == 1
-        records = read_heartbeats(files[0])
+        records = read_jsonl(files[0])
         assert records[-1]["done"] is True
         assert records[-1]["kind"] == "serve"
         assert records[-1]["committed"] == 200
