@@ -13,9 +13,9 @@ any code:
   shard-count-invariance golden batch (``shards golden --check`` is
   what CI's shard-smoke job drives; see EXPERIMENTS.md);
 * ``serve``    — the attacker-as-a-service layer: serve a synthetic
-  probe stream (``serve run``), replay a UJI-shaped JSONL trace to a
-  canonical decision digest (``serve replay``), or sweep the serving
-  throughput grid (``serve bench``); see the README "Serving" section;
+  probe stream (``serve run``) or replay a UJI-shaped JSONL trace to a
+  canonical decision digest (``serve replay``); see the README
+  "Serving" section;
 * ``obs``      — inspect a ``metrics.json`` artefact (summarize /
   export events as JSONL / top-N SSIDs by hits), reconstruct a client's
   hunt story from a lineage trace, render the hot-handler profile,
@@ -24,9 +24,8 @@ any code:
   run health (``obs top``), export per-epoch barrier spans
   (``obs shard-trace``) or per-probe serving-stage spans
   (``obs serve-trace``) as Perfetto-viewable traces, evaluate the
-  serving SLO budgets (``obs slo``), regenerate the Prometheus text
-  exposition (``obs prom``), or gate a benchmark against its committed
-  baseline (see OBSERVABILITY.md).
+  serving SLO budgets (``obs slo``), or regenerate the Prometheus text
+  exposition (``obs prom``) (see OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -59,6 +58,16 @@ def _positive_duration(value: str) -> float:
 
 # argparse prints the type callable's __name__ in error messages.
 _positive_duration.__name__ = "duration"
+
+
+def _positive_count(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{count} is below 1")
+    return count
 
 
 def _load_fault_plan(path: Optional[str]):
@@ -552,8 +561,7 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
             report = evaluate_slo(slo, doc)
         except FileNotFoundError:
             print(
-                f"no artefact at {path} (run 'repro serve run' or point "
-                "--path at a BENCH_serve.json)",
+                f"no artefact at {path} (run 'repro serve run' first)",
                 file=sys.stderr,
             )
             return 2
@@ -587,41 +595,6 @@ def _cmd_obs_prom(args: argparse.Namespace) -> int:
     samples = validate_prom_text(written.read_text())
     print(f"{samples} exposition samples written to {written}")
     return 0
-
-
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        SERVE_SCHEMA,
-        append_trajectory,
-        compare_bench,
-        load_bench_doc,
-        render_bench_report,
-    )
-
-    try:
-        current = load_bench_doc(args.current)
-        baseline = load_bench_doc(args.baseline)
-        report = compare_bench(
-            current, baseline, tolerance=args.tolerance
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"bench gate error: {exc}", file=sys.stderr)
-        return 2
-    print(render_bench_report(report))
-    if args.trajectory:
-        append_trajectory(args.trajectory, report)
-        print(f"trajectory appended to {args.trajectory}")
-    ok = report["ok"]
-    if report.get("bench_schema") == SERVE_SCHEMA and not args.no_slo:
-        # Serving candidates also pass through the declared-SLO layer:
-        # a machine can be no slower than baseline and still blow the
-        # absolute tail budget.
-        from repro.obs.slo import default_slo, evaluate_slo, render_slo_report
-
-        slo_report = evaluate_slo(default_slo(), current)
-        print(render_slo_report(slo_report))
-        ok = ok and slo_report["ok"]
-    return 0 if ok else 1
 
 
 def _cmd_shards_run(args: argparse.Namespace) -> int:
@@ -830,56 +803,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         print(f"decisions written to {args.decisions_out}")
     if args.strict and stats.skipped:
         return 1
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.workload import run_bench_grid
-
-    doc = run_bench_grid(
-        clients=args.clients,
-        n_events=args.events,
-        seed=args.seed,
-        city_seed=args.city_seed,
-        repeats=args.repeats,
-        req_trace=args.req_trace,
-    )
-    rows = [
-        [
-            p["clients"],
-            p["probes_per_s"],
-            p["p50_us"],
-            p["p99_us"],
-            p["shed_fraction"],
-            p["rank_cache_hit_rate"],
-        ]
-        for p in doc["grid"]
-    ]
-    print(render_table(
-        ["clients", "probes/s", "p50 us", "p99 us",
-         "shed frac", "cache hit"],
-        rows,
-        title=f"serving throughput grid ({doc['n_events']} events, "
-              f"seed {doc['seed']})",
-    ))
-    print(f"max sustained probes/s: {doc['max_probes_per_s']}")
-    if args.json:
-        write_json(args.json, doc, indent=2)
-        print(f"benchmark document written to {args.json}")
-    if args.req_trace:
-        from repro.obs.artifacts import artifact_path
-        from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc
-
-        records = load_reqtrace_dir(telemetry_dir())
-        if records:
-            path = write_json(artifact_path("req_trace"), req_trace_doc(records))
-            print(
-                f"{len(records)} request spans from the heaviest grid "
-                f"point written to {path} (Chrome trace-event JSON)"
-            )
-        else:
-            print("no request spans captured", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -1100,13 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs_slo = obs_sub.add_parser(
         "slo",
         help="evaluate the serving SLO (p99 stage budgets + shed budget) "
-             "against a metrics.json or BENCH_serve.json artefact",
+             "against a serving run's metrics.json",
     )
     obs_slo.add_argument(
         "--path",
         help="artefact to evaluate (default: metrics.json in the "
-             "resolved artefact directory; a repro.bench_serve/v1 "
-             "document also works)",
+             "resolved artefact directory)",
     )
     obs_slo.add_argument(
         "--once", action="store_true",
@@ -1143,31 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_prom.set_defaults(func=_cmd_obs_prom)
 
-    obs_bench = obs_sub.add_parser(
-        "bench", help="gate a benchmark artefact against its baseline"
-    )
-    obs_bench.add_argument(
-        "--current", required=True, help="freshly produced BENCH_*.json"
-    )
-    obs_bench.add_argument(
-        "--baseline", required=True,
-        help="committed baseline (benchmarks/baselines/BENCH_*.json)",
-    )
-    obs_bench.add_argument(
-        "--tolerance", type=float, default=0.05, metavar="FRAC",
-        help="allowed fractional regression (default 0.05 = 5%%)",
-    )
-    obs_bench.add_argument(
-        "--trajectory", metavar="PATH",
-        help="append the comparison to this JSONL trajectory artefact",
-    )
-    obs_bench.add_argument(
-        "--no-slo", action="store_true",
-        help="skip the declared-SLO evaluation that serving candidates "
-             "(repro.bench_serve/v1) otherwise get for free",
-    )
-    obs_bench.set_defaults(func=_cmd_obs_bench)
-
     serve = sub.add_parser(
         "serve", help="attacker-as-a-service probe-stream ranking"
     )
@@ -1176,9 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run = serve_sub.add_parser(
         "run", help="serve a deterministic synthetic probe stream"
     )
-    serve_run.add_argument("--clients", type=int, default=50,
+    serve_run.add_argument("--clients", type=_positive_count, default=50,
                            help="synthetic client population (default 50)")
-    serve_run.add_argument("--events", type=int, default=2000,
+    serve_run.add_argument("--events", type=_positive_count, default=2000,
                            help="stream length in events (default 2000)")
     serve_run.add_argument("--shed", action="store_true",
                            help="drop probes when the ingress queue is full "
@@ -1208,26 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero when any trace line was skipped",
     )
     serve_replay.set_defaults(func=_cmd_serve_replay)
-
-    serve_bench = serve_sub.add_parser(
-        "bench", help="sweep the serving throughput grid"
-    )
-    serve_bench.add_argument("--clients", type=int, nargs="+",
-                             default=[20, 100])
-    serve_bench.add_argument("--events", type=int, default=4000)
-    serve_bench.add_argument("--repeats", type=int, default=1,
-                             help="runs per grid point; fastest kept")
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--city-seed", type=int, default=42)
-    serve_bench.add_argument(
-        "--json", help="write the repro.bench_serve/v1 document here"
-    )
-    serve_bench.add_argument(
-        "--req-trace", action="store_true",
-        help="request-trace the heaviest grid point and export the "
-             "Chrome trace (req_trace.json in the artefact directory)",
-    )
-    serve_bench.set_defaults(func=_cmd_serve_bench)
 
     for serve_parser in (serve_run, serve_replay):
         serve_parser.add_argument(

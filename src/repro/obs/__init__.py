@@ -16,9 +16,9 @@ executor heartbeats and the fleet aggregator in
 :mod:`~repro.obs.telemetry`, per-epoch barrier spans for the sharded
 engine in :mod:`~repro.obs.epochs`, per-probe request tracing through
 the serving path in :mod:`~repro.obs.reqtrace` with the declared-SLO
-gate in :mod:`~repro.obs.slo`, the Prometheus text exposition in
-:mod:`~repro.obs.prom`, and the :mod:`~repro.obs.bench` regression gate
-CI runs against committed baselines.
+gate in :mod:`~repro.obs.slo`, and the Prometheus text exposition in
+:mod:`~repro.obs.prom`.  Performance is gated outside the package, by
+perfbench (``benchmarks/perfbench_counters.py``).
 """
 
 from repro.obs.artifacts import (
@@ -66,13 +66,6 @@ from repro.obs.slo import (
     default_slo,
     evaluate_slo,
     render_slo_report,
-)
-from repro.obs.bench import (
-    BENCH_TOLERANCE_DEFAULT,
-    append_trajectory,
-    compare_bench,
-    extract_bench_metrics,
-    render_bench_report,
 )
 from repro.obs.epochs import (
     EPOCH_TRACE_ENV,
@@ -199,9 +192,4 @@ __all__ = [
     "render_top",
     "render_watch",
     "watch_snapshot",
-    "BENCH_TOLERANCE_DEFAULT",
-    "append_trajectory",
-    "compare_bench",
-    "extract_bench_metrics",
-    "render_bench_report",
 ]

@@ -23,8 +23,7 @@ differential-parity digests are bit-identical with tracing on or off.
 in the telemetry directory; :func:`req_trace_doc` maps spans to Chrome
 trace events — an ingress track and a consumer track, with a flow
 arrow from each sequence number's ``enqueue`` to its ``rank`` span.
-``repro obs serve-trace`` and ``repro serve bench --req-trace`` drive
-the export.
+``repro obs serve-trace`` drives the export.
 """
 
 from __future__ import annotations

@@ -1,33 +1,23 @@
 """Declared serving SLOs: p99 stage budgets and a shed-fraction budget.
 
-The serving plane now measures where each probe's microseconds go
+The serving plane measures where each probe's microseconds go
 (:mod:`repro.obs.reqtrace` spans, ``serve.*_us`` stage histograms);
-this module *declares* how many microseconds are acceptable and turns a
-metrics or bench artefact into a pass/fail verdict — the tail-latency
-gate between "we have histograms" and "CI fails when the tail
-regresses".
+this module *declares* how many microseconds are acceptable and turns
+a serving run's metrics artefact into a pass/fail verdict.
 
 A :class:`ServeSlo` carries one p99 budget per pipeline stage
 (microseconds) plus a shed-fraction budget.  :func:`evaluate_slo`
-accepts either artefact the toolchain produces:
-
-* a ``repro.metrics/v1`` document (``repro serve run``'s
-  ``metrics.json``): stage p99s are estimated from the merged
-  ``serve.<stage>_us`` histograms via
-  :func:`~repro.obs.registry.estimate_percentile`, the shed fraction
-  from the ``serve.shed_total`` / ``serve.events_total`` counters;
-* a ``repro.bench_serve/v1`` document (``BENCH_serve.json``): each grid
-  point's measured ``p99_us`` is checked against the select-stage
-  budget and its ``shed_fraction`` against the shed budget.
+reads a ``repro.metrics/v1`` document (``repro serve run``'s
+``metrics.json``): stage p99s are estimated from the merged
+``serve.<stage>_us`` histograms via
+:func:`~repro.obs.registry.estimate_percentile`, the shed fraction
+from the ``serve.shed_total`` / ``serve.events_total`` counters.
 
 The default budgets are deliberately generous (50 ms select/apply p99,
-5 s queue wait, 5 % shed) — loose enough that the committed
-``BENCH_serve`` baseline and an unloaded CI runner pass, tight enough
-to catch a consumer that falls seconds behind its queue or a
-pathological ranking walk.  ``repro
-obs slo --once`` exits non-zero on breach, and the ``repro obs bench``
-gate evaluates the default SLO on every ``repro.bench_serve/v1``
-candidate it compares.
+5 s queue wait, 5 % shed): loose enough that an unloaded CI runner
+passes, tight enough to catch a consumer that falls seconds behind its
+queue or a pathological ranking walk.  ``repro obs slo --once`` exits
+non-zero on breach.
 
 Stage histograms are wall-clock (quarantined from the deterministic
 metric surface, like ``timers``), so the SLO verdict is about the
@@ -40,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.obs.bench import SERVE_SCHEMA
 from repro.obs.registry import METRICS_SCHEMA, estimate_percentile
 
 SLO_SCHEMA = "repro.slo_report/v1"
@@ -135,50 +124,20 @@ def _checks_from_metrics(slo: ServeSlo, doc: dict) -> List[dict]:
     return checks
 
 
-def _checks_from_bench(slo: ServeSlo, doc: dict) -> List[dict]:
-    grid = doc.get("grid", [])
-    if not grid:
-        raise ValueError("bench_serve document has an empty grid")
-    select_budget = slo.p99_budgets_us.get(
-        "select_latency", DEFAULT_P99_BUDGETS_US["select_latency"]
-    )
-    checks: List[dict] = []
-    for point in grid:
-        label = "%scl" % point.get("clients")
-        p99 = point.get("p99_us")
-        if p99 is not None:
-            checks.append(
-                _check("p99:select_latency@%s" % label, p99, select_budget)
-            )
-        shed = point.get("shed_fraction")
-        if shed is not None:
-            checks.append(
-                _check(
-                    "shed_fraction@%s" % label,
-                    shed,
-                    slo.shed_fraction_budget,
-                )
-            )
-    return checks
-
-
 def evaluate_slo(slo: ServeSlo, doc: dict) -> dict:
-    """Evaluate one SLO against a metrics or bench-serve artefact.
+    """Evaluate one SLO against a serving run's metrics artefact.
 
     Raises ``ValueError`` for documents of any other schema or with no
     serving data at all — an SLO verdict over nothing would be
     vacuously green, which is worse than an error.
     """
     schema = doc.get("schema")
-    if schema == METRICS_SCHEMA:
-        checks = _checks_from_metrics(slo, doc)
-    elif schema == SERVE_SCHEMA:
-        checks = _checks_from_bench(slo, doc)
-    else:
+    if schema != METRICS_SCHEMA:
         raise ValueError(
-            "cannot evaluate an SLO against schema %r (want %r or %r)"
-            % (schema, METRICS_SCHEMA, SERVE_SCHEMA)
+            "cannot evaluate an SLO against schema %r (want %r)"
+            % (schema, METRICS_SCHEMA)
         )
+    checks = _checks_from_metrics(slo, doc)
     if not checks:
         raise ValueError("document yielded no SLO checks")
     breaches = [c["name"] for c in checks if c["breached"]]

@@ -17,8 +17,12 @@ serving system over the kernel the simulated attacker runs
   tolerant);
 * :mod:`repro.serve.record` — wire-tapped simulator runs for the
   differential harness;
-* :mod:`repro.serve.workload` — deterministic synthetic load and the
-  shared bench harness.
+* :mod:`repro.serve.workload` — the deterministic synthetic stream
+  ``repro serve run`` serves.
+
+The serving plane's performance is measured by perfbench's serve-open
+workload, which replays a recorded simulator stream through
+:class:`~repro.serve.service.RankingService`.
 """
 
 from repro.serve.core import RankingCore

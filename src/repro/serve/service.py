@@ -106,7 +106,6 @@ class RankingService:
         shed: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         on_decision: Optional[Callable[[BurstDecision], None]] = None,
-        sample_latencies: bool = False,
         req_trace: Optional[bool] = None,
     ):
         self.core = core
@@ -120,8 +119,6 @@ class RankingService:
         )
         self.decision_count = 0
         self.events_log: List[dict] = []
-        self._sample_latencies = sample_latencies
-        self.latencies_us: List[float] = []
         self._queue: Optional[asyncio.Queue] = None
         self._next_seq = 0
         self._consumer: Optional[asyncio.Task] = None
@@ -250,8 +247,6 @@ class RankingService:
                 buckets=LATENCY_BUCKETS_US,
             )
             self.metrics.timer_add("serve.select", elapsed_us / 1e6)
-            if self._sample_latencies:
-                self.latencies_us.append(elapsed_us)
         if decision is not None:
             self.decision_count += 1
             self.metrics.inc_key(_DECISIONS_KEY[decision.kind])
@@ -407,20 +402,18 @@ def run_stream(
     queue_max: Optional[int] = None,
     shed: bool = False,
     metrics: Optional[MetricsRegistry] = None,
-    sample_latencies: bool = False,
     req_trace: Optional[bool] = None,
 ) -> RankingService:
     """Synchronous convenience: serve ``events``, return the service.
 
-    The returned service carries the decision list, the metrics
-    registry and (optionally) the raw latency samples.
+    The returned service carries the decision list and the metrics
+    registry.
     """
     service = RankingService(
         core,
         queue_max=queue_max,
         shed=shed,
         metrics=metrics,
-        sample_latencies=sample_latencies,
         req_trace=req_trace,
     )
     asyncio.run(serve_stream(service, events))

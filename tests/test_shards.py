@@ -405,38 +405,6 @@ class TestArtifactRouting:
         assert _shared.out_dir() == tmp_path / "routed"
         sys.modules.pop("_shared", None)
 
-    def test_shards_bench_doc_gateable(self, tmp_path, monkeypatch, small_result):
-        """A BENCH_shards-style document round-trips through the
-        bench-regression gate with the shards extractor."""
-        from repro.obs.bench import compare_bench
-
-        doc = {
-            "schema": "repro.bench_shards/v1",
-            "grid": [
-                {
-                    "stations": 80,
-                    "shards": s,
-                    "speedup": 1.0 if s == 1 else 2.5,
-                    "stations_per_s": 1000.0 * s,
-                    "handoff_fraction": 0.01,
-                }
-                for s in (1, 4)
-            ],
-            "max_speedup": 2.5,
-        }
-        report = compare_bench(doc, json.loads(json.dumps(doc)), tolerance=0.1)
-        assert report["ok"]
-        gated = [d["metric"] for d in report["deltas"] if d["gated"]]
-        assert "speedup@80st/4sh" in gated
-        assert "max_speedup" in gated
-        assert not any(d["metric"] == "speedup@80st/1sh" for d in report["deltas"])
-        worse = json.loads(json.dumps(doc))
-        worse["grid"][1]["speedup"] = 1.1
-        worse["max_speedup"] = 1.1
-        report = compare_bench(worse, doc, tolerance=0.1)
-        assert not report["ok"]
-        assert "speedup@80st/4sh" in report["regressions"]
-
 
 # -- heartbeats -----------------------------------------------------------
 

@@ -2,21 +2,17 @@
 
 :func:`~repro.obs.registry.estimate_percentile` turns the fixed-bucket
 ``serve.*_us`` histograms into tail estimates; :mod:`repro.obs.slo`
-declares how much tail is acceptable and verdicts metrics or bench
-artefacts.  These tests pin the estimator's edge cases (empty, single
-bucket, overflow saturation, q clamping), the budget plumbing, both
-evaluator paths, the CLI exit codes, and the ``repro obs bench``
-integration — including that the *committed* ``BENCH_serve`` baseline
-passes the default SLO, which is what CI's serve-smoke job relies on.
+declares how much tail is acceptable and verdicts a serving run's
+metrics artefact.  These tests pin the estimator's edge cases (empty,
+single bucket, overflow saturation, q clamping), the budget plumbing,
+the evaluator and the CLI exit codes.
 """
 
 import json
-import pathlib
 
 import pytest
 
 from repro.cli import main
-from repro.obs.bench import SERVE_SCHEMA
 from repro.obs.registry import METRICS_SCHEMA, FixedHistogram, estimate_percentile
 from repro.obs.slo import (
     DEFAULT_P99_BUDGETS_US,
@@ -26,14 +22,6 @@ from repro.obs.slo import (
     evaluate_slo,
     render_slo_report,
 )
-
-BASELINE = (
-    pathlib.Path(__file__).parent.parent
-    / "benchmarks"
-    / "baselines"
-    / "BENCH_serve.json"
-)
-
 
 def hist_doc(bounds, counts):
     return {"bounds": list(bounds), "counts": list(counts),
@@ -148,38 +136,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="cannot evaluate"):
             evaluate_slo(default_slo(), {"schema": "repro.bench_shards/v1"})
 
-    def test_bench_doc_checks_every_grid_point(self):
-        doc = {
-            "schema": SERVE_SCHEMA,
-            "grid": [
-                {"clients": 20, "p99_us": 200.0, "shed_fraction": 0.0},
-                {"clients": 100, "p99_us": 90_000.0, "shed_fraction": 0.2},
-            ],
-        }
-        report = evaluate_slo(default_slo(), doc)
-        assert set(report["breaches"]) == {
-            "p99:select_latency@100cl", "shed_fraction@100cl",
-        }
-
-    def test_empty_bench_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            evaluate_slo(default_slo(), {"schema": SERVE_SCHEMA, "grid": []})
-
-    def test_committed_baseline_passes_default_slo(self):
-        # CI's serve-smoke job runs `repro obs slo --once` against this
-        # exact file; a red default SLO on the committed baseline would
-        # brick every build.
-        report = evaluate_slo(
-            default_slo(), json.loads(BASELINE.read_text())
-        )
-        assert report["ok"], report["breaches"]
-
 
 class TestSloCli:
-    def test_once_green_on_committed_baseline(self, capsys):
-        rc = main(["obs", "slo", "--once", "--path", str(BASELINE)])
+    def test_once_green_within_budget(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(metrics_doc()))
+        rc = main(["obs", "slo", "--once", "--path", str(path)])
         assert rc == 0
-        assert "slo: OK" in capsys.readouterr().out
+        assert "slo: OK (4 check(s))" in capsys.readouterr().out
 
     def test_once_breach_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
@@ -207,46 +171,3 @@ class TestSloCli:
                    "--path", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "no artefact" in capsys.readouterr().err
-
-
-class TestObsBenchSloWiring:
-    def write(self, tmp_path, doc):
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(doc))
-        return path
-
-    def bench_doc(self, p99=200.0):
-        return {
-            "schema": SERVE_SCHEMA,
-            "grid": [{"clients": 20, "probes_per_s": 9000.0,
-                      "p99_us": p99, "shed_fraction": 0.0}],
-            "max_probes_per_s": 9000.0,
-        }
-
-    def test_serve_candidate_gets_slo_verdict(self, tmp_path, capsys):
-        path = self.write(tmp_path, self.bench_doc())
-        rc = main(["obs", "bench", "--current", str(path),
-                   "--baseline", str(path), "--tolerance", "0.35"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "slo: OK" in out
-
-    def test_slo_breach_fails_gate_even_when_no_regression(
-        self, tmp_path, capsys
-    ):
-        # p99 is informational for the *regression* gate (self-compare
-        # passes) but the absolute budget still fails the command.
-        path = self.write(tmp_path, self.bench_doc(p99=90_000.0))
-        rc = main(["obs", "bench", "--current", str(path),
-                   "--baseline", str(path), "--tolerance", "0.35"])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "gate: OK" in out and "slo: BREACH" in out
-
-    def test_no_slo_skips_the_layer(self, tmp_path, capsys):
-        path = self.write(tmp_path, self.bench_doc(p99=90_000.0))
-        rc = main(["obs", "bench", "--current", str(path),
-                   "--baseline", str(path), "--tolerance", "0.35",
-                   "--no-slo"])
-        assert rc == 0
-        assert "slo:" not in capsys.readouterr().out
