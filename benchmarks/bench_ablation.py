@@ -41,7 +41,7 @@ def _spec(config=None, venue="passage", use_heat=True, pnl_model=None, seed=SEED
 
 def _run_all(*specs):
     """Fan the ablation variants out over the parallel executor."""
-    return run_specs(specs, timings_name="timings_ablation")
+    return run_specs(specs)
 
 
 def test_ablation_untried_lists(benchmark):

@@ -4,12 +4,12 @@
 Runs the midday slot for all four venues (4 runs fanned out over
 ``REPRO_WORKERS`` workers, 15 simulated minutes each), emits the
 rendered figure to ``benchmarks/out/fig5_smoke.txt`` and leaves the
-executor's ``benchmarks/out/timings.json`` and ``metrics.json`` behind
-so CI can archive the speedup numbers and the merged observability
-snapshot.  The metrics artefact is schema-validated here, so a malformed
-export fails the job instead of shipping a broken artefact.
+executor's ``benchmarks/out/metrics.json`` behind so CI can archive the
+merged observability snapshot and, in its ``timings`` section, the
+speedup numbers.  The metrics artefact is schema-validated here, so a
+malformed export fails the job instead of shipping a broken artefact.
 
-Run:  REPRO_TRACE=1 REPRO_WORKERS=4 python benchmarks/smoke_fig5.py
+Run:  REPRO_WORKERS=4 python benchmarks/smoke_fig5.py
 """
 
 import json
@@ -35,15 +35,12 @@ def main() -> int:
     from repro.obs.artifacts import artifact_path
     from repro.obs.registry import validate_metrics_doc
 
-    timings = artifact_path("timings")
-    if timings.exists():
-        print(f"\ntimings artefact: {timings}")
-        print(timings.read_text())
-
     metrics = artifact_path("metrics")
     assert metrics.exists(), f"missing metrics artefact: {metrics}"
     doc = json.loads(metrics.read_text())
     validate_metrics_doc(doc)
+    print("\nbatch timings (metrics.json 'timings'):")
+    print(json.dumps(doc["timings"], indent=2, sort_keys=True))
     merged = doc["merged"]
     assert merged["counters"].get("run.count"), "merged metrics lost run.count"
     print(f"metrics artefact: {metrics} (schema {doc['schema']}, "

@@ -16,7 +16,6 @@ from repro.analysis.observability import (
     pbfb_timeline,
     provenance_breakdown,
     top_hit_ssids,
-    trace_window_counts,
 )
 from repro.analysis.session import AttackSession, ClientRecord, SentSsid
 from repro.analysis.timeseries import WindowStat, windowed_broadcast_hit_rate
@@ -26,7 +25,6 @@ __all__ = [
     "pbfb_timeline",
     "provenance_breakdown",
     "top_hit_ssids",
-    "trace_window_counts",
     "AttackSession",
     "ClientRecord",
     "SentSsid",

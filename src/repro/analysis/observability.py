@@ -1,4 +1,4 @@
-"""Readers for the metrics artefact and trace windows.
+"""Readers for the metrics artefact.
 
 These helpers turn the raw ``metrics.json`` document (written by
 :func:`repro.experiments.parallel.write_metrics`) back into the views
@@ -20,7 +20,6 @@ from repro.obs.registry import (
     parse_key,
     validate_metrics_doc,
 )
-from repro.sim.tracing import Trace
 
 PROVENANCE_ORDER = (
     "wigle-near",
@@ -144,17 +143,14 @@ def filter_events(
 
 
 def sink_status(doc: dict) -> Dict[str, float]:
-    """Trace/event-ring totals across a batch's runs.
+    """Event-sink totals across a batch's runs.
 
-    Sums ``trace.records``/``trace.dropped`` and
-    ``events.buffered``/``events.dropped`` over per-run gauges, and
-    reports the ring caps (``trace.cap``/``events.cap`` — merged gauges
-    take the max, which is the shared configuration value).  Runs from
-    artefacts predating the cap gauges simply contribute zeros.
+    Sums ``events.buffered``/``events.dropped`` over per-run gauges and
+    reports the ring cap (``events.cap`` — merged gauges take the max,
+    which is the shared configuration value).  Runs from artefacts
+    predating the cap gauge simply contribute zeros.
     """
     totals = {
-        "trace.records": 0.0,
-        "trace.dropped": 0.0,
         "events.buffered": 0.0,
         "events.dropped": 0.0,
     }
@@ -163,16 +159,8 @@ def sink_status(doc: dict) -> Dict[str, float]:
         for key in totals:
             totals[key] += float(gauges.get(key, 0))
     merged_gauges = doc.get("merged", {}).get("gauges", {})
-    totals["trace.cap"] = float(merged_gauges.get("trace.cap", 0))
     totals["events.cap"] = float(merged_gauges.get("events.cap", 0))
     return totals
-
-
-def trace_window_counts(
-    trace: Trace, t0: float, t1: float
-) -> Dict[str, int]:
-    """Per-kind record counts inside ``[t0, t1)`` of a live trace."""
-    return dict(Counter(r.kind for r in trace.between(t0, t1)))
 
 
 def _label_values(gauges: Dict[str, float], name: str, label: str) -> List[float]:

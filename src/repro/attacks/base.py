@@ -171,10 +171,6 @@ class RogueAp:
             self.session.observe_probe(frame.src, time, direct)
             if metrics is not None:
                 metrics.inc_key(_PROBE_KEY[direct])
-            if self.sim is not None:
-                self.sim.emit(
-                    "probe", frame.src, "direct" if direct else "broadcast"
-                )
             if direct:
                 self.on_direct_probe(frame.src, frame.ssid, time)
             else:
@@ -188,8 +184,6 @@ class RogueAp:
             record = self.session.record_hit(frame.src, time, frame.ssid)
             if fresh_hit:
                 self._count_hit(record)
-                if self.sim is not None:
-                    self.sim.emit("hit", frame.src, frame.ssid)
                 if self._lineage is not None:
                     # Parent defaults to the current delivery context, so
                     # the hit chains back through the AssocRequest to the

@@ -23,7 +23,7 @@ burst, mimic reply and handshake frame from it.  Association still
 works: the phone associates to the alias BSSID it saw, the alias hands
 the handshake to the hunter's :meth:`~repro.attacks.base.RogueAp.receive`,
 and the hit is recorded against the same session — with the same
-outage check, metrics, trace and lineage records as the plain hunter.
+outage check, metrics and lineage records as the plain hunter.
 """
 
 from __future__ import annotations

@@ -334,28 +334,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     )
                 )
         status = sink_status(doc)
-        trace_cap = (
-            f"cap {status['trace.cap']:g}" if status["trace.cap"] else "cap ?"
-        )
         events_cap = (
             f"cap {status['events.cap']:g}"
             if status["events.cap"]
             else "cap ?"
         )
-        trace_note = (
-            "  <- TRUNCATED (raise REPRO_TRACE_MAX)"
-            if status["trace.dropped"]
-            else ""
-        )
         events_note = (
             "  <- TRUNCATED (oldest events evicted)"
             if status["events.dropped"]
             else ""
-        )
-        print(
-            f"  trace ring: {status['trace.records']:g} records, "
-            f"{status['trace.dropped']:g} dropped ({trace_cap} per run)"
-            f"{trace_note}"
         )
         print(
             f"  event sink: {status['events.buffered']:g} buffered, "
@@ -1080,9 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument("--shed", action="store_true",
                            help="drop probes when the ingress queue is full "
                                 "instead of backpressuring")
-    serve_run.add_argument("--queue-max", type=int,
-                           help="ingress queue bound (default: "
-                                "REPRO_SERVE_QUEUE_MAX, else 1024)")
+    serve_run.add_argument("--queue-max", type=_positive_count,
+                           help="ingress queue bound (default 1024)")
     serve_run.add_argument(
         "--metrics-out", metavar="PATH",
         help="metrics artefact to write (default: metrics.json in the "

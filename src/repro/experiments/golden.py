@@ -95,8 +95,7 @@ def golden_specs() -> List[RunSpec]:
 def run_golden(workers: Optional[int] = None) -> dict:
     """Run the golden batch and return its metrics artefact document."""
     results: List[RunResult] = run_specs(
-        golden_specs(), workers=workers, timings_name="golden_timings",
-        metrics_name="golden_metrics",
+        golden_specs(), workers=workers, metrics_name="golden_metrics"
     )
     return metrics_doc(results, workers=resolve_workers(workers))
 
@@ -187,7 +186,6 @@ def run_golden_shards(
         results: List[RunResult] = run_specs(
             specs,
             workers=workers,
-            timings_name="golden_shards_timings",
             metrics_name="golden_shards_metrics",
         )
     finally:

@@ -25,7 +25,7 @@ Resilience (the properties a 48-run batch on real hardware needs):
 * **Worker death is retried, not fatal.**  A crashed worker
   (``BrokenProcessPool`` — OOM kill, segfault, injected chaos) rebuilds
   the pool and resubmits the unfinished specs with capped exponential
-  backoff (``REPRO_RETRIES`` / ``REPRO_RETRY_BACKOFF_S``).  The retry
+  backoff (the ``retries`` / ``retry_backoff`` arguments).  The retry
   reuses the *same* spec and therefore the same derived seed, so a
   retried run is bit-identical to one that never crashed.
 * **Failures become placeholders.**  A spec that keeps failing (or
@@ -42,13 +42,12 @@ Resilience (the properties a 48-run batch on real hardware needs):
 Worker count comes from the ``REPRO_WORKERS`` environment variable
 (default ``os.cpu_count()``); ``REPRO_WORKERS=1`` is an exact serial
 fallback that never touches the process pool.  Each executor invocation
-also writes a ``benchmarks/out/timings.json`` artefact (per-run wall
-time, worker count, speedup vs the serial estimate) unless
-``REPRO_TIMINGS=0``, and a ``metrics.json`` artefact (each worker's
-:class:`~repro.obs.registry.MetricsRegistry` snapshot plus their merge)
-unless ``REPRO_METRICS=0``.  Both land in the directory resolved by
-:func:`repro.obs.artifacts.artifact_dir` (``REPRO_ARTIFACT_DIR``, or
-the legacy ``REPRO_TIMINGS_DIR``, or ``benchmarks/out``).
+also writes a ``metrics.json`` artefact (each worker's
+:class:`~repro.obs.registry.MetricsRegistry` snapshot, their merge, and
+the batch timings: per-run wall time, worker count, speedup vs the
+serial estimate) with its ``metrics.prom`` twin, in the directory
+resolved by :func:`repro.obs.artifacts.artifact_dir`
+(``REPRO_ARTIFACT_DIR``, or ``benchmarks/out``).
 
 Merged metrics are *worker-count invariant*: workers return snapshots in
 spec order and the parent folds them in that order, so every section
@@ -86,7 +85,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.faults.chaos import InjectedWorkerCrash, mark_pool_worker, maybe_crash
 from repro.faults.plan import FaultPlan
-from repro.obs.artifacts import LEGACY_TIMINGS_DIR_ENV, artifact_path
+from repro.obs.artifacts import artifact_path
 from repro.obs.profiler import merge_profiles
 from repro.obs.records import read_jsonl, write_json, write_jsonl
 from repro.obs.registry import (
@@ -109,17 +108,10 @@ from repro.util.settings import (
     ON_WORDS,
     parse_float_setting,
     parse_int_setting,
-    resolve_bool_env,
     resolve_int_env,
 )
 
 WORKERS_ENV = "REPRO_WORKERS"
-TIMINGS_ENV = "REPRO_TIMINGS"
-METRICS_ENV = "REPRO_METRICS"
-TIMINGS_DIR_ENV = LEGACY_TIMINGS_DIR_ENV  # re-export for compatibility
-
-RETRIES_ENV = "REPRO_RETRIES"
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF_S"
 TIMEOUT_ENV = "REPRO_SPEC_TIMEOUT_S"
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 
@@ -165,7 +157,7 @@ class RunSpec:
 
     city_seed: int = 42
     tag: str = ""
-    """Free-form label echoed into results and the timings artefact."""
+    """Free-form label echoed into results and the metrics artefact."""
 
     faults: Optional[FaultPlan] = None
     """Deterministic fault plan for this run (None injects nothing)."""
@@ -311,30 +303,20 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return resolve_int_env(WORKERS_ENV, os.cpu_count() or 1, 1)
 
 
-def _resolve_float_env(env: str, default: float) -> float:
-    value = os.environ.get(env, "").strip()
-    if not value:
-        return default
-    parsed = parse_float_setting(env, value)
-    if parsed < 0:
-        raise ValueError("%s must be >= 0, got %r" % (env, parsed))
-    return parsed
-
-
 def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget per spec on worker death (``REPRO_RETRIES``)."""
-    if retries is not None:
-        return parse_int_setting("retries", retries, 0)
-    return resolve_int_env(RETRIES_ENV, DEFAULT_RETRIES, 0)
+    """Retry budget per spec on worker death: argument, else 2."""
+    if retries is None:
+        return DEFAULT_RETRIES
+    return parse_int_setting("retries", retries, 0)
 
 
 def resolve_backoff(backoff: Optional[float] = None) -> float:
-    """Backoff base seconds between retries (``REPRO_RETRY_BACKOFF_S``)."""
-    if backoff is not None:
-        if backoff < 0:
-            raise ValueError("backoff must be >= 0, got %r" % backoff)
-        return backoff
-    return _resolve_float_env(BACKOFF_ENV, DEFAULT_BACKOFF_S)
+    """Backoff base seconds between retries: argument, else 0.5."""
+    if backoff is None:
+        return DEFAULT_BACKOFF_S
+    if backoff < 0:
+        raise ValueError("backoff must be >= 0, got %r" % backoff)
+    return backoff
 
 
 def resolve_spec_timeout(timeout: Optional[float] = None) -> Optional[float]:
@@ -343,10 +325,12 @@ def resolve_spec_timeout(timeout: Optional[float] = None) -> Optional[float]:
     Only enforced on pooled execution: the serial path cannot preempt a
     run in its own process.
     """
+    name = "spec timeout"
     if timeout is None:
-        timeout = _resolve_float_env(TIMEOUT_ENV, 0.0)
+        name = TIMEOUT_ENV
+        timeout = parse_float_setting(name, os.environ.get(name, "").strip() or "0")
     if timeout < 0:
-        raise ValueError("spec timeout must be >= 0, got %r" % timeout)
+        raise ValueError("%s must be >= 0, got %r" % (name, timeout))
     return timeout if timeout > 0 else None
 
 
@@ -607,7 +591,6 @@ def _pool_entry(task: Tuple[RunSpec, int]) -> RunSummary:
 def run_specs(
     specs: Sequence[RunSpec],
     workers: Optional[int] = None,
-    timings_name: str = "timings",
     metrics_name: str = "metrics",
     checkpoint_name: Optional[str] = None,
     retries: Optional[int] = None,
@@ -620,9 +603,8 @@ def run_specs(
     one worker (or one spec) runs inline with no pool.  Results are
     bit-identical across worker counts because each run derives all of
     its randomness from its own spec and touches only immutable shared
-    state.  Timings and metrics artefacts are written after every
-    non-empty invocation (``REPRO_TIMINGS=0`` / ``REPRO_METRICS=0``
-    disable).
+    state.  The metrics artefact, with the batch timings embedded, is
+    written after every non-empty invocation.
 
     Worker death retries the unfinished specs (same spec, same derived
     seed — bit-identical on success) up to ``retries`` extra attempts
@@ -634,7 +616,7 @@ def run_specs(
     """
     specs = list(specs)
     if not specs:
-        return []  # nothing ran: leave no empty timings/metrics artefacts
+        return []  # nothing ran: leave no empty metrics artefact
     requested = resolve_workers(workers)
     retries = resolve_retries(retries)
     backoff = resolve_backoff(retry_backoff)
@@ -680,8 +662,6 @@ def run_specs(
     batch_timings = timings_doc(
         final, workers=used, total_wall=total_wall, cache_build=cache_wall
     )
-    write_timings(final, workers=used, total_wall=total_wall,
-                  name=timings_name, doc=batch_timings)
     write_metrics(
         final, workers=used, name=metrics_name, timings=batch_timings
     )
@@ -892,14 +872,9 @@ def _prewarm(specs: Sequence[RunSpec]) -> None:
         shared_wigle(city_seed)
 
 
-def timings_path(name: str = "timings") -> pathlib.Path:
-    """Where the timings artefact goes (see
-    :func:`repro.obs.artifacts.artifact_dir` for the resolution rule)."""
-    return artifact_path(name)
-
-
 def metrics_path(name: str = "metrics") -> pathlib.Path:
-    """Where the metrics artefact goes (same directory as timings)."""
+    """Where the metrics artefact goes (see
+    :func:`repro.obs.artifacts.artifact_dir` for the resolution rule)."""
     return artifact_path(name)
 
 
@@ -941,8 +916,7 @@ def metrics_doc(
     runs keep their slot with an empty snapshot and an ``error`` field.
     When ``timings`` is given (the :func:`timings_doc` of the same
     batch) it is embedded under a ``timings`` key, so one artefact
-    carries the full run record; ``timings.json`` is still written
-    separately for backward compatibility.  Everything except
+    carries the full run record.  Everything except
     ``workers``, the ``timers`` sections and ``timings`` is a pure
     function of the specs — the property the golden-master tests pin
     (see :mod:`repro.obs.golden`).
@@ -983,13 +957,8 @@ def write_metrics(
     workers: int,
     name: str = "metrics",
     timings: Optional[dict] = None,
-) -> Optional[pathlib.Path]:
-    """Persist :func:`metrics_doc` as an artefact; returns its path.
-
-    Set ``REPRO_METRICS=0`` to disable.
-    """
-    if not resolve_bool_env(METRICS_ENV, True):
-        return None
+) -> pathlib.Path:
+    """Persist :func:`metrics_doc` as an artefact; returns its path."""
     doc = metrics_doc(results, workers, timings=timings)
     path = write_json(metrics_path(name), doc, indent=2)
     # Scrape-able twin of the JSON artefact: same merged counters and
@@ -1047,29 +1016,6 @@ def timings_doc(
         ),
         "runs": runs,
     }
-
-
-def write_timings(
-    results: Sequence[RunResult],
-    workers: int,
-    total_wall: float,
-    name: str = "timings",
-    cache_build: float = 0.0,
-    doc: Optional[dict] = None,
-) -> Optional[pathlib.Path]:
-    """Persist the batch timing artefact; returns its path.
-
-    ``doc`` short-circuits re-assembly when the caller already built the
-    document (to embed it into ``metrics.json``).  Set
-    ``REPRO_TIMINGS=0`` to disable.
-    """
-    if not resolve_bool_env(TIMINGS_ENV, True):
-        return None
-    if doc is None:
-        doc = timings_doc(
-            results, workers, total_wall, cache_build=cache_build
-        )
-    return write_json(timings_path(name), doc, indent=2)
 
 
 def write_batch_profile(

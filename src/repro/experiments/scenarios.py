@@ -87,10 +87,6 @@ class ScenarioConfig:
     de-auth emitter can knock them loose.  When False they are simply
     absent, which is equivalent for every attacker that lacks de-auth."""
 
-    trace: Optional[bool] = None
-    """Row-level tracing: True/False force it; None defers to the
-    ``REPRO_TRACE`` environment variable (default off)."""
-
     loss_rate: float = 0.0
     """Uniform frame-loss probability of the medium (1.0 = blackout)."""
 
@@ -175,7 +171,7 @@ def build_scenario(
 ) -> ScenarioBuild:
     """Assemble one scenario; the caller runs ``build.sim.run(duration)``."""
     venue = city.venue(config.venue_name)
-    sim = Simulation(seed=config.seed, trace=config.trace)
+    sim = Simulation(seed=config.seed)
     plan = config.faults
     medium = Medium(
         sim,

@@ -52,7 +52,7 @@ class ShardFaultParams:
     stripes at different shard counts without editing the plan.
     ``crash_incarnations`` is the number of successive incarnations that
     crash — values above the engine's recovery budget
-    (``REPRO_SHARD_MAX_RECOVERIES``) model a persistent fault.
+    (``MAX_RECOVERIES``, 3) model a persistent fault.
     """
 
     crash_epoch: Optional[int] = None

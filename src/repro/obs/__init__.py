@@ -4,7 +4,7 @@ The package gives every run three cheap, always-on artefact streams —
 a :class:`MetricsRegistry` of counters/gauges/histograms, a capped
 :class:`EventSink` of structured events, and span/timer context
 managers — plus the single artefact-directory resolution rule shared by
-the timings and metrics writers.  :mod:`~repro.obs.records` is the
+every artefact writer.  :mod:`~repro.obs.records` is the
 record plumbing every recorder shares: the bounded ring, the telemetry
 directory, ``.old`` rotation, the JSONL writer and reader, the JSON
 document writer and the Chrome trace-event builder.
@@ -24,7 +24,6 @@ perfbench (``benchmarks/perfbench_counters.py``).
 from repro.obs.artifacts import (
     ARTIFACT_DIR_ENV,
     DEFAULT_ARTIFACT_DIR,
-    LEGACY_TIMINGS_DIR_ENV,
     artifact_dir,
     artifact_path,
     ensure_artifact_dir,
@@ -52,7 +51,6 @@ from repro.obs.registry import (
 )
 from repro.obs.reqtrace import (
     REQ_TRACE_ENV,
-    REQ_TRACE_MAX_ENV,
     RequestTrace,
     load_reqtrace_dir,
     maybe_request_trace,
@@ -104,20 +102,17 @@ from repro.obs.prom import (
 from repro.obs.spans import NullSpan, Span, maybe_span, span, timer
 from repro.obs.telemetry import (
     HEARTBEAT_ENV,
-    SERVE_HEARTBEAT_ENV,
     HeartbeatWriter,
     fleet_snapshot,
     maybe_heartbeat,
     render_top,
     render_watch,
-    resolve_serve_heartbeat_interval,
     watch_snapshot,
 )
 
 __all__ = [
     "ARTIFACT_DIR_ENV",
     "DEFAULT_ARTIFACT_DIR",
-    "LEGACY_TIMINGS_DIR_ENV",
     "artifact_dir",
     "artifact_path",
     "ensure_artifact_dir",
@@ -140,7 +135,6 @@ __all__ = [
     "parse_key",
     "validate_metrics_doc",
     "REQ_TRACE_ENV",
-    "REQ_TRACE_MAX_ENV",
     "RequestTrace",
     "load_reqtrace_dir",
     "maybe_request_trace",
@@ -184,8 +178,6 @@ __all__ = [
     "validate_prom_text",
     "write_prom",
     "HEARTBEAT_ENV",
-    "SERVE_HEARTBEAT_ENV",
-    "resolve_serve_heartbeat_interval",
     "HeartbeatWriter",
     "fleet_snapshot",
     "maybe_heartbeat",

@@ -1,10 +1,8 @@
 """One resolution rule for where run artefacts go.
 
-Every writer (timings, metrics, event exports) historically had its own
-idea of the output directory; this module is the single authority.
-``REPRO_ARTIFACT_DIR`` wins, the pre-existing ``REPRO_TIMINGS_DIR`` is
-still honoured for compatibility, and the default is ``benchmarks/out``
-under the current directory.
+Every writer (metrics, profiles, checkpoints, telemetry, event
+exports) resolves its output directory here: ``REPRO_ARTIFACT_DIR``
+when set, else ``benchmarks/out`` under the current directory.
 """
 
 from __future__ import annotations
@@ -13,17 +11,13 @@ import os
 import pathlib
 
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-LEGACY_TIMINGS_DIR_ENV = "REPRO_TIMINGS_DIR"
 DEFAULT_ARTIFACT_DIR = pathlib.Path("benchmarks") / "out"
 
 
 def artifact_dir() -> pathlib.Path:
     """The directory run artefacts are written to (not created here)."""
-    for env in (ARTIFACT_DIR_ENV, LEGACY_TIMINGS_DIR_ENV):
-        value = os.environ.get(env, "").strip()
-        if value:
-            return pathlib.Path(value)
-    return DEFAULT_ARTIFACT_DIR
+    value = os.environ.get(ARTIFACT_DIR_ENV, "").strip()
+    return pathlib.Path(value) if value else DEFAULT_ARTIFACT_DIR
 
 
 def artifact_path(name: str, suffix: str = ".json") -> pathlib.Path:

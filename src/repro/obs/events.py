@@ -1,10 +1,9 @@
 """Buffered structured-event sink on a bounded ring.
 
-The sink is the exportable counterpart of :class:`~repro.sim.tracing.Trace`:
-low-frequency, *structured* events (phase spans, PB/FB swaps, deauth
-cycles) kept as dicts, capped so it can stay enabled during the full
-Fig. 5 sweeps.  The executor ships each run's events in its result,
-and ``repro obs events`` exports them as JSON Lines.
+The sink keeps low-frequency, *structured* events (phase spans, PB/FB
+swaps, deauth cycles) as dicts, capped so it can stay enabled during
+the full Fig. 5 sweeps.  The executor ships each run's events in its
+result, and ``repro obs events`` exports them as JSON Lines.
 """
 
 from __future__ import annotations

@@ -40,10 +40,9 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.records import ChromeTrace, Ring, validate_chrome_trace
-from repro.util.settings import resolve_bool_env, resolve_int_env
+from repro.util.settings import resolve_bool_env
 
 LINEAGE_ENV = "REPRO_LINEAGE"
-LINEAGE_MAX_ENV = "REPRO_LINEAGE_MAX"
 
 DEFAULT_MAX_RECORDS = 500_000
 """Ring-buffer cap on retained lineage records (oldest evicted)."""
@@ -83,12 +82,10 @@ class LineageTrace(Ring):
     def __init__(
         self,
         enabled: Optional[bool] = None,
-        max_records: Optional[int] = None,
+        max_records: int = DEFAULT_MAX_RECORDS,
     ):
         if enabled is None:
             enabled = resolve_bool_env(LINEAGE_ENV, False)
-        if max_records is None:
-            max_records = resolve_int_env(LINEAGE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
         super().__init__(max_records, enabled)
         self._next_id = 1
         self.current: Optional[Ctx] = None

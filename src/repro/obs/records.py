@@ -1,9 +1,9 @@
 """Record plumbing shared by every recorder.
 
-The recorders (the sim trace, the event sink, lineage, epoch spans,
-request spans, heartbeats and profiles) differ in *what* they record,
-not in how records are kept, stored and exported.  This module owns the
-how, once:
+The recorders (the event sink, lineage, epoch spans, request spans,
+heartbeats and profiles) differ in *what* they record, not in how
+records are kept, stored and exported.  This module owns the how,
+once:
 
 * :class:`Ring` — a bounded in-memory store; when it is full the oldest
   record is evicted and counted in ``dropped``, so a long run keeps the

@@ -16,7 +16,7 @@ pipeline stage for every accepted event:
   running the decision callback.
 
 Spans are plain dicts stamped with ``perf_counter`` readings, kept in a
-ring of ``REPRO_REQ_TRACE_MAX`` records (default 200 000; the
+ring of 200 000 records (the ``max_records`` argument; the
 ``reqtrace.dropped`` gauge counts evictions).  Decision streams and
 differential-parity digests are bit-identical with tracing on or off.
 ``RankingService.finish`` flushes the ring to ``reqtrace-<pid>.jsonl``
@@ -40,10 +40,9 @@ from repro.obs.records import (
     telemetry_dir,
     write_jsonl,
 )
-from repro.util.settings import parse_int_setting, resolve_bool_env, resolve_int_env
+from repro.util.settings import parse_int_setting, resolve_bool_env
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
-REQ_TRACE_MAX_ENV = "REPRO_REQ_TRACE_MAX"
 
 DEFAULT_MAX_RECORDS = 200_000
 """Ring capacity: at 4 spans per probe this holds the last ~50k probes."""
@@ -63,12 +62,11 @@ def resolve_req_trace(value: Optional[bool] = None) -> bool:
 
 
 def resolve_req_trace_max(value: Optional[int] = None) -> int:
-    """Ring capacity: explicit arg, else ``REPRO_REQ_TRACE_MAX``, else
-    200,000.  A non-integer or sub-1 value raises a ValueError naming
-    its source."""
-    if value is not None:
-        return parse_int_setting("max_records", value, 1)
-    return resolve_int_env(REQ_TRACE_MAX_ENV, DEFAULT_MAX_RECORDS, 1)
+    """Ring capacity: explicit arg, else 200,000.  A non-integer or
+    sub-1 value raises a ValueError naming ``max_records``."""
+    if value is None:
+        return DEFAULT_MAX_RECORDS
+    return parse_int_setting("max_records", value, 1)
 
 
 class RequestTrace(Ring):

@@ -41,7 +41,6 @@ from repro.obs.records import read_jsonl, rotate, telemetry_dir, write_jsonl
 from repro.util.settings import OFF_WORDS, ON_WORDS, parse_float_setting
 
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
-SERVE_HEARTBEAT_ENV = "REPRO_SERVE_HEARTBEAT"
 
 DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
@@ -55,9 +54,7 @@ OPS_EVENTS_FILE = "shardops-events.jsonl"
 RECOVERY_EVENT_KINDS = ("shard.crash", "shard.respawn")
 
 
-def resolve_heartbeat_interval(
-    value: Optional[str] = None, env: str = HEARTBEAT_ENV
-) -> Optional[float]:
+def resolve_heartbeat_interval(value: Optional[str] = None) -> Optional[float]:
     """Heartbeat interval in seconds, or None when heartbeats are off.
 
     ``REPRO_HEARTBEAT`` (or ``value``) is off when blank, ``false``,
@@ -65,39 +62,27 @@ def resolve_heartbeat_interval(
     ``true``, ``on``, ``yes``) means the 5 s default cadence, and any
     other finite positive number is the interval in seconds
     (``REPRO_HEARTBEAT=2.5``).  Anything else raises a ValueError
-    naming ``env``: a typo must not silently switch heartbeats off, and
-    an infinite interval would kill the heartbeat thread.
+    naming the variable: a typo must not silently switch heartbeats
+    off, and an infinite interval would kill the heartbeat thread.
+    Executor workers, shard runtimes and the
+    :class:`~repro.serve.service.RankingService` all read it.
     """
     if value is None:
-        value = os.environ.get(env, "")
+        value = os.environ.get(HEARTBEAT_ENV, "")
     word = value.strip().lower()
     if word in OFF_WORDS:
         return None
     if word in ON_WORDS:
         return DEFAULT_INTERVAL_S
-    interval = parse_float_setting(env, word)
+    interval = parse_float_setting(HEARTBEAT_ENV, word)
     if interval == 0:
         return None
     if not (0 < interval < math.inf):
         raise ValueError(
             "%s must be a finite positive number of seconds, got %r"
-            % (env, value)
+            % (HEARTBEAT_ENV, value)
         )
     return interval
-
-
-def resolve_serve_heartbeat_interval(
-    value: Optional[str] = None,
-) -> Optional[float]:
-    """Serving-heartbeat interval in seconds, or None when off.
-
-    ``REPRO_SERVE_HEARTBEAT`` takes the same grammar as
-    ``REPRO_HEARTBEAT`` but gates the
-    :class:`~repro.serve.service.RankingService` heartbeats separately —
-    a batch run with executor heartbeats on should not suddenly grow
-    serve files, and vice versa.
-    """
-    return resolve_heartbeat_interval(value, SERVE_HEARTBEAT_ENV)
 
 
 class HeartbeatWriter:

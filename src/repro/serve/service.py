@@ -47,15 +47,10 @@ from repro.obs.registry import (
     metric_key,
 )
 from repro.obs.reqtrace import maybe_request_trace
-from repro.obs.telemetry import (
-    HeartbeatWriter,
-    resolve_serve_heartbeat_interval,
-)
+from repro.obs.telemetry import HeartbeatWriter, resolve_heartbeat_interval
 from repro.serve.core import RankingCore
 from repro.serve.events import BurstDecision, Event, FeedbackEvent, ProbeEvent
-from repro.util.settings import parse_int_setting, resolve_int_env
-
-QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"
+from repro.util.settings import parse_int_setting
 
 DEFAULT_QUEUE_MAX = 1024
 
@@ -86,12 +81,11 @@ _DECISIONS_KEY = {
 
 
 def resolve_queue_max(queue_max: Optional[int] = None) -> int:
-    """Ingress bound: explicit arg, else ``REPRO_SERVE_QUEUE_MAX``, else
-    1024.  A non-integer or sub-1 value raises a ValueError naming its
-    source."""
-    if queue_max is not None:
-        return parse_int_setting("queue_max", queue_max, 1)
-    return resolve_int_env(QUEUE_MAX_ENV, DEFAULT_QUEUE_MAX, 1)
+    """Ingress bound: explicit arg, else 1024.  A non-integer or sub-1
+    value raises a ValueError naming ``queue_max``."""
+    if queue_max is None:
+        return DEFAULT_QUEUE_MAX
+    return parse_int_setting("queue_max", queue_max, 1)
 
 
 class RankingService:
@@ -110,7 +104,7 @@ class RankingService:
     ):
         self.core = core
         self.queue_max = resolve_queue_max(queue_max)
-        self.heartbeat_interval = resolve_serve_heartbeat_interval()
+        self.heartbeat_interval = resolve_heartbeat_interval()
         self.shed = shed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.decisions: List[BurstDecision] = []

@@ -10,13 +10,10 @@ from repro.sim.clock import Clock
 from repro.sim.events import EventHandle
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulation import Simulation
-from repro.sim.tracing import Trace, TraceRecord
 
 __all__ = [
     "Clock",
     "EventHandle",
     "Scheduler",
     "Simulation",
-    "Trace",
-    "TraceRecord",
 ]

@@ -24,8 +24,6 @@ from repro.sim.shards.checkpoint import (
     resolve_ckpt_every,
 )
 from repro.sim.shards.engine import (
-    MAX_RECOVERIES_ENV,
-    PHASE_TIMEOUT_ENV,
     SHARD_MODE_ENV,
     SHARDS_ENV,
     ShardCrash,
@@ -42,8 +40,6 @@ __all__ = [
     "CKPT_EVERY_ENV",
     "CheckpointError",
     "CorruptHandoffError",
-    "MAX_RECOVERIES_ENV",
-    "PHASE_TIMEOUT_ENV",
     "SHARD_MODE_ENV",
     "SHARDS_ENV",
     "ShardCrash",

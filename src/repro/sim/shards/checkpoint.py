@@ -36,7 +36,7 @@ from repro.util.settings import parse_int_setting, resolve_int_env
 CKPT_EVERY_ENV = "REPRO_SHARD_CKPT_EVERY"
 
 CKPT_SUBDIR = "checkpoints"
-CKPT_SCHEMA = "repro.shard_ckpt/v1"
+CKPT_SCHEMA = "repro.shard_ckpt/v2"
 MANIFEST_NAME = "manifest.json"
 
 _BLOB_MAGIC = b"RSC1"

@@ -31,14 +31,14 @@ to ``checkpoints/`` every N epochs and the coordinator commits a
 manifest naming the last globally consistent barrier (see
 :mod:`repro.sim.shards.checkpoint`).  The process transport detects
 dead shards (pipe ``EOFError`` + exitcode polling), hung shards (a
-per-phase deadline derived from recent phase walls, or the explicit
-``REPRO_SHARD_PHASE_TIMEOUT_S``), and corrupt handoff batches
+per-phase deadline derived from recent phase walls), and corrupt
+handoff batches
 (:func:`~repro.sim.shards.handoff.validate_outbox` on every received
 outbox); any of the three raises :class:`ShardCrash`, after which *all*
 shards are torn down, respawned from the manifest barrier, and the run
 replays — deterministically, so the recovered digest is bit-identical
-to an uninterrupted run.  At most ``REPRO_SHARD_MAX_RECOVERIES``
-(default 3) recoveries are attempted; an ``("err", traceback)`` reply
+to an uninterrupted run.  At most ``MAX_RECOVERIES`` (3) recoveries
+are attempted; an ``("err", traceback)`` reply
 is a deterministic bug, never retried.  Inline shards cannot be lost,
 so inline mode never recovers: an injected crash or corrupt batch
 raises.  All recovery accounting lands under stripped
@@ -98,21 +98,14 @@ from repro.sim.shards.checkpoint import (
 from repro.sim.shards.handoff import CorruptHandoffError
 from repro.sim.shards.scenario import ShardScenario
 from repro.sim.shards.shard import ShardRuntime
-from repro.util.settings import (
-    parse_float_setting,
-    parse_int_setting,
-    resolve_int_env,
-)
+from repro.util.settings import parse_int_setting, resolve_int_env
 
 SHARDS_ENV = "REPRO_SHARDS"
 SHARD_MODE_ENV = "REPRO_SHARD_MODE"
 SHARD_MODES = ("inline", "process")
 
-#: Per-phase coordinator deadline override (seconds); unset = adaptive.
-PHASE_TIMEOUT_ENV = "REPRO_SHARD_PHASE_TIMEOUT_S"
 #: How many crash recoveries to attempt before giving up.
-MAX_RECOVERIES_ENV = "REPRO_SHARD_MAX_RECOVERIES"
-DEFAULT_MAX_RECOVERIES = 3
+MAX_RECOVERIES = 3
 
 #: Adaptive deadline: before any phase completed we have no baseline.
 FIRST_PHASE_DEADLINE_S = 300.0
@@ -146,27 +139,6 @@ def resolve_shard_mode(mode: Optional[str] = None) -> str:
             "unknown shard mode %r (have: %s)" % (mode, ", ".join(SHARD_MODES))
         )
     return mode
-
-
-def resolve_phase_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Explicit per-phase deadline, or None for the adaptive one."""
-    name = "phase timeout"
-    if timeout is None:
-        raw = os.environ.get(PHASE_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        name, timeout = PHASE_TIMEOUT_ENV, raw
-    timeout = parse_float_setting(name, timeout)
-    if not timeout > 0:  # NaN fails this too
-        raise ValueError("%s must be > 0, got %r" % (name, timeout))
-    return timeout
-
-
-def resolve_max_recoveries(limit: Optional[int] = None) -> int:
-    """Crash-recovery budget (``REPRO_SHARD_MAX_RECOVERIES``, default 3)."""
-    if limit is not None:
-        return parse_int_setting("max recoveries", limit, 0)
-    return resolve_int_env(MAX_RECOVERIES_ENV, DEFAULT_MAX_RECOVERIES, 0)
 
 
 class ShardCrash(RuntimeError):
@@ -616,8 +588,6 @@ class ShardedCitySim:
                 self.fault = faults.shard_faults
                 self.fault_seed = faults.seed
         self.ckpt_every = resolve_ckpt_every(ckpt_every)
-        self.phase_timeout = resolve_phase_timeout()
-        self.max_recoveries = resolve_max_recoveries()
         self._phase_walls: deque = deque(maxlen=32)
         self._last_ckpt_epoch = -1
 
@@ -652,10 +622,10 @@ class ShardedCitySim:
                     reason=crash.reason,
                     exitcode=crash.exitcode,
                 )
-                if ops["crashes"] > self.max_recoveries:
+                if ops["crashes"] > MAX_RECOVERIES:
                     raise RuntimeError(
                         "recovery budget exhausted (%d recoveries): %s"
-                        % (self.max_recoveries, crash)
+                        % (MAX_RECOVERIES, crash)
                     ) from crash
                 rec0 = _time.perf_counter()
                 (
@@ -708,11 +678,7 @@ class ShardedCitySim:
         The manifest is written last, so a crash anywhere before it
         leaves the previous consistent barrier in force.
         """
-        pending = {
-            "epoch": epoch,
-            "migrations": [handoff.encode_records(m) for m in migrations],
-            "offers": [handoff.encode_records(o) for o in offers],
-        }
+        pending = {"epoch": epoch, "migrations": migrations, "offers": offers}
         pending_bytes = write_blob(ckpt_dir / pending_name(epoch), pending)
         manifest = {
             "schema": CKPT_SCHEMA,
@@ -873,10 +839,7 @@ class ShardedCitySim:
 
     def _phase_deadline(self) -> float:
         """How long a single phase reply may take before the shard is
-        declared hung (explicit env override, else adaptive from the
-        recent phase-wall window)."""
-        if self.phase_timeout is not None:
-            return self.phase_timeout
+        declared hung, adapted to the recent phase-wall window."""
         if not self._phase_walls:
             return FIRST_PHASE_DEADLINE_S
         mean = sum(self._phase_walls) / len(self._phase_walls)
@@ -909,10 +872,8 @@ class ShardedCitySim:
                     % (manifest["shards"], manifest["seed"])
                 )
             pending = read_blob(ckpt_dir / manifest["pending"])
-            migrations = [
-                handoff.decode_records(b) for b in pending["migrations"]
-            ]
-            offers = [handoff.decode_records(b) for b in pending["offers"]]
+            migrations = [handoff.validate_batch(m) for m in pending["migrations"]]
+            offers = [handoff.validate_batch(o) for o in pending["offers"]]
             if len(migrations) != shards or len(offers) != shards:
                 raise CheckpointError("pending inboxes have wrong shard count")
             restore = {

@@ -20,21 +20,18 @@ identical at every shard count.  That invariance is the whole protocol:
 receivers sort, then apply; ties are impossible because two records of
 the same kind at the same time differ in walker or sensor id.
 
-Robustness (PR 8): records cross process boundaries and survive in
+Robustness: records cross process boundaries and survive in
 checkpoint files, so the module also carries the *readers* — schema
 validation (:func:`validate_record` / :func:`validate_batch`, raising
-:class:`CorruptHandoffError` on torn, mangled or duplicated records)
-and a CRC-framed byte codec (:func:`encode_records` /
-:func:`decode_records`) used by the epoch-barrier checkpoints.  A
-corrupt batch is *detected*, never applied: the engine turns the error
-into a shard crash and recovers from the last consistent barrier.
+:class:`CorruptHandoffError` on torn, mangled or duplicated records).
+A received outbox and a checkpoint's pending inboxes are validated
+before use; a corrupt batch is *detected*, never applied: the engine
+turns the error into a shard crash and recovers from the last
+consistent barrier.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
-import zlib
 from typing import Iterable, List, Tuple
 
 MIGRATE = "m"
@@ -167,41 +164,3 @@ def validate_outbox(outbox) -> None:
         if not _is_int(dest) or dest < 0:
             raise CorruptHandoffError("bad destination shard: %r" % (dest,))
         validate_batch(records)
-
-
-# -- byte codec (checkpoint files) -------------------------------------------
-
-_CODEC_MAGIC = b"RHO1"
-
-
-def encode_records(records: Iterable[Record]) -> bytes:
-    """Frame a record batch as ``magic + crc32(body) + pickle(body)``.
-
-    Used for the pending-inbox section of epoch-barrier checkpoints;
-    the CRC turns torn or bit-flipped files into clean
-    :class:`CorruptHandoffError` instead of silently wrong replays."""
-    body = pickle.dumps(list(records), protocol=4)
-    return _CODEC_MAGIC + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF) + body
-
-
-def decode_records(blob: bytes) -> List[Record]:
-    """Inverse of :func:`encode_records`, fully validated."""
-    if not isinstance(blob, (bytes, bytearray)) or len(blob) < 8:
-        raise CorruptHandoffError(
-            "handoff blob too short: %d bytes" % len(blob or b"")
-        )
-    if bytes(blob[:4]) != _CODEC_MAGIC:
-        raise CorruptHandoffError("bad handoff blob magic: %r" % (blob[:4],))
-    (crc,) = struct.unpack(">I", bytes(blob[4:8]))
-    body = bytes(blob[8:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CorruptHandoffError("handoff blob CRC mismatch")
-    try:
-        records = pickle.loads(body)
-    except Exception as exc:  # unpickling garbage raises many types
-        raise CorruptHandoffError("undecodable handoff blob: %s" % exc) from exc
-    if not isinstance(records, list):
-        raise CorruptHandoffError(
-            "handoff blob decodes to %s, not a list" % type(records).__name__
-        )
-    return validate_batch(records)

@@ -1,7 +1,7 @@
 """The :class:`Simulation` facade.
 
-Owns the clock, scheduler, RNG registry, trace, metrics registry and
-event sink; higher layers register entities against it.  An *entity* is
+Owns the clock, scheduler, RNG registry, metrics registry and event
+sink; higher layers register entities against it.  An *entity* is
 anything with a ``start(sim)`` method — phones, attackers and arrival
 processes all qualify.
 
@@ -10,9 +10,7 @@ Observability: ``sim.metrics`` is the run's
 capped :class:`~repro.obs.events.EventSink`; both are cheap enough to
 stay on for every run.  ``run``/``run_all`` are bracketed by spans
 (``span.sim.start_entities``, ``span.sim.run``) so every batch records
-its phase timeline.  The row-level :class:`~repro.sim.tracing.Trace`
-defaults to the ``REPRO_TRACE`` environment variable (off unless set to
-``1``/``true``/``on``) and can be forced either way per simulation.
+its phase timeline.
 
 Deep observability (both observers only — neither touches RNG draws,
 scheduling or metrics, so golden digests are identical on or off):
@@ -37,11 +35,7 @@ from repro.obs.spans import span
 from repro.sim.clock import Clock
 from repro.sim.events import EventHandle
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Trace
 from repro.util.rng import RngRegistry
-from repro.util.settings import resolve_bool_env
-
-TRACE_ENV = "REPRO_TRACE"
 
 
 class Simulation:
@@ -50,7 +44,6 @@ class Simulation:
     def __init__(
         self,
         seed: int = 0,
-        trace: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventSink] = None,
         lineage: Optional[bool] = None,
@@ -59,9 +52,6 @@ class Simulation:
         self.rngs = RngRegistry(seed)
         self.clock = Clock()
         self.scheduler = Scheduler(self.clock)
-        if trace is None:
-            trace = resolve_bool_env(TRACE_ENV, False)
-        self.trace = Trace(enabled=trace)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventSink()
         self.lineage = LineageTrace(enabled=lineage)
@@ -137,16 +127,9 @@ class Simulation:
         """Post-drive gauges: totals the artefact reader wants at a glance."""
         self.metrics.gauge_set("sim.events_fired", self.scheduler.fired)
         self.metrics.gauge_set("sim.time", self.now)
-        self.metrics.gauge_set("trace.records", len(self.trace))
-        self.metrics.gauge_set("trace.dropped", self.trace.dropped)
-        self.metrics.gauge_set("trace.cap", self.trace.max_records)
         self.metrics.gauge_set("events.buffered", len(self.events))
         self.metrics.gauge_set("events.dropped", self.events.dropped)
         self.metrics.gauge_set("events.cap", self.events.max_records)
-
-    def emit(self, kind: str, subject: str, detail: str = "") -> None:
-        """Trace helper stamped with the current time."""
-        self.trace.emit(self.now, kind, subject, detail)
 
     def record_event(self, kind: str, **fields: Any) -> None:
         """Structured-event helper stamped with the current time."""

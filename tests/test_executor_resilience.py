@@ -177,7 +177,7 @@ class TestFailedRunArtifacts:
             False, True,
         ]
         assert metrics["runs"][1]["failure_kind"] == "exception"
-        timings = json.loads((_artifact_dir / "timings.json").read_text())
+        timings = metrics["timings"]
         assert timings["failed_count"] == 1
         assert timings["run_count"] == 2
         assert "wall_time_s" not in timings["runs"][1]
@@ -268,21 +268,17 @@ class TestCheckpointResume:
 
 
 class TestEnvResolution:
-    def test_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert resolve_retries() == parallel.DEFAULT_RETRIES
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        assert resolve_retries() == 5
-        assert resolve_retries(0) == 0  # argument wins
-        monkeypatch.setenv("REPRO_RETRIES", "-1")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            resolve_retries()
+    def test_retries(self):
+        # No variable overrides the budget: the argument, else 2.
+        assert resolve_retries() == parallel.DEFAULT_RETRIES == 2
+        assert resolve_retries(5) == 5
+        assert resolve_retries(0) == 0
+        with pytest.raises(ValueError, match="retries"):
+            resolve_retries(-1)
 
-    def test_backoff(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF_S", raising=False)
-        assert resolve_backoff() == parallel.DEFAULT_BACKOFF_S
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "2.5")
-        assert resolve_backoff() == 2.5
+    def test_backoff(self):
+        assert resolve_backoff() == parallel.DEFAULT_BACKOFF_S == 0.5
+        assert resolve_backoff(2.5) == 2.5
         with pytest.raises(ValueError):
             resolve_backoff(-1.0)
 

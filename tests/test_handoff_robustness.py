@@ -1,23 +1,30 @@
 """Handoff robustness: corrupt records are detected, never applied.
 
-PR 8 sends handoff records across process boundaries and stores them
-in checkpoint files, so the codec and the schema validator become
-crash-safety surfaces.  Properties:
+Handoff records cross process boundaries and, as a barrier's pending
+inboxes, sit in checkpoint files, so the checkpoint frame
+(:func:`~repro.sim.shards.checkpoint.write_blob` /
+:func:`~repro.sim.shards.checkpoint.read_blob`) and the schema
+validator are crash-safety surfaces.  A pending inbox is read back the
+way recovery reads it: ``validate_batch(read_blob(path))``.
+Properties:
 
-* encode/decode round-trips any well-formed record batch bit-exactly
+* a written inbox round-trips any well-formed record batch bit-exactly
   (hypothesis when installed, a seeded sweep otherwise);
-* every corruption mode we inject in chaos runs — truncated blobs,
+* every corruption mode we inject in chaos runs — truncated files,
   bit flips anywhere in the frame, duplicated records, torn or
-  mangled tuples — raises :class:`CorruptHandoffError` instead of
-  yielding a plausible-but-wrong batch.
+  mangled tuples — raises :class:`CheckpointError` or
+  :class:`CorruptHandoffError` instead of yielding a
+  plausible-but-wrong batch.
 """
+
+import pathlib
+import tempfile
 
 import pytest
 
+from repro.sim.shards.checkpoint import CheckpointError, read_blob, write_blob
 from repro.sim.shards.handoff import (
     CorruptHandoffError,
-    decode_records,
-    encode_records,
     feedback,
     migrate,
     offer,
@@ -41,6 +48,22 @@ needs_hypothesis = pytest.mark.skipif(
 )
 
 ROW = (1.0, 2.0, 0.5, -0.25, 3.0, 1.5, 0.0)
+
+
+def _write(directory, payload) -> pathlib.Path:
+    path = pathlib.Path(directory) / "pending-epoch-1.bin"
+    write_blob(path, payload)
+    return path
+
+
+def _read(path):
+    """Read an inbox back the way recovery does."""
+    return validate_batch(read_blob(path))
+
+
+def _roundtrip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        return _read(_write(tmp, list(records)))
 
 
 def _sample_batch(seed: int):
@@ -75,7 +98,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_records, max_size=24, unique_by=lambda r: r[:5]))
     def test_roundtrip_property(records):
-        assert decode_records(encode_records(records)) == list(records)
+        assert _roundtrip(records) == list(records)
 
     @needs_hypothesis
     @settings(max_examples=100, deadline=None)
@@ -84,61 +107,61 @@ if HAVE_HYPOTHESIS:
         st.data(),
     )
     def test_any_bit_flip_is_detected(records, data):
-        """Flipping any single bit of the frame either raises
-        CorruptHandoffError or still decodes to the original batch
-        (pickle framing can tolerate some don't-care bits); it never
-        yields a *different* batch."""
-        blob = encode_records(records)
-        pos = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
-        bit = data.draw(st.integers(min_value=0, max_value=7))
-        flipped = bytearray(blob)
-        flipped[pos] ^= 1 << bit
-        try:
-            decoded = decode_records(bytes(flipped))
-        except CorruptHandoffError:
-            return
+        """Flipping any single bit of the frame either raises or still
+        decodes to the original batch; it never yields a *different*
+        batch."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, list(records))
+            flipped = bytearray(path.read_bytes())
+            pos = data.draw(st.integers(min_value=0, max_value=len(flipped) - 1))
+            flipped[pos] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+            path.write_bytes(bytes(flipped))
+            try:
+                decoded = _read(path)
+            except (CheckpointError, CorruptHandoffError):
+                return
         assert decoded == list(records)
 
 
 def test_roundtrip_seeded_sweep():
     for seed in range(8):
         batch = _sample_batch(seed)
-        assert decode_records(encode_records(batch)) == batch
-    assert decode_records(encode_records([])) == []
+        assert _roundtrip(batch) == batch
+    assert _roundtrip([]) == []
 
 
 class TestBlobCorruption:
-    def test_truncated_blob(self):
-        blob = encode_records(_sample_batch(1))
+    def test_truncated_blob(self, tmp_path):
+        path = _write(tmp_path, _sample_batch(1))
+        blob = path.read_bytes()
         for cut in (0, 3, 7, len(blob) // 2, len(blob) - 1):
-            with pytest.raises(CorruptHandoffError):
-                decode_records(blob[:cut])
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                _read(path)
 
-    def test_bad_magic(self):
-        blob = encode_records(_sample_batch(1))
-        with pytest.raises(CorruptHandoffError, match="magic"):
-            decode_records(b"XXXX" + blob[4:])
+    def test_bad_magic(self, tmp_path):
+        path = _write(tmp_path, _sample_batch(1))
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        with pytest.raises(CheckpointError, match="magic"):
+            _read(path)
 
-    def test_crc_mismatch_on_body_flip(self):
-        blob = bytearray(encode_records(_sample_batch(1)))
+    def test_crc_mismatch_on_body_flip(self, tmp_path):
+        path = _write(tmp_path, _sample_batch(1))
+        blob = bytearray(path.read_bytes())
         blob[10] ^= 0xFF
-        with pytest.raises(CorruptHandoffError, match="CRC"):
-            decode_records(bytes(blob))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="CRC"):
+            _read(path)
 
-    def test_non_list_payload_rejected(self):
-        import pickle
-        import struct
-        import zlib
+    def test_non_list_payload_rejected(self, tmp_path):
+        path = _write(tmp_path, {"not": "a list"})
+        with pytest.raises(CorruptHandoffError, match="not a tuple"):
+            _read(path)
 
-        body = pickle.dumps({"not": "a list"}, protocol=4)
-        blob = b"RHO1" + struct.pack(">I", zlib.crc32(body)) + body
-        with pytest.raises(CorruptHandoffError, match="not a list"):
-            decode_records(blob)
-
-    def test_duplicate_record_rejected(self):
+    def test_duplicate_record_rejected(self, tmp_path):
         rec = probe(1.0, 0, 5, 2)
         with pytest.raises(CorruptHandoffError, match="duplicate"):
-            decode_records(encode_records([rec, rec]))
+            _read(_write(tmp_path, [rec, rec]))
 
 
 class TestRecordValidation:

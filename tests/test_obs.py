@@ -1,4 +1,4 @@
-"""Tests for the observability layer (repro.obs + tracing ring buffer).
+"""Tests for the observability layer (repro.obs).
 
 The load-bearing property is merge determinism: worker snapshots merged
 in spec order must equal the registry a single serial process would have
@@ -13,11 +13,9 @@ from repro.analysis.observability import (
     pbfb_timeline,
     provenance_breakdown,
     top_hit_ssids,
-    trace_window_counts,
 )
-from repro.obs.artifacts import artifact_dir, artifact_path
+from repro.obs.artifacts import artifact_path
 from repro.obs.events import EventSink
-from repro.obs.lineage import LineageTrace
 from repro.obs.records import read_jsonl, write_jsonl
 from repro.obs.registry import (
     FixedHistogram,
@@ -29,7 +27,6 @@ from repro.obs.registry import (
 )
 from repro.obs.spans import span
 from repro.sim.simulation import Simulation
-from repro.sim.tracing import Trace
 
 
 class TestMetricKeys:
@@ -183,23 +180,12 @@ class TestEventSink:
 class TestArtifactDir:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        monkeypatch.delenv("REPRO_TIMINGS_DIR", raising=False)
         assert str(artifact_path("metrics")).endswith("benchmarks/out/metrics.json")
-
-    def test_new_env_wins_over_legacy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", "/tmp/new")
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", "/tmp/old")
-        assert str(artifact_dir()) == "/tmp/new"
-
-    def test_legacy_still_honoured(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", "/tmp/old")
-        assert str(artifact_dir()) == "/tmp/old"
 
 
 class TestSpans:
     def test_span_records_sim_time_and_events(self):
-        sim = Simulation(trace=False)
+        sim = Simulation()
         sim.at(1.0, lambda: None)
         sim.at(2.0, lambda: None)
         with span(sim, "phase"):
@@ -220,62 +206,6 @@ class TestSpans:
         assert counters["span.sim.run.count"] == 1
         gauges = sim.metrics.to_dict()["gauges"]
         assert gauges["sim.time"] == 10.0
-
-
-class TestTraceRing:
-    def test_cap_and_dropped(self):
-        t = Trace(max_records=3)
-        for i in range(5):
-            t.emit(float(i), "k", f"s{i}")
-        assert len(t) == 3
-        assert t.dropped == 2
-        assert [r.subject for r in t] == ["s2", "s3", "s4"]
-
-    def test_between(self):
-        t = Trace()
-        for i in range(5):
-            t.emit(float(i), "k", f"s{i}")
-        assert [r.subject for r in t.between(1.0, 3.0)] == ["s1", "s2"]
-
-    def test_counts_by_kind_uses_retained_rows(self):
-        t = Trace(max_records=2)
-        t.emit(0.0, "a", "x")
-        t.emit(1.0, "b", "y")
-        t.emit(2.0, "b", "z")
-        assert t.counts_by_kind() == {"b": 2}
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MAX", "2")
-        t = Trace()
-        assert t.max_records == 2
-        monkeypatch.setenv("REPRO_TRACE_MAX", "zero")
-        with pytest.raises(ValueError, match="REPRO_TRACE_MAX"):
-            Trace()
-
-    @pytest.mark.parametrize(
-        "env, make", [("REPRO_TRACE_MAX", Trace), ("REPRO_LINEAGE_MAX", LineageTrace)]
-    )
-    @pytest.mark.parametrize("bad", ["zero", "0", "2.5"])
-    def test_env_cap_rejects_bad_values(self, monkeypatch, env, make, bad):
-        monkeypatch.setenv(env, bad)
-        with pytest.raises(ValueError, match=env):
-            make()
-
-    def test_repro_trace_env_enables_simulation_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert Simulation().trace.enabled
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not Simulation().trace.enabled
-        # Explicit argument always wins over the environment.
-        assert Simulation(trace=True).trace.enabled
-
-    def test_window_counts_helper(self):
-        t = Trace()
-        t.emit(0.5, "probe", "a")
-        t.emit(1.5, "probe", "b")
-        t.emit(1.6, "hit", "b")
-        t.emit(9.0, "probe", "c")
-        assert trace_window_counts(t, 1.0, 2.0) == {"probe": 1, "hit": 1}
 
 
 class TestObsCli:

@@ -228,17 +228,14 @@ class TestEventFilters:
 
 
 class TestSinkStatusSurface:
-    """The trace/event cap-status satellite in repro obs summarize."""
+    """The event-sink cap status in repro obs summarize."""
 
     def _doc(self, dropped=0.0):
         from repro.obs.registry import MetricsRegistry
 
         reg = MetricsRegistry()
-        reg.gauge_set("trace.records", 10)
-        reg.gauge_set("trace.dropped", dropped)
-        reg.gauge_set("trace.cap", 100)
         reg.gauge_set("events.buffered", 5)
-        reg.gauge_set("events.dropped", 0)
+        reg.gauge_set("events.dropped", dropped)
         reg.gauge_set("events.cap", 50)
         snap = reg.to_dict()
         return {
@@ -258,9 +255,8 @@ class TestSinkStatusSurface:
         from repro.analysis.observability import sink_status
 
         status = sink_status(self._doc(dropped=3.0))
-        assert status["trace.records"] == 20.0
-        assert status["trace.dropped"] == 6.0
-        assert status["trace.cap"] == 100.0
+        assert status["events.buffered"] == 10.0
+        assert status["events.dropped"] == 6.0
         assert status["events.cap"] == 50.0
 
     def test_sink_status_handles_old_artefacts(self):
@@ -269,8 +265,8 @@ class TestSinkStatusSurface:
         status = sink_status(
             {"merged": {"gauges": {}}, "runs": [{"metrics": {"gauges": {}}}]}
         )
-        assert status["trace.records"] == 0.0
-        assert status["trace.cap"] == 0.0
+        assert status["events.buffered"] == 0.0
+        assert status["events.cap"] == 0.0
 
     def test_summarize_prints_caps(self, tmp_path, capsys):
         import json
@@ -281,7 +277,6 @@ class TestSinkStatusSurface:
         path.write_text(json.dumps(self._doc()))
         assert main(["obs", "summarize", "--path", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "trace ring: 20 records, 0 dropped (cap 100 per run)" in out
         assert "event sink: 10 buffered, 0 dropped (cap 50 per run)" in out
         assert "TRUNCATED" not in out
 
@@ -293,11 +288,11 @@ class TestSinkStatusSurface:
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(self._doc(dropped=7.0)))
         assert main(["obs", "summarize", "--path", str(path)]) == 0
-        assert "TRUNCATED (raise REPRO_TRACE_MAX)" in capsys.readouterr().out
+        assert "TRUNCATED (oldest events evicted)" in capsys.readouterr().out
 
 
 class TestTimingsEmbedding:
-    """The timings-into-metrics.json satellite (timings.json kept)."""
+    """The batch timings live in metrics.json, the only timings record."""
 
     def test_metrics_doc_embeds_timings(self):
         from repro.experiments.parallel import metrics_doc

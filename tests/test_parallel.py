@@ -128,7 +128,7 @@ class TestResolveWorkers:
 
 class TestDeterminism:
     def test_parallel_matches_serial_exactly(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         specs = _quick_specs()
         serial = run_specs(specs, workers=1)
         pooled = run_specs(specs, workers=2)
@@ -140,7 +140,7 @@ class TestDeterminism:
             assert a.people_spawned == b.people_spawned
 
     def test_env_worker_count_is_equivalent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         specs = _quick_specs(n=2)
         monkeypatch.setenv("REPRO_WORKERS", "1")
         serial = run_specs(specs)
@@ -151,10 +151,10 @@ class TestDeterminism:
 
 class TestTimingsArtefact:
     def test_contents(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         specs = _quick_specs(n=2)
-        results = run_specs(specs, workers=1, timings_name="timings_test")
-        doc = json.loads((tmp_path / "timings_test.json").read_text())
+        results = run_specs(specs, workers=1, metrics_name="metrics_test")
+        doc = json.loads((tmp_path / "metrics_test.json").read_text())["timings"]
         assert doc["workers"] == 1
         assert doc["run_count"] == 2
         assert doc["total_wall_time_s"] > 0
@@ -164,12 +164,6 @@ class TestTimingsArtefact:
         assert doc["speedup_vs_serial_estimate"] is not None
         assert [run["tag"] for run in doc["runs"]] == ["quick:0", "quick:1"]
         assert all(run["venue"] == "canteen" for run in doc["runs"])
-
-    def test_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMINGS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_TIMINGS", "0")
-        run_specs(_quick_specs(n=1), workers=1, timings_name="timings_off")
-        assert not (tmp_path / "timings_off.json").exists()
 
 
 def _strip_timers(snapshot):
@@ -203,23 +197,28 @@ class TestMetricsArtefact:
         assert [run["tag"] for run in doc["runs"]] == ["quick:0", "quick:1"]
         assert doc["merged"] == merged_metrics(results)
 
-    def test_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        run_specs(_quick_specs(n=1), workers=1, metrics_name="metrics_off")
-        assert not (tmp_path / "metrics_off.json").exists()
-
     def test_timings_embedded_in_metrics(self, tmp_path, monkeypatch):
         # One artefact carries the full run record: the timings doc
-        # rides inside metrics.json while timings.json stays for
-        # backward compatibility.
+        # rides inside metrics.json, and no separate timings file is
+        # written.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        run_specs(_quick_specs(n=2), workers=1,
-                  metrics_name="metrics_timed", timings_name="timings_kept")
+        run_specs(_quick_specs(n=2), workers=1, metrics_name="metrics_timed")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics_timed.json",
+            "metrics_timed.prom",
+        ]
         doc = json.loads((tmp_path / "metrics_timed.json").read_text())
         validate_metrics_doc(doc)
-        standalone = json.loads((tmp_path / "timings_kept.json").read_text())
-        assert doc["timings"] == standalone
+        assert set(doc["timings"]) == {
+            "workers",
+            "run_count",
+            "failed_count",
+            "cache_build_s",
+            "total_wall_time_s",
+            "serial_estimate_s",
+            "speedup_vs_serial_estimate",
+            "runs",
+        }
         assert doc["timings"]["run_count"] == 2
         assert doc["timings"]["total_wall_time_s"] > 0
 
@@ -265,9 +264,7 @@ class TestMetricsArtefact:
             run_specs(_quick_specs(n=2), workers=1)
         assert not (tmp_path / "telemetry").exists()
 
-    def test_run_summary_carries_snapshot(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMINGS", "0")
-        monkeypatch.setenv("REPRO_METRICS", "0")
+    def test_run_summary_carries_snapshot(self):
         result = execute_spec(
             RunSpec(attacker="cityhunter", venue="canteen", seed=3, **_QUICK)
         )
@@ -283,13 +280,10 @@ class TestSharedWigleImmutability:
         with pytest.raises((AttributeError, TypeError)):
             wigle.records.append(None)
 
-    def test_sequential_runs_from_cache_are_independent(
-        self, tmp_path, monkeypatch
-    ):
+    def test_sequential_runs_from_cache_are_independent(self):
         # Regression: the City-Hunter attacker seeds its own database
         # from the cached WiGLE registry; a first run must not leak
         # learned weights into a second run built from the same cache.
-        monkeypatch.setenv("REPRO_TIMINGS", "0")
         spec = RunSpec(attacker="cityhunter", venue="canteen", seed=11, **_QUICK)
         first = execute_spec(spec)
         second = execute_spec(spec)

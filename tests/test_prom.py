@@ -51,7 +51,7 @@ class TestNames:
         assert prom_sample_key(key, "counter") == (
             'repro_attacker_hits_total{provenance="carrier"}'
         )
-        assert prom_sample_key("trace.cap", "gauge") == "repro_trace_cap"
+        assert prom_sample_key("events.cap", "gauge") == "repro_events_cap"
 
 
 class TestLines:

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import reqtrace
 from repro.obs.records import telemetry_dir, validate_chrome_trace, write_json
 from repro.obs.reqtrace import (
     DEFAULT_MAX_RECORDS,
@@ -70,17 +71,11 @@ class TestResolveAndRing:
         assert resolve_req_trace() is False
         assert resolve_req_trace(True) is True
 
-    def test_resolve_max(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REQ_TRACE_MAX", raising=False)
-        assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "500")
-        assert resolve_req_trace_max() == 500
-        assert resolve_req_trace_max(7) == 7  # explicit arg wins
-        for bad in ("garbage", "four", "0", "-5", "2.5"):
-            monkeypatch.setenv("REPRO_REQ_TRACE_MAX", bad)
-            with pytest.raises(ValueError, match="REPRO_REQ_TRACE_MAX"):
-                resolve_req_trace_max()
-        for bad in (0, -5, 2.5, "four"):
+    def test_resolve_max(self):
+        assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS == 200_000
+        assert resolve_req_trace_max(7) == 7
+        assert resolve_req_trace_max("500") == 500
+        for bad in (0, -5, 2.5, "four", "garbage", "2.5"):
             with pytest.raises(ValueError, match="max_records"):
                 resolve_req_trace_max(bad)
 
@@ -230,7 +225,7 @@ class TestServiceWiring:
         self, city, wigle, artifact_dir, monkeypatch
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "50")
+        monkeypatch.setattr(reqtrace, "DEFAULT_MAX_RECORDS", 50)
         service = self.run(city, wigle)  # env-gated this time
         assert len(service.reqtrace) == 50
         assert service.reqtrace.dropped > 0

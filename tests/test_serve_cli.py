@@ -64,7 +64,7 @@ class TestServeRunCli:
     @pytest.mark.parametrize(
         "option, value",
         [("--clients", "0"), ("--clients", "-3"), ("--events", "0"),
-         ("--events", "many")],
+         ("--events", "many"), ("--queue-max", "0")],
     )
     def test_bad_size_rejected(self, option, value, tmp_path, capsys):
         """A size below one exits 2 at argparse, naming the option,

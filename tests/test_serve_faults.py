@@ -15,7 +15,6 @@ import pytest
 from repro.serve.core import RankingCore
 from repro.serve.events import FeedbackEvent, ProbeEvent, decision_rows
 from repro.serve.service import (
-    QUEUE_MAX_ENV,
     RankingService,
     resolve_queue_max,
     run_stream,
@@ -191,49 +190,22 @@ class TestMalformedTraces:
         assert len(service.decisions) == 2
 
 
-RESOLVERS = [
-    (resolve_queue_max, QUEUE_MAX_ENV, "queue_max", 1024),
-]
-
-
 class TestSettingsFailLoudly:
-    """Bad queue bounds raise, naming their source."""
+    """Bad queue bounds and heartbeat intervals raise, naming their source."""
 
-    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
-    def test_default_and_valid_values(
-        self, monkeypatch, resolve, env, arg, default
-    ):
-        monkeypatch.delenv(env, raising=False)
-        assert resolve() == default
-        monkeypatch.setenv(env, " 7 ")
-        assert resolve() == 7
-        assert resolve(3) == 3  # the argument beats the environment
+    def test_default_and_valid_values(self):
+        assert resolve_queue_max() == 1024
+        assert resolve_queue_max(3) == 3
+        assert resolve_queue_max(" 7 ") == 7
 
-    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
-    @pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
-    def test_bad_env_value_raises(
-        self, monkeypatch, resolve, env, arg, default, value
-    ):
-        monkeypatch.setenv(env, value)
-        with pytest.raises(ValueError, match=env):
-            resolve()
-
-    @pytest.mark.parametrize("resolve, env, arg, default", RESOLVERS)
     @pytest.mark.parametrize("value", ["four", 2.5, 0, -3])
-    def test_bad_argument_raises(
-        self, monkeypatch, resolve, env, arg, default, value
-    ):
-        monkeypatch.delenv(env, raising=False)
-        with pytest.raises(ValueError, match=arg):
-            resolve(value)
+    def test_bad_argument_raises(self, value):
+        with pytest.raises(ValueError, match="queue_max"):
+            resolve_queue_max(value)
 
     def test_service_rejects_bad_settings(self, core, monkeypatch):
-        monkeypatch.setenv(QUEUE_MAX_ENV, "four")
-        with pytest.raises(ValueError, match=QUEUE_MAX_ENV):
-            RankingService(core)
-        monkeypatch.delenv(QUEUE_MAX_ENV)
         with pytest.raises(ValueError, match="queue_max"):
             RankingService(core, queue_max=0)
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "inf")
-        with pytest.raises(ValueError, match="REPRO_SERVE_HEARTBEAT"):
+        monkeypatch.setenv("REPRO_HEARTBEAT", "inf")
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT"):
             RankingService(core)

@@ -1,14 +1,18 @@
-"""On/off ``REPRO_*`` switches: one parser, and a typo fails loudly."""
+"""``REPRO_*`` settings: one parser for the on/off switches, a typo
+fails loudly, and one documented table lists every variable."""
+
+import pathlib
+import re
 
 import pytest
 
-from repro.experiments.parallel import write_metrics, write_timings
 from repro.obs.epochs import resolve_epoch_trace
 from repro.obs.lineage import LineageTrace
 from repro.obs.profiler import env_profile_default
 from repro.obs.reqtrace import resolve_req_trace
-from repro.sim.simulation import Simulation
 from repro.util.settings import parse_bool_setting, resolve_bool_env
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestParseBoolSetting:
@@ -37,13 +41,10 @@ class TestParseBoolSetting:
 
 # (variable, a call that reads it, what the call returns with it unset)
 SWITCHES = [
-    ("REPRO_TRACE", lambda: Simulation(seed=0).trace.enabled, False),
     ("REPRO_LINEAGE", lambda: LineageTrace().enabled, False),
     ("REPRO_PROFILE", env_profile_default, False),
     ("REPRO_EPOCH_TRACE", resolve_epoch_trace, False),
     ("REPRO_REQ_TRACE", resolve_req_trace, False),
-    ("REPRO_METRICS", lambda: write_metrics([], workers=1) is not None, True),
-    ("REPRO_TIMINGS", lambda: write_timings([], 1, 0.0) is not None, True),
 ]
 
 
@@ -72,3 +73,30 @@ class TestSwitches:
         assert read() is True
         monkeypatch.setenv(env, " off ")
         assert read() is False
+
+
+def _table_names(markdown: str, heading: str) -> list:
+    """First-column ``REPRO_*`` names of the table under ``heading``."""
+    section = markdown.split(heading, 1)[1]
+    rows = []
+    for line in section.splitlines()[1:]:
+        if line.startswith("#"):
+            break
+        if line.startswith("|"):
+            rows.append(line.split("|")[1])
+    return [n for cell in rows for n in re.findall(r"REPRO_[A-Z0-9_]+", cell)]
+
+
+def test_env_table_lists_every_knob():
+    """OBSERVABILITY.md's table names each variable the package reads,
+    once, and nothing else."""
+    in_source = {
+        name
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text())
+    }
+    table = _table_names(
+        (ROOT / "OBSERVABILITY.md").read_text(), "## Environment variables"
+    )
+    assert len(table) == len(set(table)), "a variable is listed twice"
+    assert set(table) == in_source

@@ -20,8 +20,6 @@ from repro.obs.golden import diff_metrics_docs, metrics_digest
 from repro.obs.registry import validate_metrics_doc
 from repro.sim.shards import (
     CKPT_EVERY_ENV,
-    MAX_RECOVERIES_ENV,
-    PHASE_TIMEOUT_ENV,
     SHARD_MODE_ENV,
     SHARDS_ENV,
 )
@@ -38,8 +36,6 @@ _SCOPED_ENV = (
     SHARDS_ENV,
     SHARD_MODE_ENV,
     CKPT_EVERY_ENV,
-    PHASE_TIMEOUT_ENV,
-    MAX_RECOVERIES_ENV,
 )
 
 

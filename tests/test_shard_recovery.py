@@ -32,7 +32,7 @@ from repro.obs.telemetry import (
     read_ops_events,
     render_top,
 )
-from repro.sim.shards import ShardScenario, run_sharded
+from repro.sim.shards import ShardScenario, engine, run_sharded
 from repro.sim.shards.checkpoint import (
     CKPT_EVERY_ENV,
     CheckpointError,
@@ -42,13 +42,7 @@ from repro.sim.shards.checkpoint import (
     resolve_ckpt_every,
     write_blob,
 )
-from repro.sim.shards.engine import (
-    MAX_RECOVERIES_ENV,
-    PHASE_TIMEOUT_ENV,
-    ShardedCitySim,
-    resolve_max_recoveries,
-    resolve_phase_timeout,
-)
+from repro.sim.shards.engine import ShardedCitySim
 from repro.sim.shards.handoff import CorruptHandoffError
 from repro.sim.shards.shard import ShardRuntime
 
@@ -65,8 +59,6 @@ _ENV_KEYS = (
     "REPRO_HEARTBEAT",
     "REPRO_EPOCH_TRACE",
     CKPT_EVERY_ENV,
-    PHASE_TIMEOUT_ENV,
-    MAX_RECOVERIES_ENV,
 )
 
 
@@ -103,21 +95,17 @@ class TestKnobs:
         with pytest.raises(ValueError):
             resolve_ckpt_every(-1)
 
-    def test_phase_timeout(self, monkeypatch):
-        monkeypatch.delenv(PHASE_TIMEOUT_ENV, raising=False)
-        assert resolve_phase_timeout() is None
-        monkeypatch.setenv(PHASE_TIMEOUT_ENV, "2.5")
-        assert resolve_phase_timeout() == 2.5
-        with pytest.raises(ValueError):
-            resolve_phase_timeout(0)
-
-    def test_max_recoveries(self, monkeypatch):
-        monkeypatch.delenv(MAX_RECOVERIES_ENV, raising=False)
-        assert resolve_max_recoveries() == 3
-        monkeypatch.setenv(MAX_RECOVERIES_ENV, "0")
-        assert resolve_max_recoveries() == 0
-        with pytest.raises(ValueError):
-            resolve_max_recoveries(-2)
+    def test_phase_timeout(self):
+        # The hang deadline adapts to measured phase walls: a fixed
+        # first deadline, then 25x the recent mean, never below a floor.
+        sim = ShardedCitySim(SCENARIO, shards=2)
+        assert sim._phase_deadline() == engine.FIRST_PHASE_DEADLINE_S
+        sim._phase_walls.extend([0.01] * 4)
+        assert sim._phase_deadline() == engine.DEADLINE_FLOOR_S
+        sim._phase_walls.extend([10.0] * 4)
+        assert sim._phase_deadline() == pytest.approx(
+            engine.DEADLINE_FACTOR * (0.04 + 40.0) / 8
+        )
 
     def test_fault_params_validation(self):
         with pytest.raises(ValueError):
@@ -267,6 +255,32 @@ class TestCheckpointInvariance:
         assert not ops_events_path().exists()
 
 
+class TestRecoveryPoint:
+    def test_flipped_pending_byte_rolls_back_to_scratch(self, artifact_dir):
+        """The pending inboxes sit inside one CRC frame: a committed
+        ``pending-epoch-*.bin`` with one byte flipped is reported as an
+        invalid checkpoint and recovery restarts from epoch 0."""
+        run_sharded(SCENARIO, shards=4, mode="inline", ckpt_every=CKPT_EVERY)
+        ckpt = checkpoint_dir()
+        manifest = load_manifest(ckpt)
+        sim = ShardedCitySim(SCENARIO, shards=4)
+        epoch, migrations, offers, restore = sim._load_recovery_point(ckpt)
+        assert epoch == manifest["epoch"] == 30
+        assert len(migrations) == len(offers) == 4 and restore is not None
+
+        pending = ckpt / manifest["pending"]
+        blob = bytearray(pending.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        pending.write_bytes(bytes(blob))
+        epoch, migrations, offers, restore = sim._load_recovery_point(ckpt)
+        assert (epoch, migrations, offers, restore) == (
+            0, [[]] * 4, [[]] * 4, None
+        )
+        (event,) = read_ops_events(ops_events_path())
+        assert event["kind"] == "shard.ckpt_invalid"
+        assert "CRC" in event["reason"]
+
+
 # -- crash recovery ----------------------------------------------------------
 
 
@@ -316,7 +330,9 @@ class TestCrashRecovery:
     def test_stalled_shard_is_detected_and_recovered(
         self, artifact_dir, monkeypatch, clean_digest
     ):
-        monkeypatch.setenv(PHASE_TIMEOUT_ENV, "1.0")
+        # Measured phases take milliseconds, so the adaptive deadline
+        # sits at its floor; a 1 s floor catches the 30 s stall fast.
+        monkeypatch.setattr(engine, "DEADLINE_FLOOR_S", 1.0)
         result = run_sharded(
             SCENARIO,
             shards=4,
@@ -356,8 +372,8 @@ class TestCrashRecovery:
         assert "corrupt handoff" in crash["reason"]
 
     def test_recovery_budget_exhausted(self, artifact_dir, monkeypatch):
-        monkeypatch.setenv(MAX_RECOVERIES_ENV, "1")
-        with pytest.raises(RuntimeError, match="recovery budget exhausted"):
+        monkeypatch.setattr(engine, "MAX_RECOVERIES", 1)
+        with pytest.raises(RuntimeError, match="recovery budget exhausted \\(1 "):
             run_sharded(
                 SCENARIO,
                 shards=4,

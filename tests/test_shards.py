@@ -25,8 +25,6 @@ from repro.geo.grid import DistrictPartition
 from repro.obs.artifacts import ARTIFACT_DIR_ENV
 from repro.sim.shards import (
     CKPT_EVERY_ENV,
-    MAX_RECOVERIES_ENV,
-    PHASE_TIMEOUT_ENV,
     SHARD_MODE_ENV,
     SHARDS_ENV,
     ShardScenario,
@@ -38,7 +36,6 @@ from repro.sim.shards import (
 from repro.sim.shards import shard as shard_module
 from repro.sim.shards.attacker import LiteHunter
 from repro.sim.shards.checkpoint import checkpoint_dir, load_manifest
-from repro.sim.shards.engine import resolve_max_recoveries, resolve_phase_timeout
 from repro.sim.shards.scenario import derive_sensors, derive_walkers
 from repro.sim.shards.shard import ShardRuntime
 from repro.sim.shards.srng import stream_base, u01, u01_vec
@@ -340,7 +337,6 @@ def test_step_builds_rows_only_for_scanning_walkers(monkeypatch):
 # (resolver, its variable, its argument's name in errors)
 INT_KNOBS = [
     (resolve_shards, SHARDS_ENV, "shards"),
-    (resolve_max_recoveries, MAX_RECOVERIES_ENV, "max recoveries"),
     (resolve_ckpt_every, CKPT_EVERY_ENV, "checkpoint period"),
 ]
 
@@ -376,15 +372,6 @@ class TestKnobResolution:
         monkeypatch.delenv(env, raising=False)
         with pytest.raises(ValueError, match=arg):
             resolve(value)
-
-    @pytest.mark.parametrize("value", ["fast", "0", "-2", "nan"])
-    def test_bad_phase_timeout_env_names_variable(self, monkeypatch, value):
-        monkeypatch.setenv(PHASE_TIMEOUT_ENV, value)
-        with pytest.raises(ValueError, match=PHASE_TIMEOUT_ENV):
-            resolve_phase_timeout()
-        monkeypatch.delenv(PHASE_TIMEOUT_ENV)
-        with pytest.raises(ValueError, match="phase timeout"):
-            resolve_phase_timeout(value)
 
 
 # -- benchmark artefact routing -------------------------------------------

@@ -1,7 +1,6 @@
-"""Tests for the Simulation facade and tracing (repro.sim)."""
+"""Tests for the Simulation facade (repro.sim)."""
 
 from repro.sim.simulation import Simulation
-from repro.sim.tracing import Trace
 
 
 class _Entity:
@@ -55,41 +54,3 @@ class TestSimulation:
         a = Simulation(seed=9).rngs.stream("x").random(4)
         b = Simulation(seed=9).rngs.stream("x").random(4)
         assert list(a) == list(b)
-
-    def test_emit_respects_trace_flag(self):
-        silent = Simulation(seed=1, trace=False)
-        silent.emit("kind", "subj")
-        assert len(silent.trace) == 0
-        loud = Simulation(seed=1, trace=True)
-        loud.emit("kind", "subj")
-        assert len(loud.trace) == 1
-
-
-class TestTrace:
-    def test_filter_by_kind(self):
-        t = Trace()
-        t.emit(0.0, "probe", "a")
-        t.emit(1.0, "hit", "b")
-        t.emit(2.0, "probe", "c")
-        assert [r.subject for r in t.of_kind("probe")] == ["a", "c"]
-
-    def test_counts_by_kind(self):
-        t = Trace()
-        t.emit(0.0, "probe", "a")
-        t.emit(1.0, "probe", "b")
-        t.emit(2.0, "hit", "c")
-        assert t.counts_by_kind() == {"probe": 2, "hit": 1}
-
-    def test_last(self):
-        t = Trace()
-        assert t.last() is None
-        t.emit(0.0, "probe", "a")
-        t.emit(1.0, "hit", "b")
-        assert t.last().subject == "b"
-        assert t.last("probe").subject == "a"
-        assert t.last("nope") is None
-
-    def test_disabled_trace_drops_records(self):
-        t = Trace(enabled=False)
-        t.emit(0.0, "probe", "a")
-        assert len(t) == 0

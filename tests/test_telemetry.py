@@ -397,32 +397,35 @@ def _write_serve(directory, pid, walls, committed=None, events=800,
 
 
 class TestServeInterval:
-    def test_off_by_default(self, monkeypatch):
-        from repro.obs.telemetry import resolve_serve_heartbeat_interval
+    """The service heartbeats on ``REPRO_HEARTBEAT``, like the executor."""
 
-        monkeypatch.delenv("REPRO_SERVE_HEARTBEAT", raising=False)
-        assert resolve_serve_heartbeat_interval() is None
+    def _service(self, city, wigle):
+        from repro.serve.core import RankingCore
+        from repro.serve.service import RankingService
 
-    def test_separate_from_executor_heartbeats(self, monkeypatch):
-        from repro.obs.telemetry import resolve_serve_heartbeat_interval
+        return RankingService(
+            RankingCore.seeded(
+                wigle, city.heatmap, city.venues[0].region.center, seed=0
+            )
+        )
 
-        # Executor heartbeats on must not arm serve heartbeats.
-        monkeypatch.setenv("REPRO_HEARTBEAT", "1")
-        monkeypatch.delenv("REPRO_SERVE_HEARTBEAT", raising=False)
-        assert resolve_serve_heartbeat_interval() is None
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.5")
-        assert resolve_serve_heartbeat_interval() == 0.5
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "on")
-        assert resolve_serve_heartbeat_interval() == DEFAULT_INTERVAL_S
+    def test_off_by_default(self, city, wigle, monkeypatch):
+        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        assert self._service(city, wigle).heartbeat_interval is None
+
+    def test_follows_repro_heartbeat(self, city, wigle, monkeypatch):
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.5")
+        assert self._service(city, wigle).heartbeat_interval == 0.5
+        monkeypatch.setenv("REPRO_HEARTBEAT", "on")
+        assert self._service(city, wigle).heartbeat_interval == DEFAULT_INTERVAL_S
 
     @pytest.mark.parametrize("value", ["soon", "-3", "nan", "inf", "1e400"])
-    def test_bad_value_raises_naming_variable(self, monkeypatch, value):
-        from repro.obs.telemetry import resolve_serve_heartbeat_interval
-
-        monkeypatch.setenv("REPRO_HEARTBEAT", "1")
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", value)
-        with pytest.raises(ValueError, match="REPRO_SERVE_HEARTBEAT"):
-            resolve_serve_heartbeat_interval()
+    def test_bad_value_raises_naming_variable(
+        self, city, wigle, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_HEARTBEAT", value)
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT"):
+            self._service(city, wigle)
 
 
 class TestServeWatchRows:
@@ -546,8 +549,7 @@ class TestServiceHeartbeatIntegration:
         from repro.serve.workload import synthetic_stream
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
-        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
@@ -581,8 +583,7 @@ class TestLiveServeStallVerdict:
         from repro.serve.core import RankingCore
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
-        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
         return RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=3
         )
