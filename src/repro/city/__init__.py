@@ -13,7 +13,7 @@ from repro.city.aps import AccessPoint, deploy_access_points
 from repro.city.chains import ChainSpec, default_chain_catalog
 from repro.city.heatmap import HeatMap
 from repro.city.model import City, CityConfig, build_city
-from repro.city.photos import GeoPhoto, generate_photos
+from repro.city.photos import generate_photos
 from repro.city.venues import Venue, VenueKind, default_venues
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "City",
     "CityConfig",
     "build_city",
-    "GeoPhoto",
     "generate_photos",
     "Venue",
     "VenueKind",

@@ -9,11 +9,10 @@ from this map.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.city.photos import GeoPhoto
 from repro.geo.point import Point
 from repro.geo.region import Rect
 
@@ -33,36 +32,37 @@ class HeatMap:
 
     @classmethod
     def from_photos(
-        cls, bounds: Rect, photos: Sequence[GeoPhoto], cell_size: float = 100.0
+        cls, bounds: Rect, photos: np.ndarray, cell_size: float = 100.0
     ) -> "HeatMap":
-        """Build a heat map by binning ``photos``."""
+        """Build a heat map by binning ``photos``, an ``(n, 2)`` array of
+        x/y coordinates."""
         hm = cls(bounds, cell_size)
-        if photos:
-            xs = np.fromiter((p.location.x for p in photos), dtype=float)
-            ys = np.fromiter((p.location.y for p in photos), dtype=float)
-            hm.add_points(xs, ys)
+        hm.add_points(photos[:, 0], photos[:, 1])
         return hm
 
-    def _cell_index(self, p: Point) -> Tuple[int, int]:
-        ix = int((p.x - self.bounds.x0) // self.cell_size)
-        iy = int((p.y - self.bounds.y0) // self.cell_size)
-        return (min(max(ix, 0), self.nx - 1), min(max(iy, 0), self.ny - 1))
-
-    def add_points(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Bin arrays of coordinates into the grid (vectorised)."""
+    def _cells(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The grid cell of each point: the one cell rule, clamped to the
+        grid so points on or outside the bounds land in an edge cell."""
         ix = np.clip(
             ((xs - self.bounds.x0) // self.cell_size).astype(int), 0, self.nx - 1
         )
         iy = np.clip(
             ((ys - self.bounds.y0) // self.cell_size).astype(int), 0, self.ny - 1
         )
-        np.add.at(self._grid, (ix, iy), 1)
+        return ix, iy
+
+    def add_points(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Bin arrays of coordinates into the grid (vectorised)."""
+        np.add.at(self._grid, self._cells(xs, ys), 1)
         self.total_photos += len(xs)
+
+    def heat_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Photo count of the cell containing each point."""
+        return self._grid[self._cells(xs, ys)]
 
     def heat_at(self, p: Point) -> int:
         """Photo count of the cell containing ``p``."""
-        ix, iy = self._cell_index(p)
-        return int(self._grid[ix, iy])
+        return int(self.heat_of(np.array([p.x]), np.array([p.y]))[0])
 
     def hottest_cells(self, count: int) -> List[Tuple[Point, int]]:
         """The ``count`` hottest cells as (cell centre, heat) pairs."""

@@ -24,7 +24,7 @@ from repro.city.chains import (
     scaled_adoption,
 )
 from repro.city.heatmap import HeatMap
-from repro.city.photos import GeoPhoto, generate_photos
+from repro.city.photos import generate_photos
 from repro.city.venues import Venue, VenueKind, default_venues
 from repro.geo.region import Rect
 
@@ -64,7 +64,11 @@ class CityConfig:
 
 
 class City:
-    """A fully generated synthetic city."""
+    """A fully generated synthetic city.
+
+    ``photos`` is the geotagged-photo corpus as an ``(n, 2)`` array of
+    x/y coordinates in metres; ``heatmap`` is its gridded photo count.
+    """
 
     def __init__(
         self,
@@ -72,7 +76,7 @@ class City:
         venues: List[Venue],
         chains: List[ChainSpec],
         aps: List[AccessPoint],
-        photos: List[GeoPhoto],
+        photos: np.ndarray,
         heatmap: HeatMap,
     ):
         self.config = config

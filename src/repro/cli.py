@@ -667,9 +667,13 @@ def _cmd_shards_golden(args: argparse.Namespace) -> int:
     from repro.experiments.golden import run_golden_shards
     from repro.obs.golden import diff_metrics_docs, metrics_digest
 
-    doc = run_golden_shards(
-        workers=args.workers, shards=args.shards, chaos=args.chaos
-    )
+    try:
+        doc = run_golden_shards(
+            workers=args.workers, shards=args.shards, chaos=args.chaos
+        )
+    except ValueError as exc:
+        print(f"shards golden: {exc}", file=sys.stderr)
+        return 2
     digest = metrics_digest(doc)
     print(
         "golden shards digest (shards=%s%s): %s"

@@ -23,6 +23,8 @@ def validate_ssid(ssid: str) -> str:
         raise TypeError("SSID must be a str, got %r" % type(ssid).__name__)
     if not ssid:
         raise ValueError("SSID must be non-empty")
+    if len(ssid) <= MAX_SSID_BYTES and ssid.isascii():
+        return ssid  # one UTF-8 byte per character: no need to encode
     if len(ssid.encode("utf-8")) > MAX_SSID_BYTES:
         raise ValueError("SSID exceeds 32 bytes: %r" % ssid)
     return ssid

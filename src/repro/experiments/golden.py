@@ -169,9 +169,17 @@ def run_golden_shards(
     :func:`golden_chaos_plan` (one shard crashes mid-run), the batch is
     forced into process mode with ``REPRO_SHARD_CKPT_EVERY`` set, and
     the digest must *still* equal the committed fixture — recovery is
-    only correct when it is invisible in ``shardsim.*`` space.
+    only correct when it is invisible in ``shardsim.*`` space.  It needs
+    two or more shards: a one-shard run is stepped inline, where a crash
+    has no recovery, so ``chaos=True`` below two shards raises
+    ``ValueError``.
     """
     shards = resolve_shards(shards)
+    if chaos and shards < 2:
+        raise ValueError(
+            "chaos needs 2 or more shards, got %d: a 1-shard run is stepped "
+            "inline, where the injected crash has no recovery" % shards
+        )
     scoped = {SHARDS_ENV: str(shards)}
     if chaos:
         scoped[SHARD_MODE_ENV] = "process"

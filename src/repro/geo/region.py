@@ -47,10 +47,16 @@ class Rect:
         return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
 
     def sample(self, rng: np.random.Generator) -> Point:
-        """A uniformly random point inside the rectangle."""
+        """A uniformly random point inside the rectangle.
+
+        Bit-identical to ``Point(rng.uniform(x0, x1), rng.uniform(y0, y1))``:
+        numpy's scalar ``uniform`` is ``low + (high - low) * u`` on one
+        ``random()`` draw, so two draws in one call give the same point.
+        """
+        u, v = rng.random(2).tolist()
         return Point(
-            float(rng.uniform(self.x0, self.x1)),
-            float(rng.uniform(self.y0, self.y1)),
+            self.x0 + (self.x1 - self.x0) * u,
+            self.y0 + (self.y1 - self.y0) * v,
         )
 
     def expanded(self, margin: float) -> "Rect":

@@ -78,7 +78,7 @@ def home_router_ssid(rng: np.random.Generator) -> str:
     """A vendor-default home-router SSID like ``TP-LINK_3F2A``."""
     vendor = _ROUTER_VENDORS[int(rng.integers(len(_ROUTER_VENDORS)))]
     suffix = "".join(
-        "0123456789ABCDEF"[int(d)] for d in rng.integers(0, 16, size=4)
+        "0123456789ABCDEF"[d] for d in rng.integers(0, 16, size=4).tolist()
     )
     return f"{vendor}_{suffix}"
 

@@ -9,25 +9,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.city.heatmap import HeatMap
 from repro.wigle.database import WigleDatabase
 
 
 def top_ssids_by_count(db: WigleDatabase, count: int) -> List[Tuple[str, int]]:
-    """Free SSIDs ranked by number of APs, descending."""
+    """Free SSIDs ranked by number of APs, descending; ties keep
+    first-free-record order."""
     if count < 0:
         raise ValueError("count must be non-negative, got %r" % count)
-    return db.free_ssid_counts().most_common(count)
+    return list(db.free_count_ranking()[:count])
 
 
 def ssid_heat_values(db: WigleDatabase, heatmap: HeatMap) -> Dict[str, float]:
-    """Heat value per free SSID: sum of cell heat over its AP locations."""
-    heats: Dict[str, float] = {}
-    for rec in db.records:
-        if not rec.free:
-            continue
-        heats[rec.ssid] = heats.get(rec.ssid, 0.0) + heatmap.heat_at(rec.location)
-    return heats
+    """Heat value per free SSID: sum of cell heat over its AP locations.
+
+    Keys are in first-free-record order.  Cell heats are integer photo
+    counts, so the float sums are exact in any order.
+    """
+    ssids, codes, xs, ys = db.free_columns()
+    sums = np.bincount(codes, weights=heatmap.heat_of(xs, ys), minlength=len(ssids))
+    return dict(zip(ssids, sums.tolist()))
 
 
 def top_ssids_by_heat(

@@ -1,15 +1,44 @@
 """Tests for synthetic-city generation (repro.city)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.city.aps import ATTACK_VENUE_KINDS, terminal_region
 from repro.city.chains import ChainSpec, PlacementMix, default_chain_catalog
+from repro.city.heatmap import HeatMap
 from repro.city.model import CityConfig, build_city
 from repro.city.venues import VenueKind, default_venues, venue_by_name
 from repro.dot11.ssid import validate_ssid
+from repro.experiments.calibration import default_city
 from repro.geo.point import Point
 from repro.geo.region import Rect
+
+DEFAULT_CITY_DIGEST = (
+    "6c659023901a4f2db6d20a25126f57be6881957fabb2509e35173d5a808314aa"
+)
+"""``city_digest(default_city())``, recorded when the city was still built
+from one scalar ``rng.uniform`` call per coordinate and one object per
+photo.  Every draw of the city feeds it, so a change to how the city is
+drawn must leave it alone."""
+
+
+def city_digest(city) -> str:
+    """SHA-256 over every AP (SSID, security, source and the exact bits of
+    both coordinates, in order), every photo coordinate and the heat grid."""
+    h = hashlib.sha256()
+    for ap in city.aps:
+        h.update(("%s|%s|%s|%s|%s\n" % (
+            ap.ssid, ap.security.name, ap.source,
+            ap.location.x.hex(), ap.location.y.hex(),
+        )).encode())
+    for x, y in city.photos.tolist():
+        h.update(("%s %s\n" % (x.hex(), y.hex())).encode())
+    grid = city.heatmap._grid  # the grid has no public accessor
+    h.update(("%d %d\n" % grid.shape).encode())
+    h.update(grid.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 class TestChainCatalog:
@@ -127,7 +156,10 @@ class TestCityModel:
         a = build_city(config, np.random.default_rng(5))
         b = build_city(config, np.random.default_rng(5))
         assert [x.ssid for x in a.aps] == [x.ssid for x in b.aps]
-        assert len(a.photos) == len(b.photos)
+        assert np.array_equal(a.photos, b.photos)
+
+    def test_default_city_pinned_bit_for_bit(self):
+        assert city_digest(default_city()) == DEFAULT_CITY_DIGEST
 
     def test_urban_canyon_clusters_exist(self, city):
         """Every attack venue is surrounded by dense unique APs."""
@@ -152,7 +184,10 @@ class TestPhotosAndHeatmap:
     def test_photo_volume_tracks_crowd(self, city):
         airport = city.venue("International Airport")
         canteen = city.venue("University Canteen")
-        in_region = lambda r: sum(1 for p in city.photos if r.contains(p.location))
+        assert city.photos.ndim == 2 and city.photos.shape[1] == 2
+        in_region = lambda r: sum(
+            1 for x, y in city.photos.tolist() if r.contains(Point(x, y))
+        )
         assert in_region(airport.region) > in_region(canteen.region)
 
     def test_heat_at_hot_venue_beats_wilderness(self, city):
@@ -174,4 +209,26 @@ class TestPhotosAndHeatmap:
         assert len(set(len(l) for l in lines)) == 1  # rectangular
 
     def test_total_photos_counted(self, city):
-        assert city.heatmap.total_photos == len(city.photos)
+        assert city.photos.shape == (city.heatmap.total_photos, 2)
+
+    def test_heat_at_follows_the_cell_rule(self):
+        """Cells are ``floor((coordinate - origin) / cell)``, clamped into
+        the grid: points on a cell edge belong to the upper cell, points on
+        or outside the bounds to an edge cell."""
+        hm = HeatMap(Rect(-50, 0, 950, 500), cell_size=100.0)
+        photos = np.array([
+            [-50.0, 0.0], [49.999, 99.999], [50.0, 100.0], [949.0, 499.0],
+            [-400.0, 250.0], [2_000.0, -3.0], [950.0, 500.0], [50.0, 100.0],
+        ])
+        hm.add_points(photos[:, 0], photos[:, 1])
+        assert hm.total_photos == 8
+        assert hm.heat_at(Point(-50, 0)) == 2  # (-50, 0) and (49.999, 99.999)
+        assert hm.heat_at(Point(50, 100)) == 2
+        assert hm.heat_at(Point(149.9, 199.9)) == 2
+        assert hm.heat_at(Point(900, 450)) == 2  # (949, 499) and (950, 500)
+        assert hm.heat_at(Point(-1e6, 260)) == 1  # clamped to column 0
+        assert hm.heat_at(Point(1e6, -1e6)) == 1  # clamped to the last column
+        assert hm.heat_at(Point(400, 400)) == 0
+        assert hm.heat_of(photos[:, 0], photos[:, 1]).tolist() == [
+            2, 2, 2, 2, 1, 1, 2, 2,
+        ]

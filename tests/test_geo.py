@@ -67,6 +67,29 @@ class TestRect:
         for _ in range(200):
             assert r.contains(r.sample(rng))
 
+    def test_sample_equals_two_uniform_draws(self):
+        """``sample`` gives the bits of ``uniform(x0, x1)``, ``uniform(y0, y1)``
+        and leaves the generator where those two draws leave it."""
+        meta = np.random.default_rng(2024)
+        rects = [
+            Rect(5, 7, 5, 7),  # degenerate: a point
+            Rect(-3.5, 2.0, -3.5, 9.25),  # degenerate: zero width
+            Rect(0, 0, 30_000, 30_000),  # integer corners, as the city's
+            Rect(14_000, 14_000, 14_060, 14_040),
+        ]
+        for _ in range(200):
+            x0, x1 = sorted(meta.uniform(-4e4, 4e4, size=2).tolist())
+            y0, y1 = sorted(meta.uniform(-4e4, 4e4, size=2).tolist())
+            rects.append(Rect(x0, y0, x1, y1))
+        for seed, r in enumerate(rects):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                p = r.sample(ours)
+                x = float(ref.uniform(r.x0, r.x1))
+                y = float(ref.uniform(r.y0, r.y1))
+                assert (p.x.hex(), p.y.hex()) == (x.hex(), y.hex()), r
+            assert ours.random() == ref.random()
+
     def test_expanded(self):
         r = Rect(1, 1, 2, 2).expanded(1)
         assert (r.x0, r.y0, r.x1, r.y1) == (0, 0, 3, 3)

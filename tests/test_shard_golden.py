@@ -171,3 +171,23 @@ class TestShardCountInvariance:
             pathlib.Path(os.environ["REPRO_ARTIFACT_DIR"]) / "checkpoints"
         )
         assert (ckpt_dir / "manifest.json").is_file()
+
+
+class TestChaosNeedsTwoShards:
+    """A one-shard run is stepped inline, where the golden crash has no
+    recovery: ``--chaos`` below two shards must refuse to run rather than
+    turn every spec into a failed run and report a digest mismatch."""
+
+    def test_run_golden_shards_rejects_one_shard(self, shard_golden_env):
+        with pytest.raises(ValueError, match="got 1"):
+            run_golden_shards(workers=1, shards=1, chaos=True)
+
+    def test_cli_exits_2_naming_the_shard_count(self, shard_golden_env, capsys):
+        from repro.cli import main
+
+        code = main(["shards", "golden", "--workers", "1", "--chaos",
+                     "--check", str(DIGEST_PATH)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "2 or more shards, got 1" in err
+        assert "MISMATCH" not in err

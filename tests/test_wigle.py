@@ -1,10 +1,15 @@
 """Tests for the WiGLE-like registry (repro.wigle)."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.city.aps import AccessPoint
+from repro.city.heatmap import HeatMap
 from repro.dot11.capabilities import Security
 from repro.geo.point import Point
+from repro.geo.region import Rect
 from repro.wigle.database import WigleDatabase
 from repro.wigle.queries import ssid_heat_values, top_ssids_by_count, top_ssids_by_heat
 from repro.wigle.records import WigleRecord
@@ -20,6 +25,60 @@ def _small_db():
         AccessPoint("Far", Security.OPEN, Point(5000, 5000), "shop"),
     ]
     return WigleDatabase.from_access_points(aps)
+
+
+def _tied_db():
+    """Count ties, an SSID whose first record is secured, and APs outside
+    the heat map's bounds."""
+    def ap(ssid, x, y, free=True):
+        security = Security.OPEN if free else Security.WPA2_PSK
+        return AccessPoint(ssid, security, Point(x, y), "shop")
+
+    return WigleDatabase.from_access_points([
+        ap("Tie-B", 5, 5, free=False),
+        ap("Tie-A", 120, 40),
+        ap("Tie-B", 120, 40),
+        ap("Solo", 999, 999),
+        ap("Tie-A", -300, 50),
+        ap("Tie-B", 480, 2_000),
+        ap("Locked", 120, 40, free=False),
+        ap("Tie-C", 100, 100),
+        ap("Tie-C", 350, 250),
+        ap("Trio", 0, 0),
+        ap("Trio", 0, 0),
+        ap("Trio", 499.5, 499.5),
+    ])
+
+
+def _tied_heatmap():
+    hm = HeatMap(Rect(0, 0, 500, 500), cell_size=100.0)
+    rng = np.random.default_rng(3)
+    xy = rng.uniform(-100, 600, size=(400, 2))
+    hm.add_points(xy[:, 0], xy[:, 1])
+    return hm
+
+
+def _reference_counts(db):
+    """One ``Counter`` over the free records, in record order."""
+    counts = Counter()
+    for rec in db.records:
+        if rec.free:
+            counts[rec.ssid] += 1
+    return counts
+
+
+def _reference_heats(db, heatmap):
+    """Per-record heat sums through the scalar cell rule:
+    ``floor((coordinate - origin) / cell)``, clamped into the grid."""
+    grid, bounds, cell = heatmap._grid, heatmap.bounds, heatmap.cell_size
+    heats = {}
+    for rec in db.records:
+        if not rec.free:
+            continue
+        ix = min(max(int((rec.location.x - bounds.x0) // cell), 0), heatmap.nx - 1)
+        iy = min(max(int((rec.location.y - bounds.y0) // cell), 0), heatmap.ny - 1)
+        heats[rec.ssid] = heats.get(rec.ssid, 0.0) + int(grid[ix, iy])
+    return heats
 
 
 class TestRecords:
@@ -46,7 +105,7 @@ class TestDatabase:
         assert db.aps_of("missing") == []
 
     def test_free_counts_exclude_secured(self):
-        counts = _small_db().free_ssid_counts()
+        counts = dict(_small_db().free_count_ranking())
         assert counts["Chain"] == 3
         assert "Secret" not in counts
 
@@ -116,3 +175,46 @@ class TestQueries:
         near = wigle.nearest_free_ssids(passage.region.center, 40)
         chains = {c.name for c in city.chains}
         assert sum(1 for s in near if s in chains) <= 5
+
+
+class TestQueriesMatchPerRecordReference:
+    """The precomputed ranking and the column-wise heat sums give exactly
+    what a walk over every record gives: values, types and order."""
+
+    @staticmethod
+    def _check(db, heatmap):
+        counts = _reference_counts(db)
+        for n in (0, 1, 5, 100, 200, len(counts), len(counts) + 7):
+            assert top_ssids_by_count(db, n) == counts.most_common(n), n
+        assert db.free_count_ranking() == tuple(counts.most_common())
+        heats = ssid_heat_values(db, heatmap)
+        expected = _reference_heats(db, heatmap)
+        assert list(heats) == list(expected)
+        assert [v.hex() for v in heats.values()] == [
+            float(v).hex() for v in expected.values()
+        ]
+        assert all(type(v) is float for v in heats.values())
+
+    def test_default_registry(self, city, wigle):
+        self._check(wigle, city.heatmap)
+
+    def test_small_registry_with_ties(self):
+        db, hm = _tied_db(), _tied_heatmap()
+        self._check(db, hm)
+        assert top_ssids_by_count(db, 10) == [
+            ("Trio", 3),
+            ("Tie-A", 2),
+            ("Tie-B", 2),
+            ("Tie-C", 2),
+            ("Solo", 1),
+        ]
+        assert list(ssid_heat_values(db, hm)) == [
+            "Tie-A", "Tie-B", "Solo", "Tie-C", "Trio",
+        ]
+
+    def test_empty_registry(self):
+        db = WigleDatabase([])
+        hm = _tied_heatmap()
+        assert top_ssids_by_count(db, 5) == []
+        assert ssid_heat_values(db, hm) == {}
+        assert top_ssids_by_heat(db, hm, 5) == []
