@@ -65,7 +65,7 @@ def main() -> None:
     print(f"built a toy city with {len(city.aps)} APs "
           f"and {len(city.photos)} photos")
 
-    wigle = WigleDatabase.from_access_points(city.aps)
+    wigle = WigleDatabase(city.aps)
     print("\ntop-3 by AP count:", top_ssids_by_count(wigle, 3))
     print("top-3 by heat   :", [
         (s, int(h)) for s, h in top_ssids_by_heat(wigle, city.heatmap, 3)

@@ -57,9 +57,15 @@ _TARGETS: List[PaperTarget] = [
                 0.14, 0.09, 0.20, "Fig. 5c"),
     PaperTarget("adv.railway_station.h_b", "City-Hunter average h_b, station",
                 0.166, 0.10, 0.22, "Fig. 5d"),
+    PaperTarget("fig2a.mean_hit_position",
+                "mean SSIDs sent to a canteen client before it connects",
+                130.0, 50.0, 200.0, "Fig. 2a"),
     PaperTarget("fig2b.single_burst_share",
                 "share of passage clients receiving exactly 40 SSIDs",
                 0.70, 0.55, 0.90, "Fig. 2b"),
+    PaperTarget("fig2b.two_burst_share",
+                "share of passage clients receiving exactly 80 SSIDs",
+                0.22, 0.08, 0.35, "Fig. 2b"),
     PaperTarget("table2.wigle_share",
                 "share of basic City-Hunter broadcast hits from WiGLE",
                 0.74, 0.60, 0.97, "Table II text"),

@@ -2,8 +2,8 @@
 
 An SSID is a string of at most 32 bytes.  We keep them as ``str`` (the
 whole reproduction uses ASCII-ish names) with an explicit validator used
-at the trust boundaries: frames entering the attacker and records entering
-the WiGLE registry.
+at the trust boundaries: frames entering the attacker, and each distinct
+free SSID once as it enters the WiGLE registry.
 """
 
 from __future__ import annotations

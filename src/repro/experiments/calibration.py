@@ -131,7 +131,7 @@ def all_profiles() -> dict:
 def default_city(seed: int = 42) -> City:
     """The shared city instance used by tests/benches (cached per seed
     value, so ``default_city()`` and ``default_city(42)`` are one city —
-    generation is ~1 s and the city is immutable in practice)."""
+    generation is ~0.6 s and the city is immutable in practice)."""
     return _city(seed)
 
 

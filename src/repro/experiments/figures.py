@@ -95,13 +95,18 @@ class Fig2Result:
     canteen_hit_positions: List[int]
     passage_sent_histogram: Histogram
 
+    @property
+    def mean_hit_position(self) -> float:
+        """Mean SSIDs sent before a canteen client connected (0 if none)."""
+        pos = self.canteen_hit_positions
+        return sum(pos) / len(pos) if pos else 0.0
+
     def render(self) -> str:
         pos = self.canteen_hit_positions
-        mean = sum(pos) / len(pos) if pos else 0.0
         lines = [
             "Fig 2(a): SSIDs sent to each connected canteen client",
             f"  clients connected: {len(pos)}",
-            f"  min={min(pos) if pos else 0} mean={mean:.0f} "
+            f"  min={min(pos) if pos else 0} mean={self.mean_hit_position:.0f} "
             f"max={max(pos) if pos else 0}",
             "",
             "Fig 2(b): histogram of SSIDs tested per broadcast client "

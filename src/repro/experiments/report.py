@@ -59,7 +59,9 @@ def generate_report(
     sections += ["```", f1.render(), "```"]
 
     f2 = figures.fig2(seed=seed, duration=duration)
+    measured["fig2a.mean_hit_position"] = f2.mean_hit_position
     measured["fig2b.single_burst_share"] = f2.passage_sent_histogram.fraction(40)
+    measured["fig2b.two_burst_share"] = f2.passage_sent_histogram.fraction(80)
     sections += ["```", f2.render(), "```"]
 
     f4 = figures.fig4()

@@ -78,7 +78,7 @@ def shared_wigle(city_seed: int = 42) -> WigleDatabase:
 
 @functools.lru_cache(maxsize=None)
 def _wigle(city_seed: int) -> WigleDatabase:
-    wigle = WigleDatabase.from_access_points(default_city(city_seed).aps)
+    wigle = WigleDatabase(default_city(city_seed).aps)
     # The city and this registry are immutable and never evicted, so every
     # full collection would re-scan them for nothing: move everything
     # alive now into the collector's permanent generation.

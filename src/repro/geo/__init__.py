@@ -5,8 +5,7 @@ flat-earth error is irrelevant to every query the attack makes (nearest-N
 APs, point-in-venue, radio range).
 """
 
-from repro.geo.grid import SpatialGrid
 from repro.geo.point import Point, distance
 from repro.geo.region import Rect
 
-__all__ = ["Point", "distance", "Rect", "SpatialGrid"]
+__all__ = ["Point", "distance", "Rect"]

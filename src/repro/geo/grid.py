@@ -1,30 +1,22 @@
-"""Uniform spatial hash grid for nearest-neighbour and range queries.
+"""The district grid of the sharded city.
 
-:class:`SpatialGrid` is used by the WiGLE registry ("100 SSIDs nearest
-the attack site") and by the heat map ("heat value at an AP's
-location").  A uniform grid beats a k-d tree here: items are inserted
-once and queried with small radii.  :class:`DistrictPartition` cuts the
-sharded city along the same seam.
+:class:`DistrictPartition` cuts the square city into fixed districts and
+groups them into shards (see :mod:`repro.sim.shards`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
-
-from repro.geo.point import Point
-
-T = TypeVar("T")
+from typing import Tuple
 
 
 class DistrictPartition:
     """Fixed district grid over a square city, grouped into shards.
 
-    Districts are ``district_m`` squares cut along the same axis-aligned
-    seam as :class:`SpatialGrid` (``ix = x // cell``), numbered
-    row-major; they are a property of the *workload*, so district ids —
-    unlike shard ids — are identical at every shard count and safe to
-    use in cross-shard handoff sort keys.  Shards group whole district
+    Districts are ``district_m`` squares cut along axis-aligned seams
+    (``ix = x // district_m``), numbered row-major; they are a property
+    of the *workload*, so district ids — unlike shard ids — are
+    identical at every shard count and safe to use in cross-shard
+    handoff sort keys.  Shards group whole district
     *columns* into contiguous x-stripes, so a shard's territory is a
     single interval ``[x_lo, x_hi)`` and candidate pruning needs only a
     1-D inflation.
@@ -94,65 +86,3 @@ class DistrictPartition:
         if columns[-1] == self.nx - 1:
             hi = max(hi, self.size_m)  # last column absorbs the remainder
         return (lo, hi)
-
-
-class SpatialGrid(Generic[T]):
-    """Bucket items by ``cell_size`` squares and answer range queries."""
-
-    def __init__(self, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive, got %r" % cell_size)
-        self.cell_size = cell_size
-        self._cells: Dict[Tuple[int, int], List[Tuple[Point, T]]] = defaultdict(list)
-        self._count = 0
-
-    def _key(self, p: Point) -> Tuple[int, int]:
-        return (int(p.x // self.cell_size), int(p.y // self.cell_size))
-
-    def insert(self, p: Point, item: T) -> None:
-        """Add ``item`` at location ``p``."""
-        self._cells[self._key(p)].append((p, item))
-        self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
-
-    def within(self, center: Point, radius: float) -> List[Tuple[Point, T]]:
-        """All (point, item) pairs within ``radius`` metres of ``center``."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative, got %r" % radius)
-        cx, cy = self._key(center)
-        reach = int(radius // self.cell_size) + 1
-        out: List[Tuple[Point, T]] = []
-        r2 = radius * radius
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                for p, item in self._cells.get((ix, iy), ()):
-                    dx = p.x - center.x
-                    dy = p.y - center.y
-                    if dx * dx + dy * dy <= r2:
-                        out.append((p, item))
-        return out
-
-    def nearest(self, center: Point, count: int) -> List[Tuple[Point, T]]:
-        """The ``count`` items nearest ``center`` (distance ascending).
-
-        Expands the search radius geometrically until enough items are
-        found or the whole grid has been scanned.
-        """
-        if count <= 0:
-            return []
-        if self._count == 0:
-            return []
-        radius = self.cell_size
-        while True:
-            hits = self.within(center, radius)
-            if len(hits) >= count or len(hits) == self._count:
-                hits.sort(key=lambda pair: pair[0].distance_to(center))
-                return hits[:count]
-            radius *= 2.0
-
-    def items(self) -> Iterable[Tuple[Point, T]]:
-        """Iterate over every stored (point, item) pair."""
-        for bucket in self._cells.values():
-            yield from bucket

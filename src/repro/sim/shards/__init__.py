@@ -2,9 +2,8 @@
 
 One :class:`~repro.sim.simulation.Simulation` owns one medium and tops
 out around 400 stations; this package is the scale path.  The city is
-partitioned into fixed *districts* (a grid over the square city, cut
-along the same seam as the spatial hash grid of
-:class:`~repro.geo.grid.SpatialGrid`), districts are grouped into
+partitioned into fixed *districts* (a grid over the square city, see
+:class:`~repro.geo.grid.DistrictPartition`), districts are grouped into
 *shards*, and each shard steps its owned walkers in a struct-of-arrays
 batch — thousands of phones per phase call.
 

@@ -8,11 +8,9 @@ heat value.
 
 from repro.wigle.database import WigleDatabase
 from repro.wigle.queries import ssid_heat_values, top_ssids_by_count, top_ssids_by_heat
-from repro.wigle.records import WigleRecord
 
 __all__ = [
     "WigleDatabase",
-    "WigleRecord",
     "ssid_heat_values",
     "top_ssids_by_count",
     "top_ssids_by_heat",

@@ -2,48 +2,52 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.city.aps import AccessPoint
-from repro.geo.grid import SpatialGrid
+from repro.dot11.ssid import validate_ssid
 from repro.geo.point import Point
-from repro.wigle.records import WigleRecord
 
 
 class WigleDatabase:
-    """All wardriven APs of the city, indexed for the attack's queries.
+    """All wardriven APs of the city, kept as the attack queries them.
 
-    The registry is immutable once built: the record set is stored as a
-    tuple and every query returns a fresh container, so one database
+    City-Hunter asks the registry two things (Section IV-B): the free
+    SSIDs nearest the attack site, and the city-wide free SSIDs ranked
+    by AP count or by photo heat.  Both read only the free networks, so
+    one pass over the APs keeps the free records as columns (SSID code,
+    x, y) and counts every AP.  A record is what wardriving observes —
+    SSID, open or not, location — never a provenance tag.  Free SSIDs
+    are numbered in first-free-record order and each is validated once,
+    as it enters the registry.
+
+    The registry is immutable once built: the columns are read-only
+    arrays and every query returns a fresh container, so one database
     instance can safely back many experiment runs (the experiment runner
     caches and shares it — see ``repro.experiments.runner.shared_wigle``)
     without any run observing another run's mutations.
-
-    Because it never changes, the city-wide seeding inputs are computed
-    once, in the pass that indexes the records: the free-SSID count
-    ranking, and the free records as columns (SSID code, x, y) that
-    :func:`repro.wigle.queries.ssid_heat_values` bins against a heat map.
-    Free SSIDs are numbered in first-free-record order.
     """
 
-    def __init__(self, records: Iterable[WigleRecord], grid_cell: float = 250.0):
-        self._records: Tuple[WigleRecord, ...] = tuple(records)
-        self._grid: SpatialGrid[WigleRecord] = SpatialGrid(grid_cell)
-        self._by_ssid: Dict[str, List[WigleRecord]] = defaultdict(list)
+    def __init__(self, aps: Iterable[AccessPoint]):
         free_codes: Dict[str, int] = {}
         codes: List[int] = []
         xs: List[float] = []
         ys: List[float] = []
-        for rec in self._records:
-            self._grid.insert(rec.location, rec)
-            self._by_ssid[rec.ssid].append(rec)
-            if rec.free:
-                codes.append(free_codes.setdefault(rec.ssid, len(free_codes)))
-                xs.append(rec.location.x)
-                ys.append(rec.location.y)
+        total = 0
+        for ap in aps:
+            total += 1
+            if not ap.is_free:
+                continue
+            code = free_codes.get(ap.ssid)
+            if code is None:
+                code = free_codes[validate_ssid(ap.ssid)] = len(free_codes)
+            codes.append(code)
+            x, y = ap.location
+            xs.append(x)
+            ys.append(y)
+        self._len = total
         self._free_ssids: Tuple[str, ...] = tuple(free_codes)
         self._free_codes = np.array(codes, dtype=np.intp)
         self._free_xs = np.array(xs, dtype=float)
@@ -59,26 +63,9 @@ class WigleDatabase:
             for code, count in zip(order.tolist(), counts[order].tolist())
         )
 
-    @classmethod
-    def from_access_points(cls, aps: Sequence[AccessPoint]) -> "WigleDatabase":
-        """Build the registry from the city's deployed APs."""
-        return cls(WigleRecord.from_access_point(ap) for ap in aps)
-
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> Tuple[WigleRecord, ...]:
-        """Every record, as an immutable tuple."""
-        return self._records
-
-    def ssids(self) -> List[str]:
-        """All distinct SSIDs."""
-        return list(self._by_ssid)
-
-    def aps_of(self, ssid: str) -> List[WigleRecord]:
-        """Every AP record carrying ``ssid`` (empty list when unknown)."""
-        return list(self._by_ssid.get(ssid, ()))
+        """Every AP listed, free or secured."""
+        return self._len
 
     def free_count_ranking(self) -> Tuple[Tuple[str, int], ...]:
         """``(ssid, AP count)`` per SSID, counting free networks only.
@@ -106,22 +93,32 @@ class WigleDatabase:
         """The ``count`` distinct free SSIDs nearest ``location``.
 
         Ordered by the distance of each SSID's nearest AP — the paper's
-        "100 SSIDs near to the attacker" seeding query.
+        "100 SSIDs near to the attacker" seeding query.  Equidistant APs
+        rank in record order.
         """
-        if count <= 0:
+        n = len(self._free_codes)
+        if count <= 0 or n == 0:
             return []
+        dist = np.hypot(self._free_xs - location.x, self._free_ys - location.y)
         out: List[str] = []
         seen = set()
         # Over-fetch APs since several may share one SSID.
         fetch = max(count * 4, 64)
         while True:
-            hits = self._grid.nearest(location, fetch)
-            for point, rec in hits:
-                if rec.free and rec.ssid not in seen:
-                    seen.add(rec.ssid)
-                    out.append(rec.ssid)
+            if fetch < n:
+                # Every record within the fetch-th smallest distance, so
+                # ties at the cut keep their record order too.
+                cut = np.partition(dist, fetch - 1)[fetch - 1]
+                near = np.flatnonzero(dist <= cut)
+            else:
+                near = np.arange(n)
+            near = near[np.argsort(dist[near], kind="stable")]
+            for code in self._free_codes[near].tolist():
+                if code not in seen:
+                    seen.add(code)
+                    out.append(self._free_ssids[code])
                     if len(out) == count:
                         return out
-            if len(hits) >= len(self._records):
+            if fetch >= n:
                 return out
             fetch *= 2

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-City generation takes ~1.5 s, so the default city and its WiGLE registry
+City generation takes ~0.6 s, so the default city and its WiGLE registry
 are built once per test session.  Tests must treat them as immutable.
 """
 
@@ -18,7 +18,7 @@ def city():
 
 @pytest.fixture(scope="session")
 def wigle(city):
-    return WigleDatabase.from_access_points(city.aps)
+    return WigleDatabase(city.aps)
 
 
 @pytest.fixture(scope="session", autouse=True)

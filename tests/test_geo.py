@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geo.grid import SpatialGrid
 from repro.geo.point import Point, distance
 from repro.geo.region import Rect
 
@@ -93,72 +92,3 @@ class TestRect:
     def test_expanded(self):
         r = Rect(1, 1, 2, 2).expanded(1)
         assert (r.x0, r.y0, r.x1, r.y1) == (0, 0, 3, 3)
-
-
-class TestSpatialGrid:
-    def _populated(self, n=300, seed=0, cell=10.0):
-        rng = np.random.default_rng(seed)
-        grid = SpatialGrid(cell)
-        points = [Point(float(x), float(y)) for x, y in rng.uniform(0, 500, (n, 2))]
-        for i, p in enumerate(points):
-            grid.insert(p, i)
-        return grid, points
-
-    def test_len(self):
-        grid, points = self._populated(50)
-        assert len(grid) == 50
-
-    def test_within_matches_brute_force(self):
-        grid, points = self._populated()
-        center = Point(250, 250)
-        radius = 60.0
-        got = sorted(i for _, i in grid.within(center, radius))
-        want = sorted(
-            i for i, p in enumerate(points) if p.distance_to(center) <= radius
-        )
-        assert got == want
-
-    def test_nearest_matches_brute_force(self):
-        grid, points = self._populated()
-        center = Point(100, 400)
-        got = [i for _, i in grid.nearest(center, 12)]
-        want = sorted(range(len(points)), key=lambda i: points[i].distance_to(center))
-        assert got == want[:12]
-
-    def test_nearest_more_than_population(self):
-        grid, points = self._populated(5)
-        assert len(grid.nearest(Point(0, 0), 50)) == 5
-
-    def test_nearest_empty_grid(self):
-        grid = SpatialGrid(10.0)
-        assert grid.nearest(Point(0, 0), 3) == []
-
-    def test_nearest_zero_count(self):
-        grid, _ = self._populated(5)
-        assert grid.nearest(Point(0, 0), 0) == []
-
-    def test_negative_radius_rejected(self):
-        grid, _ = self._populated(5)
-        with pytest.raises(ValueError):
-            grid.within(Point(0, 0), -1.0)
-
-    def test_bad_cell_size_rejected(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(0.0)
-
-    def test_items_iterates_everything(self):
-        grid, points = self._populated(40)
-        assert sorted(i for _, i in grid.items()) == list(range(40))
-
-    @given(st.integers(0, 2**31), st.integers(1, 80),
-           st.floats(min_value=1.0, max_value=200.0))
-    def test_property_within_equals_bruteforce(self, seed, n, radius):
-        rng = np.random.default_rng(seed)
-        grid = SpatialGrid(25.0)
-        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 300, (n, 2))]
-        for i, p in enumerate(pts):
-            grid.insert(p, i)
-        center = Point(150, 150)
-        got = sorted(i for _, i in grid.within(center, radius))
-        want = sorted(i for i, p in enumerate(pts) if p.distance_to(center) <= radius)
-        assert got == want

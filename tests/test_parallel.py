@@ -275,10 +275,12 @@ class TestMetricsArtefact:
 
 class TestSharedWigleImmutability:
     def test_records_cannot_be_mutated(self):
-        wigle = shared_wigle()
-        assert isinstance(wigle.records, tuple)
-        with pytest.raises((AttributeError, TypeError)):
-            wigle.records.append(None)
+        ssids, *columns = shared_wigle().free_columns()
+        assert isinstance(ssids, tuple)
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
 
     def test_sequential_runs_from_cache_are_independent(self):
         # Regression: the City-Hunter attacker seeds its own database

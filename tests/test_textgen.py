@@ -65,3 +65,90 @@ class TestUniqueNames:
         assert len(names) == count == len(set(names))
         for name in names:
             validate_ssid(name)
+
+
+# -- scalar-draw references: one ``rng.integers`` call per bound -------------
+
+
+def _scalar_home_router(rng):
+    vendors = textgen._ROUTER_VENDORS
+    vendor = vendors[int(rng.integers(len(vendors)))]
+    suffix = "".join(
+        "0123456789ABCDEF"[d] for d in rng.integers(0, 16, size=4).tolist()
+    )
+    return f"{vendor}_{suffix}"
+
+
+def _scalar_shop(rng):
+    a = textgen._SHOP_WORDS_A[int(rng.integers(len(textgen._SHOP_WORDS_A)))]
+    b = textgen._SHOP_WORDS_B[int(rng.integers(len(textgen._SHOP_WORDS_B)))]
+    style = int(rng.integers(3))
+    if style == 0:
+        return f"{a} {b} WiFi"
+    if style == 1:
+        return f"{a}{b}"
+    return f"{a} {b} Free WiFi"
+
+
+def _scalar_unique_names(count, maker, rng):
+    seen = set()
+    out = []
+    attempts = 0
+    while len(out) < count:
+        name = maker(rng)
+        attempts += 1
+        if name in seen and attempts > 2 * count:
+            suffix = f"-{len(out)}"
+            name = name[: 32 - len(suffix)] + suffix
+        if name not in seen:
+            seen.add(name)
+            out.append(name)
+    return out
+
+
+def _pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+_MAKERS = [
+    pytest.param(textgen.home_router_ssid, _scalar_home_router, id="router"),
+    pytest.param(textgen.shop_ssid, _scalar_shop, id="shop"),
+]
+
+
+class TestBlockDrawsMatchScalarDraws:
+    """One ``rng.integers(0, bounds)`` call per name or per block gives
+    the names and leaves the generator where one scalar call per bound
+    does."""
+
+    @pytest.mark.parametrize("maker, reference", _MAKERS)
+    def test_single_names_between_other_draws(self, maker, reference):
+        # The city's per-AP loops interleave a name with doubles.
+        for seed in range(5):
+            ours, ref = _pair(seed)
+            for _ in range(300):
+                assert maker(ours) == reference(ref)
+                assert ours.random() == ref.random()
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("maker, reference", _MAKERS)
+    def test_block_of_names(self, maker, reference):
+        for n in (1, 2, 675, 2000):
+            ours, ref = _pair(n)
+            assert maker.draw(ours, n) == [reference(ref) for _ in range(n)]
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("count", [0, 1, 130, 675, 676, 9000])
+    def test_unique_shop_names(self, count):
+        # 15 x 15 x 3 = 675 distinct shop names: 676 and 9,000 need the
+        # collision suffix, 9,000 after several blocks of attempts.
+        ours, ref = _pair(count)
+        names = textgen.unique_names(count, textgen.shop_ssid, ours)
+        assert names == _scalar_unique_names(count, _scalar_shop, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_unique_router_names(self):
+        ours, ref = _pair(11)
+        names = textgen.unique_names(2000, textgen.home_router_ssid, ours)
+        assert names == _scalar_unique_names(2000, _scalar_home_router, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state

@@ -1,6 +1,8 @@
 """Tests for the WiGLE-like registry (repro.wigle)."""
 
+import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from repro.geo.point import Point
 from repro.geo.region import Rect
 from repro.wigle.database import WigleDatabase
 from repro.wigle.queries import ssid_heat_values, top_ssids_by_count, top_ssids_by_heat
-from repro.wigle.records import WigleRecord
 
 
 def _small_db():
@@ -24,30 +25,31 @@ def _small_db():
         AccessPoint("Secret", Security.WPA2_PSK, Point(5, 0), "residential"),
         AccessPoint("Far", Security.OPEN, Point(5000, 5000), "shop"),
     ]
-    return WigleDatabase.from_access_points(aps)
+    return WigleDatabase(aps)
 
 
-def _tied_db():
+def _ap(ssid, x, y, free=True):
+    security = Security.OPEN if free else Security.WPA2_PSK
+    return AccessPoint(ssid, security, Point(x, y), "shop")
+
+
+def _tied_aps():
     """Count ties, an SSID whose first record is secured, and APs outside
     the heat map's bounds."""
-    def ap(ssid, x, y, free=True):
-        security = Security.OPEN if free else Security.WPA2_PSK
-        return AccessPoint(ssid, security, Point(x, y), "shop")
-
-    return WigleDatabase.from_access_points([
-        ap("Tie-B", 5, 5, free=False),
-        ap("Tie-A", 120, 40),
-        ap("Tie-B", 120, 40),
-        ap("Solo", 999, 999),
-        ap("Tie-A", -300, 50),
-        ap("Tie-B", 480, 2_000),
-        ap("Locked", 120, 40, free=False),
-        ap("Tie-C", 100, 100),
-        ap("Tie-C", 350, 250),
-        ap("Trio", 0, 0),
-        ap("Trio", 0, 0),
-        ap("Trio", 499.5, 499.5),
-    ])
+    return [
+        _ap("Tie-B", 5, 5, free=False),
+        _ap("Tie-A", 120, 40),
+        _ap("Tie-B", 120, 40),
+        _ap("Solo", 999, 999),
+        _ap("Tie-A", -300, 50),
+        _ap("Tie-B", 480, 2_000),
+        _ap("Locked", 120, 40, free=False),
+        _ap("Tie-C", 100, 100),
+        _ap("Tie-C", 350, 250),
+        _ap("Trio", 0, 0),
+        _ap("Trio", 0, 0),
+        _ap("Trio", 499.5, 499.5),
+    ]
 
 
 def _tied_heatmap():
@@ -58,51 +60,79 @@ def _tied_heatmap():
     return hm
 
 
-def _reference_counts(db):
-    """One ``Counter`` over the free records, in record order."""
+def _reference_counts(aps):
+    """One ``Counter`` over the free APs, in record order."""
     counts = Counter()
-    for rec in db.records:
-        if rec.free:
-            counts[rec.ssid] += 1
+    for ap in aps:
+        if ap.is_free:
+            counts[ap.ssid] += 1
     return counts
 
 
-def _reference_heats(db, heatmap):
-    """Per-record heat sums through the scalar cell rule:
+def _reference_heats(aps, heatmap):
+    """Per-AP heat sums through the scalar cell rule:
     ``floor((coordinate - origin) / cell)``, clamped into the grid."""
     grid, bounds, cell = heatmap._grid, heatmap.bounds, heatmap.cell_size
     heats = {}
-    for rec in db.records:
-        if not rec.free:
+    for ap in aps:
+        if not ap.is_free:
             continue
-        ix = min(max(int((rec.location.x - bounds.x0) // cell), 0), heatmap.nx - 1)
-        iy = min(max(int((rec.location.y - bounds.y0) // cell), 0), heatmap.ny - 1)
-        heats[rec.ssid] = heats.get(rec.ssid, 0.0) + int(grid[ix, iy])
+        ix = min(max(int((ap.location.x - bounds.x0) // cell), 0), heatmap.nx - 1)
+        iy = min(max(int((ap.location.y - bounds.y0) // cell), 0), heatmap.ny - 1)
+        heats[ap.ssid] = heats.get(ap.ssid, 0.0) + int(grid[ix, iy])
     return heats
+
+
+def _reference_ranking(free, location):
+    """Every SSID of ``free`` (``(ssid, x, y)`` per free AP, in record
+    order), ranked by the ``math.hypot`` distance of its nearest AP; a
+    stable sort, so equidistant APs keep record order."""
+    cx, cy = location
+    dist = [math.hypot(x - cx, y - cy) for _, x, y in free]
+    order = sorted(range(len(free)), key=dist.__getitem__)
+    return list(dict.fromkeys([free[i][0] for i in order]))
+
+
+def _free_rows(aps):
+    return [(ap.ssid, ap.location.x, ap.location.y) for ap in aps if ap.is_free]
 
 
 class TestRecords:
     def test_projection_hides_provenance(self):
         ap = AccessPoint("X", Security.OPEN, Point(1, 2), "chain:X")
-        rec = WigleRecord.from_access_point(ap)
-        assert rec.ssid == "X"
-        assert rec.free
-        assert rec.location == Point(1, 2)
-        assert not hasattr(rec, "source")
+        ssids, codes, xs, ys = WigleDatabase([ap]).free_columns()
+        assert ssids == ("X",)
+        assert (codes.tolist(), xs.tolist(), ys.tolist()) == ([0], [1.0], [2.0])
 
     def test_secured_marked_not_free(self):
         ap = AccessPoint("Y", Security.WPA2_PSK, Point(0, 0), "shop")
-        assert not WigleRecord.from_access_point(ap).free
+        db = WigleDatabase([ap])
+        assert len(db) == 1
+        assert db.free_columns()[0] == ()
+        assert db.free_count_ranking() == ()
+        assert db.nearest_free_ssids(Point(0, 0), 1) == []
+
+    def test_each_free_ssid_validated_once(self, monkeypatch):
+        import repro.wigle.database as database
+
+        checked = []
+        monkeypatch.setattr(
+            database, "validate_ssid", lambda s: checked.append(s) or s
+        )
+        WigleDatabase(_tied_aps())
+        assert checked == ["Tie-A", "Tie-B", "Solo", "Tie-C", "Trio"]
+
+    def test_invalid_free_ssid_rejected(self):
+        # AccessPoint validates its own SSID; a record of any other type
+        # is checked as it enters the registry.
+        bad = SimpleNamespace(ssid="x" * 33, is_free=True, location=Point(0, 0))
+        with pytest.raises(ValueError, match="32 bytes"):
+            WigleDatabase([bad])
 
 
 class TestDatabase:
     def test_len_counts_aps_not_ssids(self):
         assert len(_small_db()) == 6
-
-    def test_aps_of(self):
-        db = _small_db()
-        assert len(db.aps_of("Chain")) == 3
-        assert db.aps_of("missing") == []
 
     def test_free_counts_exclude_secured(self):
         counts = dict(_small_db().free_count_ranking())
@@ -182,13 +212,14 @@ class TestQueriesMatchPerRecordReference:
     what a walk over every record gives: values, types and order."""
 
     @staticmethod
-    def _check(db, heatmap):
-        counts = _reference_counts(db)
+    def _check(aps, heatmap):
+        db = WigleDatabase(aps)
+        counts = _reference_counts(aps)
         for n in (0, 1, 5, 100, 200, len(counts), len(counts) + 7):
             assert top_ssids_by_count(db, n) == counts.most_common(n), n
         assert db.free_count_ranking() == tuple(counts.most_common())
         heats = ssid_heat_values(db, heatmap)
-        expected = _reference_heats(db, heatmap)
+        expected = _reference_heats(aps, heatmap)
         assert list(heats) == list(expected)
         assert [v.hex() for v in heats.values()] == [
             float(v).hex() for v in expected.values()
@@ -196,11 +227,12 @@ class TestQueriesMatchPerRecordReference:
         assert all(type(v) is float for v in heats.values())
 
     def test_default_registry(self, city, wigle):
-        self._check(wigle, city.heatmap)
+        self._check(city.aps, city.heatmap)
 
     def test_small_registry_with_ties(self):
-        db, hm = _tied_db(), _tied_heatmap()
-        self._check(db, hm)
+        aps, hm = _tied_aps(), _tied_heatmap()
+        self._check(aps, hm)
+        db = WigleDatabase(aps)
         assert top_ssids_by_count(db, 10) == [
             ("Trio", 3),
             ("Tie-A", 2),
@@ -218,3 +250,76 @@ class TestQueriesMatchPerRecordReference:
         assert top_ssids_by_count(db, 5) == []
         assert ssid_heat_values(db, hm) == {}
         assert top_ssids_by_heat(db, hm, 5) == []
+        assert db.nearest_free_ssids(Point(0, 0), 5) == []
+
+
+# Twelve offsets at exactly 300 m: both axes, and the 180/240 triples.
+_RING = [(300, 0), (-300, 0), (0, 300), (0, -300)] + [
+    (sx * a, sy * b)
+    for a, b in ((180, 240), (240, 180))
+    for sx in (1, -1)
+    for sy in (1, -1)
+]
+
+
+class TestNearestMatchesReference:
+    """``nearest_free_ssids`` ranks exactly as a per-AP ``math.hypot``
+    sort in record order, cut at each requested count."""
+
+    @staticmethod
+    def _check(free, db, location, counts):
+        ranked = _reference_ranking(free, location)
+        for count in counts:
+            assert db.nearest_free_ssids(location, count) == ranked[:count], (
+                location, count,
+            )
+
+    def test_default_registry(self, city, wigle):
+        ssids = wigle.free_columns()[0]
+        counts = (0, 1, 40, 50, 100, 400, len(ssids) + 1)
+        rng = np.random.default_rng(2017)
+        bounds = city.config.bounds
+        points = [v.region.center for v in city.venues] + [
+            Point(float(x), float(y))
+            for x, y in zip(
+                rng.uniform(bounds.x0, bounds.x1, 300),
+                rng.uniform(bounds.y0, bounds.y1, 300),
+            )
+        ]
+        free = _free_rows(city.aps)
+        for location in points:
+            self._check(free, wigle, location, counts)
+
+    def test_ties_rank_in_record_order(self):
+        # Twelve equidistant APs of different SSIDs, up to 600 m apart.
+        centre = Point(1000.0, 1000.0)
+        aps = [
+            _ap("Ring-%d" % i, centre.x + dx, centre.y + dy)
+            for i, (dx, dy) in enumerate(_RING)
+        ]
+        db = WigleDatabase(aps)
+        assert db.nearest_free_ssids(centre, 12) == [
+            "Ring-%d" % i for i in range(12)
+        ]
+        self._check(_free_rows(aps), db, centre, range(14))
+
+    def test_ties_at_the_fetch_cut_rank_in_record_order(self):
+        # 60 near APs share two SSIDs, so asking for five SSIDs fetches
+        # 64 records and the cut falls inside the 300 m ring: every
+        # tied record joins the sort, and the ring keeps record order.
+        centre = Point(5000.0, 5000.0)
+        ring = [
+            _ap("Ring-%d" % i, centre.x + dx, centre.y + dy)
+            for i, (dx, dy) in enumerate(_RING)
+        ]
+        near = [
+            _ap("Dup-%s" % "AB"[i % 2], centre.x + 1.0 + i, centre.y)
+            for i in range(60)
+        ]
+        far = [_ap("Far-%d" % i, 100.0 * i, 0.0) for i in range(30)]
+        aps = far[:15] + ring[6:] + ring[:6] + near + far[15:]
+        db = WigleDatabase(aps)
+        assert db.nearest_free_ssids(centre, 5) == [
+            "Dup-A", "Dup-B", "Ring-6", "Ring-7", "Ring-8",
+        ]
+        self._check(_free_rows(aps), db, centre, (1, 2, 3, 5, 14, 15, 20, 44, 45))
