@@ -18,7 +18,7 @@ from repro.core.config import CityHunterConfig
 from repro.experiments.attackers import make_cityhunter
 from repro.experiments.calibration import default_city
 from repro.experiments.parallel import RunSpec, run_specs
-from repro.experiments.runner import shared_wigle
+from repro.experiments.runner import run_build, shared_wigle
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.population.pnl import CARRIER_SSIDS, PnlModel
 from repro.util.tables import render_table
@@ -198,7 +198,7 @@ def test_ablation_deauth_extension(benchmark):
                     session=build.attacker.session,
                 )
             )
-        build.sim.run(DURATION + 30.0)
+        run_build(build)
         camped = [
             p
             for p in build.phones

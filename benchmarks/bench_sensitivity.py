@@ -36,7 +36,7 @@ def _passage_base(**overrides):
 
 
 def _sweep_passage(grid):
-    return sweep(None, None, "cityhunter", _passage_base(), grid)
+    return sweep("cityhunter", _passage_base(), grid)
 
 
 def test_sensitivity_crowd_density(benchmark):

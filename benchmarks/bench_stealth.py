@@ -14,7 +14,7 @@ from repro.attacks.stealth import StealthCityHunter
 from repro.defenses.detector import CanaryProbeDetector, MultiSsidDetector
 from repro.experiments.attackers import make_cityhunter, make_karma, make_mana
 from repro.experiments.calibration import default_city
-from repro.experiments.runner import shared_wigle
+from repro.experiments.runner import run_build, shared_wigle
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.util.tables import render_table
 
@@ -38,7 +38,7 @@ def _deploy(factory):
     active = CanaryProbeDetector("02:de:te:ct:00:02", center, build.medium)
     build.sim.add_entity(passive)
     build.sim.add_entity(active)
-    build.sim.run(DURATION + 30.0)
+    run_build(build)
     return build, passive, active
 
 

@@ -18,7 +18,7 @@ from repro.attacks.deauth import DeauthEmitter
 from repro.core.config import CityHunterConfig
 from repro.experiments.attackers import make_cityhunter
 from repro.experiments.calibration import default_city, venue_profile
-from repro.experiments.runner import run_experiment, shared_wigle
+from repro.experiments.runner import run_build, run_experiment, shared_wigle
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.population.pnl import CARRIER_SSIDS, PnlModel
 from repro.util.tables import render_table
@@ -51,7 +51,7 @@ def deauth_demo(city, wigle) -> None:
                     session=build.attacker.session,
                 )
             )
-        build.sim.run(DURATION + 30.0)
+        run_build(build)
         # The interesting population: clients that started camped on the
         # legitimate AP (they hold the venue's open SSID).
         camped = [

@@ -21,7 +21,7 @@ from repro.experiments.attackers import (
     make_mana,
 )
 from repro.experiments.calibration import default_city
-from repro.experiments.runner import shared_wigle
+from repro.experiments.runner import run_build, shared_wigle
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.util.tables import render_table
 
@@ -51,7 +51,7 @@ def main() -> None:
         active = CanaryProbeDetector("02:de:te:ct:00:02", center, build.medium)
         build.sim.add_entity(passive)
         build.sim.add_entity(active)
-        build.sim.run(DURATION + 30.0)
+        run_build(build)
 
         def when(detector):
             for event in detector.detections:

@@ -100,11 +100,6 @@ class StealthCityHunter(CityHunter):
             return self.alias_for(ssid)
         return self._alias_by_mac.get(bssid, self)
 
-    @property
-    def alias_count(self) -> int:
-        """How many spoofed BSSIDs are live."""
-        return len(self._alias_by_ssid)
-
     # -- mimicry discipline ---------------------------------------------------
 
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:

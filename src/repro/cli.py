@@ -12,8 +12,9 @@ any code:
 * ``shards``   — district-sharded city runs (``shards run``) and the
   shard-count-invariance golden batch (``shards golden --check`` is
   what CI's shard-smoke job drives; see EXPERIMENTS.md);
-* ``serve``    — the attacker-as-a-service layer: serve a synthetic
-  probe stream (``serve run``) or replay a UJI-shaped JSONL trace to a
+* ``serve``    — the attacker-as-a-service layer: serve a venue's
+  recorded simulator probe stream and check the decisions against the
+  simulation's (``serve run``), or replay a UJI-shaped JSONL trace to a
   canonical decision digest (``serve replay``); see the README
   "Serving" section;
 * ``obs``      — inspect a ``metrics.json`` artefact (summarize /
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import List, Optional
@@ -51,8 +53,10 @@ def _positive_duration(value: str) -> float:
         duration = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
-    if duration <= 0:
-        raise argparse.ArgumentTypeError("duration must be positive seconds")
+    if not 0 < duration < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            "duration must be finite positive seconds"
+        )
     return duration
 
 
@@ -697,47 +701,54 @@ def _cmd_shards_golden(args: argparse.Namespace) -> int:
 
 
 def _serve_core(args: argparse.Namespace):
-    """(city, wigle, core) seeded the way every serve subcommand expects."""
+    """The replay core: seeded at the venue centre with ``--seed``, as a
+    recorded attacker there would be."""
     from repro.serve.core import RankingCore
 
     city = default_city(args.city_seed)
-    wigle = shared_wigle(args.city_seed)
     profile = venue_profile(args.venue)
     position = city.venue(profile.venue_name).region.center
-    core = RankingCore.seeded(
-        wigle, city.heatmap, position, seed=args.seed
+    return RankingCore.seeded(
+        shared_wigle(args.city_seed), city.heatmap, position, seed=args.seed
     )
-    return city, wigle, core
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
     from repro.obs.artifacts import artifact_path
     from repro.obs.prom import validate_prom_text, write_prom
+    from repro.serve.events import decisions_digest
+    from repro.serve.record import record_probe_stream
     from repro.serve.service import run_stream, serve_metrics_doc
-    from repro.serve.workload import synthetic_stream
-    from repro.wigle.queries import top_ssids_by_count
 
-    city, wigle, core = _serve_core(args)
-    pool = [s for s, _ in top_ssids_by_count(wigle, 60)]
-    events = synthetic_stream(
-        args.clients,
-        args.events,
+    city = default_city(args.city_seed)
+    wigle = shared_wigle(args.city_seed)
+    recording = record_probe_stream(
+        city,
+        wigle,
+        venue=args.venue,
+        duration=args.duration,
         seed=args.seed,
-        ssid_pool=pool,
+        fidelity="burst",
     )
+    core = recording.seeded_core(wigle, city)
     service = run_stream(
         core,
-        events,
+        recording.events,
         queue_max=args.queue_max,
         shed=args.shed,
     )
     stats = core.stats()
+    shed = int(service.shed_total())
     print(
-        "served %d events: %d decisions, %d shed"
+        "served %d events recorded at the %s (%.0f s, seed %d): "
+        "%d decisions, %d shed"
         % (
-            len(events),
+            len(recording.events),
+            venue_profile(args.venue).venue_name,
+            args.duration,
+            args.seed,
             len(service.decisions),
-            int(service.shed_total()),
+            shed,
         )
     )
     print(
@@ -749,6 +760,18 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             stats["rank_cache_misses"],
         )
     )
+    served = decisions_digest(service.decisions)
+    match = served == decisions_digest(recording.decisions)
+    if match:
+        verdict = "yes"
+    elif shed:
+        verdict = "no, %d probe(s) shed" % shed
+    else:
+        verdict = "NO"
+    print(
+        "  decisions equal the simulation's: %s (%d simulated, digest %s)"
+        % (verdict, len(recording.decisions), served)
+    )
     doc = serve_metrics_doc(
         service, seed=args.seed, venue=args.venue
     )
@@ -759,7 +782,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     samples = validate_prom_text(prom_path.read_text())
     print(f"metrics written to {metrics_path}")
     print(f"{samples} exposition samples written to {prom_path}")
-    return 0
+    return 0 if match or shed else 1
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
@@ -779,8 +802,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _, _, core = _serve_core(args)
-    service = run_stream(core, events)
+    service = run_stream(_serve_core(args), events)
     digest = decisions_digest(service.decisions)
     print(
         "replayed %d events (%d line(s) skipped): %d decisions"
@@ -1062,12 +1084,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sub = serve.add_subparsers(dest="serve_command", required=True)
 
     serve_run = serve_sub.add_parser(
-        "run", help="serve a deterministic synthetic probe stream"
+        "run",
+        help="record a venue's simulated probe stream and serve it",
     )
-    serve_run.add_argument("--clients", type=_positive_count, default=50,
-                           help="synthetic client population (default 50)")
-    serve_run.add_argument("--events", type=_positive_count, default=2000,
-                           help="stream length in events (default 2000)")
+    serve_run.add_argument(
+        "--duration", type=_positive_duration, default=300.0,
+        help="simulated seconds of the venue to record (default 300)",
+    )
     serve_run.add_argument("--shed", action="store_true",
                            help="drop probes when the ingress queue is full "
                                 "instead of backpressuring")
@@ -1099,7 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
     for serve_parser in (serve_run, serve_replay):
         serve_parser.add_argument(
             "--venue", choices=sorted(all_profiles()), default="canteen",
-            help="venue whose centre seeds the attacker position",
+            help="venue whose centre places the attacker (and whose "
+                 "crowd serve run records)",
         )
         serve_parser.add_argument("--seed", type=int, default=7)
         serve_parser.add_argument("--city-seed", type=int, default=42)

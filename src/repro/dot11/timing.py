@@ -40,11 +40,6 @@ class ScanTiming:
         """
         return int(self.min_channel_time / self.response_airtime)
 
-    @property
-    def window_close(self) -> float:
-        """Listening-window length after the first response arrived."""
-        return self.min_channel_time
-
     def responses_received(self, sent: int) -> int:
         """How many of ``sent`` back-to-back responses the client receives."""
         if sent < 0:

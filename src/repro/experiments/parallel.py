@@ -78,9 +78,10 @@ from repro.core.config import CityHunterConfig
 from repro.experiments.attackers import ATTACKER_NAMES, make_attacker
 from repro.experiments.calibration import default_city, venue_profile
 from repro.experiments.runner import (
-    run_experiment,
-    session_progress,
+    RUN_EXTRA_S,
+    run_build,
     shared_wigle,
+    venue_config,
 )
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.faults.chaos import InjectedWorkerCrash, mark_pool_worker, maybe_crash
@@ -93,11 +94,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.obs.telemetry import (
-    maybe_heartbeat,
-    resolve_heartbeat_interval,
-    set_current_spec,
-)
+from repro.obs.telemetry import resolve_heartbeat_interval, set_current_spec
 from repro.population.groups import GroupModel
 from repro.population.pnl import PnlModel
 from repro.sim.shards.engine import run_sharded
@@ -131,10 +128,12 @@ CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
 class RunSpec:
     """One independent deployment, described in picklable terms.
 
-    Two routes exist.  The *profile* route (``venue`` set) mirrors
-    :func:`~repro.experiments.runner.run_experiment` over a calibrated
-    venue profile; the *scenario* route (``scenario`` set) runs an
-    explicit :class:`ScenarioConfig`, which is what the sweep grid uses.
+    Two venue-plane routes exist.  The *profile* route (``venue`` set)
+    deploys a calibrated venue profile, as
+    :func:`~repro.experiments.runner.run_experiment` does; the
+    *scenario* route (``scenario`` set) runs an explicit
+    :class:`ScenarioConfig`, which is what the sweep grid uses.  Both
+    run through :func:`_spec_scenario` and one build-and-run path.
     Exactly one of the two must be provided.
     """
 
@@ -151,7 +150,7 @@ class RunSpec:
     attacker_config: Optional[CityHunterConfig] = None
     use_heat: bool = True
     scenario: Optional[ScenarioConfig] = None
-    run_extra: float = 30.0
+    run_extra: float = RUN_EXTRA_S
     """Simulated seconds past ``duration`` so in-flight handshakes
     finish (matches the serial runner)."""
 
@@ -497,6 +496,28 @@ def _execute_shard_spec(spec: RunSpec) -> RunSummary:
     )
 
 
+def _spec_scenario(spec: RunSpec) -> ScenarioConfig:
+    """The scenario a venue-plane spec deploys: its own ``scenario``, or
+    its venue profile's, with the spec's fault plan when the scenario
+    names none."""
+    if spec.scenario is None:
+        return venue_config(
+            venue_profile(spec.venue),
+            spec.duration,
+            people_per_min=spec.people_per_min,
+            seed=spec.seed,
+            fidelity=spec.fidelity,
+            rush=spec.rush,
+            group_probs=spec.group_probs,
+            pnl_model=spec.pnl_model,
+            group_model=spec.group_model,
+            faults=spec.faults,
+        )
+    if spec.faults is not None and spec.scenario.faults is None:
+        return replace(spec.scenario, faults=spec.faults)
+    return spec.scenario
+
+
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec in the current process and summarise it.
 
@@ -518,56 +539,26 @@ def execute_spec(spec: RunSpec) -> RunSummary:
         spec.tag or "%s/%s:%d" % (spec.attacker, _spec_venue(spec), spec.seed)
     )
     start = time.perf_counter()
-    if spec.scenario is not None:
-        scenario = spec.scenario
-        if spec.faults is not None and scenario.faults is None:
-            scenario = replace(scenario, faults=spec.faults)
-        build = build_scenario(city, wigle, scenario, factory)
-        with maybe_heartbeat(
-            None, scenario.duration, session_progress(build)
-        ):
-            build.sim.run(scenario.duration + spec.run_extra)
-        sim = build.sim
-        session = build.attacker.session
-        summary = summarize(session)
-        people = build.arrivals.people_spawned
-        duration = scenario.duration
-    else:
-        result = run_experiment(
-            city,
-            wigle,
-            factory,
-            venue_profile(spec.venue),
-            spec.duration,
-            people_per_min=spec.people_per_min,
-            seed=spec.seed,
-            fidelity=spec.fidelity,
-            rush=spec.rush,
-            group_probs=spec.group_probs,
-            pnl_model=spec.pnl_model,
-            group_model=spec.group_model,
-            faults=spec.faults,
-        )
-        sim = result.attacker.sim
-        session = result.session
-        summary = result.summary
-        people = result.people_spawned
-        duration = result.duration
+    scenario = _spec_scenario(spec)
+    build = build_scenario(city, wigle, scenario, factory)
+    run_build(build, spec.run_extra)
     wall = time.perf_counter() - start
     set_current_spec(None)
+    sim, session = build.sim, build.attacker.session
+    people = build.arrivals.people_spawned
     sim.metrics.inc("run.count")
     sim.metrics.inc("run.people_spawned", people)
-    sim.metrics.inc("run.sim_duration_s", duration)
+    sim.metrics.inc("run.sim_duration_s", scenario.duration)
     sim.metrics.timer_add("run.wall", wall)
     sim.metrics.timer_add("run.cache_build", cache_wall)
     source, buffers = breakdown_hits(session)
     return RunSummary(
         spec=spec,
-        summary=summary,
+        summary=summarize(session),
         source=source,
         buffers=buffers,
         people_spawned=people,
-        duration=duration,
+        duration=scenario.duration,
         wall_time=wall,
         metrics=sim.metrics.to_dict(),
         events=tuple(sim.events),

@@ -1,4 +1,12 @@
-"""The experiment runner: scenario in, finished session out."""
+"""The experiment runner: scenario in, finished session out.
+
+Every venue deployment runs one way: :func:`venue_config` maps a
+calibrated venue profile to a :class:`ScenarioConfig`,
+:func:`~repro.experiments.scenarios.build_scenario` assembles it, and
+:func:`run_build` runs it ``RUN_EXTRA_S`` past its duration under the
+heartbeat gate.  :func:`run_experiment` chains the three, and the
+parallel executor runs the same chain for every venue-plane spec.
+"""
 
 from __future__ import annotations
 
@@ -16,12 +24,20 @@ from repro.experiments.calibration import (
     VenueProfile,
     default_city,
 )
-from repro.experiments.scenarios import ScenarioConfig, build_scenario
+from repro.experiments.scenarios import (
+    ScenarioBuild,
+    ScenarioConfig,
+    build_scenario,
+)
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import maybe_heartbeat
 from repro.population.groups import GroupModel
 from repro.population.pnl import PnlModel
 from repro.wigle.database import WigleDatabase
+
+RUN_EXTRA_S = 30.0
+"""Simulated seconds a deployment runs past its duration, so in-flight
+visits and handshakes complete."""
 
 
 def session_progress(build):
@@ -86,25 +102,29 @@ def _wigle(city_seed: int) -> WigleDatabase:
     return wigle
 
 
-def run_experiment(
-    city: City,
-    wigle: WigleDatabase,
-    attacker_factory,
+def venue_config(
     profile: VenueProfile,
     duration: float,
-    people_per_min: Optional[float] = None,
-    seed: int = 0,
-    fidelity: str = "frame",
-    rush: bool = False,
-    group_probs: Optional[Sequence[float]] = None,
-    pnl_model: Optional[PnlModel] = None,
-    group_model: Optional[GroupModel] = None,
-    faults: Optional[FaultPlan] = None,
-) -> ExperimentResult:
-    """Run one attack deployment and summarise it."""
+    *,
+    people_per_min: Optional[float],
+    seed: int,
+    fidelity: str,
+    rush: bool,
+    group_probs: Optional[Sequence[float]],
+    pnl_model: Optional[PnlModel],
+    group_model: Optional[GroupModel],
+    faults: Optional[FaultPlan],
+) -> ScenarioConfig:
+    """The scenario of one deployment at a calibrated venue.
+
+    Every field is the caller's (:func:`run_experiment` and the
+    executor's specs hold the defaults).  ``people_per_min=None`` means
+    the venue's Section III test rate, and ``group_probs=None`` the
+    off-peak (or, with ``rush``, rush-hour) group-size mix.
+    """
     if group_probs is None:
         group_probs = GROUP_PROBS_RUSH if rush else GROUP_PROBS_BASE
-    config = ScenarioConfig(
+    return ScenarioConfig(
         venue_name=profile.venue_name,
         mobility=profile.mobility,
         people_per_min=(
@@ -123,10 +143,46 @@ def run_experiment(
         group_model=group_model,
         faults=faults,
     )
-    build = build_scenario(city, wigle, config, attacker_factory)
-    # Let in-flight visits and handshakes complete a little past the end.
+
+
+def run_build(build: ScenarioBuild, run_extra: float = RUN_EXTRA_S) -> None:
+    """Run a built scenario to ``duration + run_extra`` simulated
+    seconds, heartbeating when ``REPRO_HEARTBEAT`` is set."""
+    duration = build.config.duration
     with maybe_heartbeat(None, duration, session_progress(build)):
-        build.sim.run(duration + 30.0)
+        build.sim.run(duration + run_extra)
+
+
+def run_experiment(
+    city: City,
+    wigle: WigleDatabase,
+    attacker_factory,
+    profile: VenueProfile,
+    duration: float,
+    people_per_min: Optional[float] = None,
+    seed: int = 0,
+    fidelity: str = "frame",
+    rush: bool = False,
+    group_probs: Optional[Sequence[float]] = None,
+    pnl_model: Optional[PnlModel] = None,
+    group_model: Optional[GroupModel] = None,
+    faults: Optional[FaultPlan] = None,
+) -> ExperimentResult:
+    """Run one attack deployment and summarise it."""
+    config = venue_config(
+        profile,
+        duration,
+        people_per_min=people_per_min,
+        seed=seed,
+        fidelity=fidelity,
+        rush=rush,
+        group_probs=group_probs,
+        pnl_model=pnl_model,
+        group_model=group_model,
+        faults=faults,
+    )
+    build = build_scenario(city, wigle, config, attacker_factory)
+    run_build(build)
     session = build.attacker.session
     return ExperimentResult(
         session=session,

@@ -169,7 +169,8 @@ def build_scenario(
     config: ScenarioConfig,
     attacker_factory: Callable[[Simulation, Medium, Venue], object],
 ) -> ScenarioBuild:
-    """Assemble one scenario; the caller runs ``build.sim.run(duration)``."""
+    """Assemble one scenario; :func:`repro.experiments.runner.run_build`
+    runs it."""
     venue = city.venue(config.venue_name)
     sim = Simulation(seed=config.seed)
     plan = config.faults

@@ -4,11 +4,9 @@ A declarative grid runner used by the sensitivity benchmarks and handy
 for downstream experimentation: vary one or two scenario knobs, run the
 deployment per cell, and collect summaries into a renderable grid.
 
-Cells are independent deployments, so when the attacker is given as a
-registry *name* (e.g. ``"cityhunter"``) the grid fans out over the
-parallel executor (:mod:`repro.experiments.parallel`).  Passing a
-factory callable instead keeps the legacy in-process serial path, which
-accepts arbitrary closures and arbitrary city/WiGLE objects.
+Cells are independent deployments of a registry attacker (e.g.
+``"cityhunter"``), so the grid fans out over the parallel executor
+(:mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
@@ -16,11 +14,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import SessionSummary, summarize
+from repro.analysis.metrics import SessionSummary
 from repro.experiments.parallel import RunSpec, run_specs
-from repro.experiments.scenarios import ScenarioConfig, build_scenario
+from repro.experiments.scenarios import ScenarioConfig
 from repro.util.tables import render_table
 
 
@@ -78,57 +76,40 @@ def _grid_configs(
 
 
 def sweep(
-    city,
-    wigle,
-    attacker: Union[str, Callable],
+    attacker: str,
     base_config: ScenarioConfig,
     grid: Dict[str, Sequence],
-    run_extra: float = 30.0,
     workers: Optional[int] = None,
     city_seed: int = 42,
 ) -> SweepResult:
-    """Run the attacker once per grid cell.
+    """Run the registry attacker ``attacker`` once per grid cell.
 
     ``grid`` maps :class:`ScenarioConfig` field names to value lists;
     the cartesian product is executed in a deterministic order (first
     key varies slowest).  Each cell gets a fresh scenario built from
-    ``base_config`` with the cell's values substituted.
-
-    When ``attacker`` is a registry name, cells run through the parallel
-    executor against the shared city/registry for ``city_seed`` (the
-    ``city``/``wigle`` arguments must be that shared pair, or ``None``).
-    When it is a factory callable, cells run serially in-process against
-    exactly the objects passed in.
+    ``base_config`` with the cell's values substituted, and runs through
+    the parallel executor against the shared city and registry for
+    ``city_seed``.
     """
     cells_params = _grid_configs(base_config, grid)
-    result = SweepResult(varied=list(grid))
-    if isinstance(attacker, str):
-        specs = []
-        for params in cells_params:
-            config = dataclasses.replace(base_config, **params)
-            specs.append(
-                RunSpec(
-                    attacker=attacker,
-                    scenario=config,
-                    seed=config.seed,
-                    duration=config.duration,
-                    run_extra=run_extra,
-                    city_seed=city_seed,
-                    tag="sweep:" + ",".join(f"{k}={v}" for k, v in params.items()),
-                )
-            )
-        outcomes = run_specs(specs, workers=workers)
-        for params, outcome in zip(cells_params, outcomes):
-            result.cells.append(SweepCell(params=params, summary=outcome.summary))
-        return result
+    specs = []
     for params in cells_params:
         config = dataclasses.replace(base_config, **params)
-        build = build_scenario(city, wigle, config, attacker)
-        build.sim.run(config.duration + run_extra)
-        result.cells.append(
-            SweepCell(
-                params=params,
-                summary=summarize(build.attacker.session),
+        specs.append(
+            RunSpec(
+                attacker=attacker,
+                scenario=config,
+                seed=config.seed,
+                duration=config.duration,
+                city_seed=city_seed,
+                tag="sweep:" + ",".join(f"{k}={v}" for k, v in params.items()),
             )
         )
-    return result
+    outcomes = run_specs(specs, workers=workers)
+    return SweepResult(
+        varied=list(grid),
+        cells=[
+            SweepCell(params=params, summary=outcome.summary)
+            for params, outcome in zip(cells_params, outcomes)
+        ],
+    )

@@ -37,11 +37,6 @@ def mark_pool_worker() -> None:
     _IN_POOL_WORKER = True
 
 
-def in_pool_worker() -> bool:
-    """Whether this process was marked as a pool worker."""
-    return _IN_POOL_WORKER
-
-
 def maybe_crash(plan: Optional[FaultPlan], attempt: int) -> None:
     """Die iff the plan schedules a crash for this attempt number."""
     if plan is None or attempt >= plan.worker_crashes:

@@ -66,10 +66,6 @@ class DistrictPartition:
         shard = ix * shards // self.nx
         return min(shards - 1, max(0, shard))
 
-    def shard_of_district(self, district: int, shards: int) -> int:
-        """Shard owning one district id."""
-        return self.shard_of_column(district % self.nx, shards)
-
     def shard_of_point(self, x: float, y: float, shards: int) -> int:
         """Shard owning the district containing ``(x, y)``."""
         return self.shard_of_column(self.column_of(x), shards)

@@ -1,10 +1,10 @@
 """Observability: metrics registry, span tracing, event export.
 
 The package gives every run three cheap, always-on artefact streams —
-a :class:`MetricsRegistry` of counters/gauges/histograms, a capped
-:class:`EventSink` of structured events, and span/timer context
-managers — plus the single artefact-directory resolution rule shared by
-every artefact writer.  :mod:`~repro.obs.records` is the
+a :class:`MetricsRegistry` of counters/gauges/histograms/timers, a
+capped :class:`EventSink` of structured events, and the simulation
+:class:`Span` — plus the single artefact-directory resolution rule
+shared by every artefact writer.  :mod:`~repro.obs.records` is the
 record plumbing every recorder shares: the bounded ring, the telemetry
 directory, ``.old`` rotation, the JSONL writer and reader, the JSON
 document writer and the Chrome trace-event builder.
@@ -99,7 +99,7 @@ from repro.obs.prom import (
     validate_prom_text,
     write_prom,
 )
-from repro.obs.spans import NullSpan, Span, maybe_span, span, timer
+from repro.obs.spans import Span, span
 from repro.obs.telemetry import (
     HEARTBEAT_ENV,
     HeartbeatWriter,
@@ -146,11 +146,8 @@ __all__ = [
     "default_slo",
     "evaluate_slo",
     "render_slo_report",
-    "NullSpan",
     "Span",
-    "maybe_span",
     "span",
-    "timer",
     "LINEAGE_ENV",
     "LineageTrace",
     "chrome_trace_doc",

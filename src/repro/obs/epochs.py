@@ -18,7 +18,7 @@ With ``REPRO_EPOCH_TRACE`` set (truthy), every
   time the driver spent stepping the *other* shards, which is the same
   straggler signal);
 * handed-in record counts by kind (``in``) and handed-out record
-  counts and bytes by destination shard (``out``/``out_bytes``).
+  counts by destination shard (``out``).
 
 :func:`epoch_trace_doc` maps the records to Chrome trace events: one
 track per shard, a span per phase, a span per barrier wait, and flow
@@ -30,7 +30,6 @@ or off (asserted in ``tests/test_shard_golden.py``).
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time as _time
 from typing import Callable, Dict, List, Optional, Union
@@ -42,25 +41,16 @@ from repro.obs.records import (
     telemetry_dir,
     write_jsonl,
 )
-from repro.util.settings import parse_bool_setting
+from repro.util.settings import resolve_bool_env
 
 EPOCH_TRACE_ENV = "REPRO_EPOCH_TRACE"
 
 EPOCH_FILE_PREFIX = "epochs-"
 
-#: Phases in barrier order within one epoch.
-PHASES = ("a", "b")
 
-#: Auxiliary record kinds sharing the epoch files (not barrier phases):
-#: ``"c"`` marks a checkpoint write at an epoch barrier.
-AUX_PHASES = ("c",)
-
-
-def resolve_epoch_trace(value: Optional[str] = None) -> bool:
+def resolve_epoch_trace() -> bool:
     """Whether per-epoch barrier tracing is on (``REPRO_EPOCH_TRACE``)."""
-    if value is None:
-        value = os.environ.get(EPOCH_TRACE_ENV, "")
-    return parse_bool_setting(EPOCH_TRACE_ENV, value)
+    return resolve_bool_env(EPOCH_TRACE_ENV, False)
 
 
 def epoch_file(
@@ -68,12 +58,6 @@ def epoch_file(
 ) -> pathlib.Path:
     """Path of one shard's epoch-span file."""
     return telemetry_dir(base) / ("%s%d.jsonl" % (EPOCH_FILE_PREFIX, shard_id))
-
-
-def _record_bytes(records) -> int:
-    """Rough payload size of a handoff batch (repr bytes — cheap, stable
-    enough for skew detection; only computed when tracing is on)."""
-    return sum(len(repr(rec)) for rec in records)
 
 
 class EpochTracer:
@@ -127,7 +111,6 @@ class EpochTracer:
             "barrier_s": float(barrier_s),
             "in": {k: int(v) for k, v in records_in.items() if v},
             "out": {int(d): len(recs) for d, recs in outboxes.items()},
-            "out_bytes": sum(_record_bytes(r) for r in outboxes.values()),
         }
         if extra:
             for key, value in extra.items():
@@ -136,16 +119,11 @@ class EpochTracer:
 
 
 def maybe_epoch_tracer(
-    shard_id: int,
-    shards: int,
-    epochs_total: int,
-    enabled: Optional[bool] = None,
+    shard_id: int, shards: int, epochs_total: int
 ) -> Optional[EpochTracer]:
-    """An :class:`EpochTracer` when tracing is on, else ``None`` — the
-    single gate both engine modes use."""
-    if enabled is None:
-        enabled = resolve_epoch_trace()
-    if not enabled:
+    """An :class:`EpochTracer` when ``REPRO_EPOCH_TRACE`` is on, else
+    ``None`` — the single gate both engine modes use."""
+    if not resolve_epoch_trace():
         return None
     return EpochTracer(shard_id, shards, epochs_total)
 
@@ -232,7 +210,6 @@ def epoch_trace_doc(records_by_shard: Dict[int, List[dict]]) -> dict:
                     "phase": phase,
                     "in": rec.get("in", {}),
                     "out": rec.get("out", {}),
-                    "out_bytes": rec.get("out_bytes", 0),
                 },
             )
             # Phase A feeds the same epoch's phase B on the destination

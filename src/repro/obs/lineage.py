@@ -10,11 +10,11 @@ chain itself.
 
 A :class:`LineageTrace` hangs off every
 :class:`~repro.sim.simulation.Simulation` (``sim.lineage``), disabled by
-default and switched on with ``REPRO_LINEAGE=1`` (or the ``lineage=``
-constructor argument).  Instrumented components — the medium, the rogue
-APs, the phones — append *records*: small dicts carrying a node id, a
-parent id, the root ("trace") id, the simulated time, the acting
-station and free-form attributes.  Causality is threaded two ways:
+default and switched on with ``REPRO_LINEAGE=1``.  Instrumented
+components — the medium, the rogue APs, the phones — append *records*:
+small dicts carrying a node id, a parent id, the root ("trace") id, the
+simulated time, the acting station and free-form attributes.
+Causality is threaded two ways:
 
 * **frames** — a transmitted frame is registered under its lineage
   context by object identity, so its later delivery (and anything sent
@@ -79,14 +79,8 @@ class _Pushed:
 class LineageTrace(Ring):
     """Bounded, append-only store of causal lineage records."""
 
-    def __init__(
-        self,
-        enabled: Optional[bool] = None,
-        max_records: int = DEFAULT_MAX_RECORDS,
-    ):
-        if enabled is None:
-            enabled = resolve_bool_env(LINEAGE_ENV, False)
-        super().__init__(max_records, enabled)
+    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS):
+        super().__init__(max_records, resolve_bool_env(LINEAGE_ENV, False))
         self._next_id = 1
         self.current: Optional[Ctx] = None
         self._frame_ctx: "OrderedDict[int, Ctx]" = OrderedDict()

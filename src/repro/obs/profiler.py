@@ -3,11 +3,10 @@
 The scheduler is the single choke point every simulated event passes
 through, which makes it the natural place to answer "where does the
 wall-clock go?".  When a :class:`SimProfiler` is attached
-(``Simulation(profile=True)`` or ``REPRO_PROFILE=1``), the scheduler
-times each callback with ``perf_counter`` and also credits it with the
-simulated time the clock advanced to reach it — so a handler can be hot
-two different ways: burning CPU per call, or owning most of the
-simulated timeline.
+(``REPRO_PROFILE=1``), the scheduler times each callback with
+``perf_counter`` and also credits it with the simulated time the clock
+advanced to reach it — so a handler can be hot two different ways:
+burning CPU per call, or owning most of the simulated timeline.
 
 Handlers are keyed by the callback's qualified name
 (``Phone._probe_channel``, ``Medium._deliver``, ...), which is exactly

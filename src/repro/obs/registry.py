@@ -28,7 +28,6 @@ matter what characters an SSID contains.
 from __future__ import annotations
 
 import json
-import time as _time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 METRICS_SCHEMA = "repro.metrics/v1"
@@ -152,28 +151,6 @@ def estimate_percentile(hist, q: float) -> Optional[float]:
     return float(bounds[-1])
 
 
-class _Timer:
-    """Context manager accumulating wall time into the timers section."""
-
-    __slots__ = ("_registry", "_key", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", key: str):
-        self._registry = registry
-        self._key = key
-
-    def __enter__(self) -> "_Timer":
-        self._start = _time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = _time.perf_counter() - self._start
-        entry = self._registry._timers.setdefault(
-            self._key, {"count": 0, "total_s": 0.0}
-        )
-        entry["count"] += 1
-        entry["total_s"] += elapsed
-
-
 class MetricsRegistry:
     """Process-local metric store with deterministic export and merge."""
 
@@ -232,10 +209,6 @@ class MetricsRegistry:
             (float(time), float(value))
         )
 
-    def timer(self, name: str, **labels: object) -> _Timer:
-        """Wall-clock timer context manager (quarantined in ``timers``)."""
-        return _Timer(self, metric_key(name, labels))
-
     def timer_add(self, name: str, seconds: float, **labels: object) -> None:
         """Fold one externally-measured wall-time sample into ``timers``."""
         entry = self._timers.setdefault(
@@ -249,10 +222,6 @@ class MetricsRegistry:
     def counter_value(self, name: str, **labels: object) -> float:
         """Current value of one counter (0 when never incremented)."""
         return self._counters.get(metric_key(name, labels), 0)
-
-    def gauge_value(self, name: str, default: float = 0, **labels: object) -> float:
-        """Current value of one gauge (``default`` when never set)."""
-        return self._gauges.get(metric_key(name, labels), default)
 
     def histogram(
         self, name: str, **labels: object

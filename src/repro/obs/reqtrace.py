@@ -54,10 +54,8 @@ REQTRACE_FILE_PREFIX = "reqtrace-"
 STAGES = ("enqueue", "queue_wait", "rank", "apply")
 
 
-def resolve_req_trace(value: Optional[bool] = None) -> bool:
-    """Is request tracing enabled?  Explicit arg wins over the env."""
-    if value is not None:
-        return bool(value)
+def resolve_req_trace() -> bool:
+    """Whether per-probe request tracing is on (``REPRO_REQ_TRACE``)."""
     return resolve_bool_env(REQ_TRACE_ENV, False)
 
 
@@ -112,15 +110,12 @@ class RequestTrace(Ring):
         return path
 
 
-def maybe_request_trace(
-    enabled: Optional[bool] = None,
-    max_records: Optional[int] = None,
-) -> Optional[RequestTrace]:
-    """A :class:`RequestTrace` when tracing is on, else ``None`` — the
-    single gate the service constructor uses."""
-    if not resolve_req_trace(enabled):
+def maybe_request_trace() -> Optional[RequestTrace]:
+    """A :class:`RequestTrace` when ``REPRO_REQ_TRACE`` is on, else
+    ``None`` — the single gate the service constructor uses."""
+    if not resolve_req_trace():
         return None
-    return RequestTrace(max_records)
+    return RequestTrace()
 
 
 # -- readers ----------------------------------------------------------------

@@ -21,7 +21,6 @@ timeline of a run.
 from __future__ import annotations
 
 import time as _time
-from typing import Optional
 
 from repro.obs.registry import MetricsRegistry
 
@@ -64,23 +63,3 @@ class Span:
 def span(sim, name: str) -> Span:
     """Open a span over ``sim`` — ``with span(sim, "run"): ...``."""
     return Span(sim, name)
-
-
-def timer(registry: MetricsRegistry, name: str, **labels: object):
-    """Wall-clock-only timer for code with no simulation attached."""
-    return registry.timer(name, **labels)
-
-
-class NullSpan:
-    """Inert drop-in for spans when no simulation is available."""
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-def maybe_span(sim: Optional[object], name: str):
-    """A :func:`span` when ``sim`` is set, else an inert context."""
-    return Span(sim, name) if sim is not None else NullSpan()

@@ -46,6 +46,9 @@ DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
 DEFAULT_SHED_THRESHOLD = 0.05
 
+#: Phase records per shard that the fleet's phase-time means cover.
+EPOCH_WINDOW = 40
+
 #: Anomaly events of the sharded engine (crash / respawn / kill / ...).
 #: Written only when something goes wrong — clean runs never create it.
 OPS_EVENTS_FILE = "shardops-events.jsonl"
@@ -54,21 +57,20 @@ OPS_EVENTS_FILE = "shardops-events.jsonl"
 RECOVERY_EVENT_KINDS = ("shard.crash", "shard.respawn")
 
 
-def resolve_heartbeat_interval(value: Optional[str] = None) -> Optional[float]:
+def resolve_heartbeat_interval() -> Optional[float]:
     """Heartbeat interval in seconds, or None when heartbeats are off.
 
-    ``REPRO_HEARTBEAT`` (or ``value``) is off when blank, ``false``,
-    ``off``, ``no`` or a number equal to zero; a truthy flag (``1``,
-    ``true``, ``on``, ``yes``) means the 5 s default cadence, and any
-    other finite positive number is the interval in seconds
+    ``REPRO_HEARTBEAT`` is off when blank, ``false``, ``off``, ``no`` or
+    a number equal to zero; a truthy flag (``1``, ``true``, ``on``,
+    ``yes``) means the 5 s default cadence, and any other finite
+    positive number is the interval in seconds
     (``REPRO_HEARTBEAT=2.5``).  Anything else raises a ValueError
     naming the variable: a typo must not silently switch heartbeats
     off, and an infinite interval would kill the heartbeat thread.
     Executor workers, shard runtimes and the
     :class:`~repro.serve.service.RankingService` all read it.
     """
-    if value is None:
-        value = os.environ.get(HEARTBEAT_ENV, "")
+    value = os.environ.get(HEARTBEAT_ENV, "")
     word = value.strip().lower()
     if word in OFF_WORDS:
         return None
@@ -418,7 +420,7 @@ def render_watch(rows: List[dict], stall_after_s: float) -> str:
 # -- the fleet aggregator ---------------------------------------------------
 
 
-def _shard_epoch_stats(records: List[dict], window: int) -> dict:
+def _shard_epoch_stats(records: List[dict]) -> dict:
     """Derived per-shard stats from one epochs-<k>.jsonl record list.
 
     Checkpoint records (``phase == "c"``) share the file but are not
@@ -431,13 +433,12 @@ def _shard_epoch_stats(records: List[dict], window: int) -> dict:
     phase_records = [r for r in records if r.get("phase") in ("a", "b")]
     ckpt_records = [r for r in records if r.get("phase") == "c"]
     latest = phase_records[-1] if phase_records else records[-1]
-    recent = phase_records[-window:]
+    recent = phase_records[-EPOCH_WINDOW:]
     phase_walls = [float(r.get("wall_s", 0.0)) for r in recent]
     barrier_walls = [float(r.get("barrier_s", 0.0)) for r in recent]
     handoff_out = sum(
         int(n) for r in phase_records for n in r.get("out", {}).values()
     )
-    out_bytes = sum(int(r.get("out_bytes", 0)) for r in phase_records)
     walls = [float(r.get("wall", 0.0)) for r in recent]
     span = (max(walls) - min(walls)) if len(walls) > 1 else 0.0
     return {
@@ -452,7 +453,6 @@ def _shard_epoch_stats(records: List[dict], window: int) -> dict:
             sum(barrier_walls) / len(barrier_walls) if barrier_walls else 0.0
         ),
         "handoff_out_records": handoff_out,
-        "handoff_out_bytes": out_bytes,
         # Two phase records per epoch -> epochs/sec over the window.
         "epochs_per_s": (len(recent) / 2.0) / span if span > 0 else None,
         "last_wall": float(records[-1].get("wall", 0.0)),
@@ -465,10 +465,8 @@ def fleet_snapshot(
     directory: Union[str, pathlib.Path],
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
     now: Optional[float] = None,
-    window: int = 40,
     straggler_threshold: float = 4.0,
     imbalance_threshold: float = 4.0,
-    shed_threshold: float = DEFAULT_SHED_THRESHOLD,
 ) -> dict:
     """One health document over everything the telemetry directory holds.
 
@@ -476,7 +474,7 @@ def fleet_snapshot(
     barrier records into derived signals:
 
     * ``straggler_ratio`` — slowest / median mean phase wall time across
-      shards over the last ``window`` phase records;
+      shards over the last :data:`EPOCH_WINDOW` phase records;
     * ``handoff_imbalance`` — max / mean handed-off record volume across
       shards (stripe load skew);
     * ``epochs_per_s`` — barrier throughput of the slowest shard over
@@ -496,16 +494,8 @@ def fleet_snapshot(
     workers = [r for r in rows if r["file"].startswith("worker-")]
     shards = [r for r in rows if r["file"].startswith("shard-")]
     services = [r for r in rows if r["file"].startswith("serve-")]
-    for row in services:
-        shed_fraction = row.get("shed_fraction") or 0.0
-        depth, cap = row.get("queue_depth"), row.get("queue_max")
-        overloaded = (not row["done"]) and (
-            shed_fraction > shed_threshold
-            or (depth is not None and cap and int(depth) >= int(cap))
-        )
-        row["overloaded"] = overloaded
     epoch_stats = {
-        shard_id: _shard_epoch_stats(records, window)
+        shard_id: _shard_epoch_stats(records)
         for shard_id, records in load_epoch_dir(directory).items()
     }
 
@@ -615,7 +605,7 @@ def fleet_snapshot(
             "epochs_per_s": min(rates) if rates else None,
             "stalled": sum(1 for r in rows if r["stalled"]),
             "overloaded": sum(1 for r in services if r.get("overloaded")),
-            "shed_threshold": shed_threshold,
+            "shed_threshold": DEFAULT_SHED_THRESHOLD,
             "crashes": len(crash_events),
             "recoveries": len(respawn_events),
             "recovery_active": recovery_active,
@@ -694,7 +684,7 @@ def render_top(doc: dict) -> str:
         lines.append("")
         lines.append(
             f"{'shard':>6} {'epoch':>9} {'phase ms':>9} {'barrier ms':>11} "
-            f"{'handoff recs':>13} {'bytes':>10} {'ep/s':>6} {'ckpt':>5} "
+            f"{'handoff recs':>13} {'ep/s':>6} {'ckpt':>5} "
             f"{'recov':>6}"
         )
         for shard_id, stats in doc["epochs"].items():
@@ -706,7 +696,6 @@ def render_top(doc: dict) -> str:
                 f"{1e3 * stats['phase_wall_mean_s']:>9.2f} "
                 f"{1e3 * stats['barrier_wall_mean_s']:>11.2f} "
                 f"{stats['handoff_out_records']:>13} "
-                f"{stats['handoff_out_bytes']:>10} "
                 f"{rate_cell:>6} "
                 f"{stats.get('checkpoints', 0):>5} "
                 f"{crashes_by_shard.get(str(shard_id), 0):>6}"

@@ -15,10 +15,8 @@ serving system over the kernel the simulated attacker runs
   order, ``serve.*`` metrics;
 * :mod:`repro.serve.trace` — UJI-shaped JSONL trace replay (torn-line
   tolerant);
-* :mod:`repro.serve.record` — wire-tapped simulator runs for the
-  differential harness;
-* :mod:`repro.serve.workload` — the deterministic synthetic stream
-  ``repro serve run`` serves.
+* :mod:`repro.serve.record` — wire-tapped simulator runs: the stream
+  ``repro serve run``, the differential harness and perfbench serve.
 
 The serving plane's performance is measured by perfbench's serve-open
 workload, which replays a recorded simulator stream through

@@ -98,15 +98,13 @@ class RankingService:
         core: RankingCore,
         queue_max: Optional[int] = None,
         shed: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         on_decision: Optional[Callable[[BurstDecision], None]] = None,
-        req_trace: Optional[bool] = None,
     ):
         self.core = core
         self.queue_max = resolve_queue_max(queue_max)
         self.heartbeat_interval = resolve_heartbeat_interval()
         self.shed = shed
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.decisions: List[BurstDecision] = []
         self._on_decision = (
             on_decision if on_decision is not None else self.decisions.append
@@ -119,7 +117,7 @@ class RankingService:
         # Observe-only instrumentation: the span ring never touches an
         # RNG stream and the heartbeat thread never mutates core state,
         # so digests are identical with both on or off.
-        self.reqtrace = maybe_request_trace(req_trace)
+        self.reqtrace = maybe_request_trace()
         self._heartbeat: Optional[HeartbeatWriter] = None
         self._committed = 0
         self._hb_anchor: Tuple[float, int] = (0.0, 0)
@@ -395,20 +393,12 @@ def run_stream(
     events: Iterable[Event],
     queue_max: Optional[int] = None,
     shed: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
-    req_trace: Optional[bool] = None,
 ) -> RankingService:
     """Synchronous convenience: serve ``events``, return the service.
 
     The returned service carries the decision list and the metrics
     registry.
     """
-    service = RankingService(
-        core,
-        queue_max=queue_max,
-        shed=shed,
-        metrics=metrics,
-        req_trace=req_trace,
-    )
+    service = RankingService(core, queue_max=queue_max, shed=shed)
     asyncio.run(serve_stream(service, events))
     return service

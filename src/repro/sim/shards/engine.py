@@ -114,10 +114,9 @@ DEADLINE_FACTOR = 25.0
 #: Never declare a hang faster than this (scheduler noise headroom).
 DEADLINE_FLOOR_S = 30.0
 
-#: Metric namespace stripped from golden canonical form and digests —
-#: everything under it is legitimately shard-count-dependent.
-OPS_PREFIX = "shardops."
-#: Workload namespace: integer-valued, bit-identical at any shard count.
+#: Workload namespace: integer-valued, bit-identical at any shard count
+#: (``shardops.*``, :data:`repro.obs.golden.OPS_METRIC_PREFIX`, is the
+#: shard-count-dependent one that golden digests strip).
 SIM_PREFIX = "shardsim."
 
 RESULT_SCHEMA = "repro.shard_run/v1"
@@ -367,7 +366,6 @@ def _shard_worker(
     shards: int,
     collect_states: bool,
     log_handoffs: bool,
-    epoch_trace: Optional[bool] = None,
     fault: Optional[ShardFaultParams] = None,
     fault_seed: int = 0,
     incarnation: int = 0,
@@ -386,7 +384,6 @@ def _shard_worker(
             shard_id,
             shards,
             log_handoffs=log_handoffs,
-            epoch_trace=epoch_trace,
         )
         if restore_path is not None:
             runtime.restore_file(pathlib.Path(restore_path))
@@ -437,7 +434,6 @@ class _InlineShards:
                 k,
                 sim.shards,
                 log_handoffs=sim.log_handoffs,
-                epoch_trace=sim.epoch_trace,
             )
             for k in range(sim.shards)
         ]
@@ -491,7 +487,6 @@ class _ProcessShards:
                     sim.shards,
                     sim.collect_states,
                     sim.log_handoffs,
-                    sim.epoch_trace,
                     sim.fault,
                     sim.fault_seed,
                     incarnation,
@@ -570,7 +565,6 @@ class ShardedCitySim:
         mode: Optional[str] = None,
         collect_states: bool = True,
         log_handoffs: bool = False,
-        epoch_trace: Optional[bool] = None,
         faults: Optional[FaultPlan] = None,
         ckpt_every: Optional[int] = None,
     ):
@@ -579,7 +573,6 @@ class ShardedCitySim:
         self.mode = resolve_shard_mode(mode)
         self.collect_states = collect_states
         self.log_handoffs = log_handoffs
-        self.epoch_trace = epoch_trace
         self.epochs = len(epoch_schedule(scenario.duration, scenario.epoch_s)) - 1
         self.fault: Optional[ShardFaultParams] = None
         self.fault_seed = 0
@@ -940,7 +933,6 @@ def run_sharded(
     mode: Optional[str] = None,
     collect_states: bool = True,
     log_handoffs: bool = False,
-    epoch_trace: Optional[bool] = None,
     faults: Optional[FaultPlan] = None,
     ckpt_every: Optional[int] = None,
 ) -> ShardRunResult:
@@ -951,7 +943,6 @@ def run_sharded(
         mode=mode,
         collect_states=collect_states,
         log_handoffs=log_handoffs,
-        epoch_trace=epoch_trace,
         faults=faults,
         ckpt_every=ckpt_every,
     ).run()

@@ -110,7 +110,6 @@ class ShardRuntime:
         shard_id: int,
         shards: int,
         log_handoffs: bool = False,
-        epoch_trace: Optional[bool] = None,
     ):
         if not 0 <= shard_id < shards:
             raise ValueError(
@@ -160,9 +159,7 @@ class ShardRuntime:
         self._log: Optional[List[tuple]] = [] if log_handoffs else None
         # Per-epoch barrier tracing (REPRO_EPOCH_TRACE): observe-only,
         # so digests are bit-identical with it on or off.
-        self.tracer = maybe_epoch_tracer(
-            shard_id, shards, self.epochs, enabled=epoch_trace
-        )
+        self.tracer = maybe_epoch_tracer(shard_id, shards, self.epochs)
         self._phase_end_pc: Optional[float] = None
         self.metrics.gauge_set(
             "shardops.owned_initial", len(self.owned), shard=shard_id

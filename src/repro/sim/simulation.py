@@ -16,9 +16,9 @@ Deep observability (both observers only — neither touches RNG draws,
 scheduling or metrics, so golden digests are identical on or off):
 
 * ``sim.lineage`` is the run's causal
-  :class:`~repro.obs.lineage.LineageTrace` (``REPRO_LINEAGE`` env or the
-  ``lineage=`` argument);
-* ``profile=True`` (or ``REPRO_PROFILE``) attaches a
+  :class:`~repro.obs.lineage.LineageTrace`, recording when
+  ``REPRO_LINEAGE`` is on;
+* ``REPRO_PROFILE`` attaches a
   :class:`~repro.obs.profiler.SimProfiler` to the scheduler, reachable
   as ``sim.profiler``.
 """
@@ -41,23 +41,14 @@ from repro.util.rng import RngRegistry
 class Simulation:
     """Top-level container for one simulated run."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-        events: Optional[EventSink] = None,
-        lineage: Optional[bool] = None,
-        profile: Optional[bool] = None,
-    ):
+    def __init__(self, seed: int = 0):
         self.rngs = RngRegistry(seed)
         self.clock = Clock()
         self.scheduler = Scheduler(self.clock)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EventSink()
-        self.lineage = LineageTrace(enabled=lineage)
-        if profile is None:
-            profile = env_profile_default()
-        if profile:
+        self.metrics = MetricsRegistry()
+        self.events = EventSink()
+        self.lineage = LineageTrace()
+        if env_profile_default():
             self.scheduler.profiler = SimProfiler()
         self._entities: List[Any] = []
         self._started = False

@@ -48,9 +48,6 @@ PROBE_REQUEST_AIRTIME_S = 0.15 * MS
 MANAGEMENT_FRAME_AIRTIME_S = 0.2 * MS
 """Airtime for auth/assoc/deauth management frames."""
 
-DEFAULT_TX_POWER_MW = 100.0
-"""Transmission power of the prototype attacker (Section V-A)."""
-
 
 def db_from_mw(milliwatts: float) -> float:
     """Convert a power in milliwatts to dBm."""

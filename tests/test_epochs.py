@@ -38,13 +38,14 @@ class TestResolve:
         assert resolve_epoch_trace() is False
         assert maybe_epoch_tracer(0, 2, 10) is None
 
-    def test_truthy_values(self):
-        assert resolve_epoch_trace("1") is True
-        assert resolve_epoch_trace("on") is True
-        assert resolve_epoch_trace("0") is False
+    def test_truthy_values(self, monkeypatch):
+        for value, on in (("1", True), ("on", True), ("0", False)):
+            monkeypatch.setenv(EPOCH_TRACE_ENV, value)
+            assert resolve_epoch_trace() is on
         # A word that is neither on nor off is a typo, not "off".
+        monkeypatch.setenv(EPOCH_TRACE_ENV, "sometimes")
         with pytest.raises(ValueError, match=EPOCH_TRACE_ENV):
-            resolve_epoch_trace("sometimes")
+            resolve_epoch_trace()
 
     def test_env_gate(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
@@ -71,7 +72,6 @@ class TestTracerFiles:
         assert first["epochs"] == 5
         assert first["in"] == {"m": 3}  # zero-count kinds dropped
         assert first["out"] == {"1": 2}  # JSON stringifies dest keys
-        assert first["out_bytes"] > 0
         assert records[1]["barrier_s"] == 0.1
 
     def test_stale_file_rotated_on_first_record(self, tmp_path):
@@ -106,9 +106,9 @@ class TestTracerFiles:
 class TestShardedRunTracing:
     def test_run_produces_spans_per_shard(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.setenv(EPOCH_TRACE_ENV, "1")
         result = run_sharded(
-            SCENARIO, shards=2, mode="inline", collect_states=False,
-            epoch_trace=True,
+            SCENARIO, shards=2, mode="inline", collect_states=False
         )
         by_shard = load_epoch_dir(tmp_path / "telemetry")
         assert sorted(by_shard) == [0, 1]
@@ -145,7 +145,6 @@ def _synthetic_records(shards=2, epochs=3, phase_s=0.5):
                     "barrier_s": 0.05 if epoch else 0.0,
                     "in": {"m": 1},
                     "out": {str(1 - shard): 4},
-                    "out_bytes": 64,
                 })
         by_shard[shard] = records
     return by_shard
@@ -245,11 +244,13 @@ def test_tracing_never_perturbs_digest(tmp_path, monkeypatch, shards):
     """Cheap single-run mirror of the golden invariance contract: the
     same scenario digests identically with tracing on and off."""
     monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+    monkeypatch.delenv(EPOCH_TRACE_ENV, raising=False)
     plain = run_sharded(
         SCENARIO, shards=shards, mode="inline", collect_states=False
     )
+    monkeypatch.setenv(EPOCH_TRACE_ENV, "1")
     traced = run_sharded(
-        SCENARIO, shards=shards, mode="inline", collect_states=False,
-        epoch_trace=True,
+        SCENARIO, shards=shards, mode="inline", collect_states=False
     )
     assert traced.digest() == plain.digest()
+    assert load_epoch_dir(tmp_path / "telemetry")

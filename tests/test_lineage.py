@@ -42,7 +42,7 @@ class TestLineageTrace:
         assert LineageTrace().enabled is False
 
     def test_root_event_is_its_own_trace(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         ctx = ln.event(1.0, "probe", "aa")
         node, trace = ctx
         assert node == trace
@@ -51,7 +51,7 @@ class TestLineageTrace:
         assert rec["trace"] == trace
 
     def test_parent_defaults_to_current(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         root = ln.event(1.0, "rx:probe_req", "attacker")
         with ln.push(root):
             child = ln.event(1.0, "burst_select", "attacker")
@@ -63,7 +63,7 @@ class TestLineageTrace:
         assert recs[after[0]]["parent"] is None
 
     def test_push_nests_and_restores(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         a = ln.event(0.0, "a", "x")
         with ln.push(a):
             b = ln.event(0.0, "b", "x")
@@ -73,7 +73,7 @@ class TestLineageTrace:
         assert ln.current is None
 
     def test_frame_sent_then_delivered_chains(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         frame = _Frame("probe_req", ssid=None, dst="ff:ff:ff:ff:ff:ff")
         tx = ln.frame_sent(1.0, frame, "phone")
         rx = ln.delivered(1.001, frame, "attacker")
@@ -85,7 +85,7 @@ class TestLineageTrace:
         assert recs[tx[0]]["dst"] == "ff:ff:ff:ff:ff:ff"
 
     def test_frame_attrs_auto_extracted(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         frame = _Frame("probe_resp", ssid="CoffeeShop")
         tx = ln.frame_sent(2.0, frame, "ap")
         rec = ln.records()[-1]
@@ -93,14 +93,14 @@ class TestLineageTrace:
         assert tx == ln.frame_ctx(frame)
 
     def test_unknown_frame_delivery_is_root(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         rx = ln.delivered(1.0, _Frame("beacon"), "phone")
         rec = ln.records()[0]
         assert rec["parent"] is None
         assert rec["trace"] == rx[0]
 
     def test_ring_cap_and_dropped(self):
-        ln = LineageTrace(enabled=True, max_records=4)
+        ln = LineageTrace(max_records=4)
         for i in range(7):
             ln.event(float(i), "e", "x")
         assert len(ln) == 4
@@ -110,10 +110,10 @@ class TestLineageTrace:
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
-            LineageTrace(enabled=True, max_records=0)
+            LineageTrace(max_records=0)
 
     def test_frame_map_is_bounded(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         frames = [_Frame("probe_req") for _ in range(FRAME_MAP_CAP + 10)]
         for f in frames:
             ln.frame_sent(0.0, f, "x")
@@ -125,7 +125,7 @@ class TestLineageTrace:
 
 class TestChromeTraceExport:
     def _records(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         frame = _Frame("probe_req", dst="ff:ff:ff:ff:ff:ff")
         ln.frame_sent(1.0, frame, "phone")
         rx = ln.delivered(1.001, frame, "attacker")
@@ -197,7 +197,7 @@ class TestChromeTraceExport:
 class TestStoryReconstruction:
     def _hunt_records(self):
         """A hand-built probe -> burst -> response -> hit chain."""
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         probe = _Frame("probe_req", dst="ff:ff:ff:ff:ff:ff")
         ln.frame_sent(1.0, probe, "mac-client")
         rx = ln.delivered(1.01, probe, "mac-ap")
@@ -240,7 +240,7 @@ class TestStoryReconstruction:
         assert "no lineage records involve" in story
 
     def test_story_without_hit(self):
-        ln = LineageTrace(enabled=True)
+        ln = LineageTrace()
         ln.frame_sent(1.0, _Frame("probe_req"), "mac-x")
         story = hunt_story(ln.records(), "mac-x")
         assert "no hit recorded" in story

@@ -10,7 +10,7 @@ import pytest
 from repro.obs.events import EventSink
 from repro.obs.records import read_jsonl, write_jsonl
 from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.obs.spans import NullSpan, Span, maybe_span, span
+from repro.obs.spans import Span, span
 from repro.sim.simulation import Simulation
 
 
@@ -69,18 +69,6 @@ class TestSpanEdges:
         )
         assert event["sim_start"] == 0.0
         assert event["sim_s"] == pytest.approx(4.0)
-
-    def test_maybe_span_without_sim(self):
-        ctx = maybe_span(None, "x")
-        assert isinstance(ctx, NullSpan)
-        with ctx:
-            pass  # inert: nothing to assert beyond not raising
-
-    def test_maybe_span_with_sim(self):
-        sim = Simulation(seed=1)
-        with maybe_span(sim, "y"):
-            pass
-        assert sim.metrics.to_dict()["counters"]["span.y.count"] == 1
 
 
 class TestEventSinkEdges:

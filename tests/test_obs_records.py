@@ -10,7 +10,10 @@ inputs as here.
   what the earlier exporter produced — for the lineage records of a
   short canteen run (whose own digest is pinned too, so the ring cannot
   change what is recorded) and for the synthetic epoch records and
-  request spans of ``test_epochs.py`` and ``test_reqtrace.py``.
+  request spans of ``test_epochs.py`` and ``test_reqtrace.py``.  The
+  two epoch digests are the earlier exporter's document with the
+  ``out_bytes`` argument, which epoch records no longer carry, removed
+  from every phase span.
 * Reading: on one file with a torn last line, a blank line and foreign
   records, each reader returns exactly what the reader it replaces
   returned.

@@ -19,7 +19,8 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_specs,
 )
-from repro.experiments.runner import shared_wigle
+from repro.experiments.calibration import venue_profile
+from repro.experiments.runner import shared_wigle, venue_config
 from repro.experiments.scenarios import ScenarioConfig
 from repro.obs.registry import validate_metrics_doc
 
@@ -271,6 +272,37 @@ class TestMetricsArtefact:
         assert result.metrics is not None
         assert result.metrics["counters"]["run.count"] == 1
         assert any(e["kind"] == "span" for e in result.events)
+
+
+class TestOneDeploymentPath:
+    def test_venue_and_scenario_routes_identical(self):
+        """A venue spec and a scenario spec of the same canteen
+        deployment return the same summary, breakdowns and metrics."""
+        by_venue = RunSpec(
+            attacker="cityhunter", venue="canteen", seed=5, duration=300.0
+        )
+        scenario = venue_config(
+            venue_profile("canteen"),
+            300.0,
+            people_per_min=None,
+            seed=5,
+            fidelity="frame",
+            rush=False,
+            group_probs=None,
+            pnl_model=None,
+            group_model=None,
+            faults=None,
+        )
+        by_scenario = RunSpec(
+            attacker="cityhunter", scenario=scenario, seed=5, duration=300.0
+        )
+        a, b = execute_spec(by_venue), execute_spec(by_scenario)
+        assert a.summary.total_clients > 0
+        assert a.summary == b.summary
+        assert (a.source, a.buffers) == (b.source, b.buffers)
+        assert (a.people_spawned, a.duration) == (b.people_spawned, b.duration)
+        assert _strip_timers(a.metrics) == _strip_timers(b.metrics)
+        assert a.events == b.events
 
 
 class TestSharedWigleImmutability:

@@ -57,9 +57,12 @@ class TestSchedulerIntegration:
         sim = Simulation(seed=1)
         assert sim.profiler is None
 
-    def test_profile_kwarg_attaches(self):
-        sim = Simulation(seed=1, profile=True)
-        assert sim.profiler is not None
+    def test_profile_kwarg_attaches(self, monkeypatch):
+        # REPRO_PROFILE is the one switch: the keyword is gone.
+        with pytest.raises(TypeError):
+            Simulation(seed=1, profile=True)
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert Simulation(seed=1).profiler is not None
 
     def test_env_flag_attaches(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
@@ -67,8 +70,9 @@ class TestSchedulerIntegration:
         monkeypatch.setenv("REPRO_PROFILE", "")
         assert Simulation(seed=1).profiler is None
 
-    def test_handlers_credited_by_qualname(self):
-        sim = Simulation(seed=1, profile=True)
+    def test_handlers_credited_by_qualname(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        sim = Simulation(seed=1)
 
         class Ticker:
             def tick(self):
@@ -88,11 +92,13 @@ class TestSchedulerIntegration:
         # tick events are 1 s apart: the handler owns 5 s of timeline.
         assert row["sim_advance_s"] == pytest.approx(5.0)
 
-    def test_profiled_run_same_results(self):
+    def test_profiled_run_same_results(self, monkeypatch):
         """Profiling observes only: event order and clock identical."""
 
         def build(profile):
-            sim = Simulation(seed=7, profile=profile)
+            monkeypatch.setenv("REPRO_PROFILE", "1" if profile else "0")
+            sim = Simulation(seed=7)
+            assert (sim.profiler is not None) == profile
             rng = sim.rngs.stream("x")
             seen = []
             def emit(tag):

@@ -28,8 +28,8 @@ from repro.obs.reqtrace import (
     resolve_req_trace_max,
 )
 from repro.serve.core import RankingCore
+from repro.serve.events import ProbeEvent
 from repro.serve.service import run_stream
-from repro.serve.workload import synthetic_stream
 
 
 def spans(n_seq=4):
@@ -66,10 +66,11 @@ class TestResolveAndRing:
         assert resolve_req_trace() is False
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         assert resolve_req_trace() is True
-        assert resolve_req_trace(False) is False  # explicit arg wins
         monkeypatch.setenv("REPRO_REQ_TRACE", "off")
         assert resolve_req_trace() is False
-        assert resolve_req_trace(True) is True
+        # The variable is the only switch: no explicit argument.
+        with pytest.raises(TypeError):
+            resolve_req_trace(True)
 
     def test_resolve_max(self):
         assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS == 200_000
@@ -82,7 +83,6 @@ class TestResolveAndRing:
     def test_maybe_request_trace_gate(self, monkeypatch):
         monkeypatch.delenv("REPRO_REQ_TRACE", raising=False)
         assert maybe_request_trace() is None
-        assert maybe_request_trace(True) is not None
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         assert isinstance(maybe_request_trace(), RequestTrace)
 
@@ -185,12 +185,15 @@ class TestServiceWiring:
         monkeypatch.delenv("REPRO_REQ_TRACE", raising=False)
         return tmp_path
 
-    def run(self, city, wigle, req_trace=None, n_events=120):
+    def run(self, city, wigle, n_events=120):
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
-        events = synthetic_stream(8, n_events, seed=0)
-        return run_stream(core, events, req_trace=req_trace)
+        events = [
+            ProbeEvent("02:5e:00:00:00:%02x" % (i % 8), 0.02 * i)
+            for i in range(n_events)
+        ]
+        return run_stream(core, events)
 
     def test_off_by_default(self, city, wigle, artifact_dir):
         service = self.run(city, wigle)
@@ -198,9 +201,10 @@ class TestServiceWiring:
         assert not list(telemetry_dir(artifact_dir).glob("reqtrace-*"))
 
     def test_all_stages_recorded_and_flushed(
-        self, city, wigle, artifact_dir
+        self, city, wigle, artifact_dir, monkeypatch
     ):
-        service = self.run(city, wigle, req_trace=True)
+        monkeypatch.setenv("REPRO_REQ_TRACE", "1")
+        service = self.run(city, wigle)
         records = service.reqtrace.records()
         assert {r["stage"] for r in records} == set(STAGES)
         # one enqueue span per accepted event, stamped with the mac
@@ -226,7 +230,7 @@ class TestServiceWiring:
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         monkeypatch.setattr(reqtrace, "DEFAULT_MAX_RECORDS", 50)
-        service = self.run(city, wigle)  # env-gated this time
+        service = self.run(city, wigle)
         assert len(service.reqtrace) == 50
         assert service.reqtrace.dropped > 0
         gauges = service.metrics.to_dict()["gauges"]

@@ -412,8 +412,10 @@ class TestRunLoopContracts:
         assert len(fired) == sim.scheduler.fired
 
     @pytest.mark.parametrize("profiled", [False, True])
-    def test_callback_sees_its_own_event_counted(self, profiled):
-        sim = Simulation(seed=0, profile=profiled)
+    def test_callback_sees_its_own_event_counted(self, profiled, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE", "1" if profiled else "0")
+        sim = Simulation(seed=0)
+        assert (sim.profiler is not None) == profiled
         seen = []
         for _ in range(3):
             sim.at(1.0, lambda: seen.append(sim.scheduler.fired))

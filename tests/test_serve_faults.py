@@ -21,7 +21,11 @@ from repro.serve.service import (
     serve_stream,
 )
 from repro.serve.trace import load_trace
-from repro.serve.workload import client_mac
+
+
+def client_mac(index: int) -> str:
+    """A locally administered MAC for test client ``index``."""
+    return "02:5e:00:00:%02x:%02x" % ((index >> 8) & 0xFF, index & 0xFF)
 
 
 def _seeded(city, wigle):

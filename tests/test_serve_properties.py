@@ -22,9 +22,13 @@ from hypothesis import strategies as st
 from repro.core.config import CityHunterConfig
 from repro.serve.core import RankingCore
 from repro.serve.events import FeedbackEvent, ProbeEvent
-from repro.serve.workload import client_mac
 
 N_CLIENTS = 5
+
+
+def client_mac(index: int) -> str:
+    """A locally administered MAC for test client ``index``."""
+    return "02:5e:00:00:%02x:%02x" % ((index >> 8) & 0xFF, index & 0xFF)
 
 
 def _ops():

@@ -475,7 +475,7 @@ class TestWorkerPipeFailure:
         )
         conn = _BrokenConn()
         with pytest.raises(BrokenPipeError):
-            _shard_worker(conn, scenario, 0, 1, None, False, False)
+            _shard_worker(conn, scenario, 0, 1, None, False)
         # Both the "ok" reply and the "err" report failed...
         assert conn.sends == 2
         # ...so the worker left the breadcrumb the coordinator can't get.

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.analysis.validation import PaperTarget, all_pass, check_all, targets
-from repro.experiments.attackers import make_mana
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.sweeps import sweep
 
 
 class TestSweep:
     @pytest.fixture(scope="class")
-    def result(self, city, wigle):
+    def result(self):
         base = ScenarioConfig(
             venue_name="Central Subway Passage",
             mobility="corridor",
@@ -20,11 +19,10 @@ class TestSweep:
             fidelity="burst",
         )
         return sweep(
-            city,
-            wigle,
-            make_mana(),
+            "mana",
             base,
             grid={"people_per_min": [10.0, 40.0], "walk_speed_mean": [0.8, 2.0]},
+            workers=1,
         )
 
     def test_full_grid_executed(self, result):
@@ -46,7 +44,7 @@ class TestSweep:
         series = result.series("people_per_min")
         assert len(series) == 4
 
-    def test_unknown_field_rejected(self, city, wigle):
+    def test_unknown_field_rejected(self):
         base = ScenarioConfig(
             venue_name="University Canteen",
             mobility="static",
@@ -54,7 +52,7 @@ class TestSweep:
             duration=60.0,
         )
         with pytest.raises(ValueError):
-            sweep(city, wigle, make_mana(), base, grid={"warp_factor": [9]})
+            sweep("mana", base, grid={"warp_factor": [9]})
 
 
 class TestValidation:

@@ -22,6 +22,12 @@ from repro.obs.telemetry import (
     set_current_spec,
     watch_snapshot,
 )
+from repro.serve.events import ProbeEvent
+
+
+def client_mac(index: int) -> str:
+    """A locally administered MAC for test client ``index``."""
+    return "02:5e:00:00:%02x:%02x" % ((index >> 8) & 0xFF, index & 0xFF)
 
 
 class TestInterval:
@@ -29,16 +35,19 @@ class TestInterval:
         monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
         assert resolve_heartbeat_interval() is None
 
-    def test_truthy_uses_default(self):
-        assert resolve_heartbeat_interval("1") == DEFAULT_INTERVAL_S
-        assert resolve_heartbeat_interval("on") == DEFAULT_INTERVAL_S
+    def test_truthy_uses_default(self, monkeypatch):
+        for value in ("1", "on"):
+            monkeypatch.setenv("REPRO_HEARTBEAT", value)
+            assert resolve_heartbeat_interval() == DEFAULT_INTERVAL_S
 
-    def test_numeric_is_seconds(self):
-        assert resolve_heartbeat_interval("2.5") == 2.5
+    def test_numeric_is_seconds(self, monkeypatch):
+        monkeypatch.setenv("REPRO_HEARTBEAT", "2.5")
+        assert resolve_heartbeat_interval() == 2.5
 
-    def test_blank_false_words_and_zero_off(self):
+    def test_blank_false_words_and_zero_off(self, monkeypatch):
         for value in ("", "   ", "false", "off", "No", "0", "-0.0"):
-            assert resolve_heartbeat_interval(value) is None
+            monkeypatch.setenv("REPRO_HEARTBEAT", value)
+            assert resolve_heartbeat_interval() is None
 
     @pytest.mark.parametrize("value", ["soon", "-3", "nan", "inf", "1e400"])
     def test_bad_value_raises_naming_variable(self, monkeypatch, value):
@@ -272,7 +281,6 @@ def _write_epochs(directory, shard, epochs, phase_s, t0=1000.0,
                     "epochs": epochs, "phase": phase, "wall_s": phase_s,
                     "barrier_s": 0.01,
                     "in": {}, "out": {str(1 - shard): out_records},
-                    "out_bytes": out_records * 16,
                 }) + "\n")
     return path
 
@@ -517,19 +525,6 @@ class TestServeFleet:
         assert "OVERLOADED" in out
         assert "health: DEGRADED" in out
 
-    def test_shed_threshold_configurable(self, tmp_path):
-        from repro.obs.telemetry import fleet_snapshot
-
-        now = 1000.0
-        _write_serve(tmp_path, 74, [now - 1.0], committed=[500],
-                     shed_fraction=0.03)
-        default = fleet_snapshot(tmp_path, stall_after_s=60.0, now=now)
-        assert default["health"]["overloaded"] == 0
-        strict = fleet_snapshot(
-            tmp_path, stall_after_s=60.0, now=now, shed_threshold=0.01
-        )
-        assert strict["health"]["overloaded"] == 1
-
     def test_top_cli_shows_service_table(self, tmp_path, capsys):
         now = time.time()
         _write_serve(tmp_path, 75, [now - 1.0], committed=[800], done=True)
@@ -546,14 +541,14 @@ class TestServiceHeartbeatIntegration:
     ):
         from repro.serve.core import RankingCore
         from repro.serve.service import run_stream
-        from repro.serve.workload import synthetic_stream
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
-        run_stream(core, synthetic_stream(8, 200, seed=0))
+        run_stream(core, [ProbeEvent(client_mac(i % 8), 0.02 * i)
+                          for i in range(200)])
         files = list((tmp_path / "telemetry").glob("serve-*.jsonl"))
         assert len(files) == 1
         records = read_jsonl(files[0])
@@ -590,9 +585,6 @@ class TestLiveServeStallVerdict:
 
     @staticmethod
     def _probes(n=20):
-        from repro.serve.events import ProbeEvent
-        from repro.serve.workload import client_mac
-
         return [ProbeEvent(client_mac(i % 4), 0.1 * i) for i in range(n)]
 
     @staticmethod
