@@ -8,7 +8,7 @@ the two probe hooks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.session import AttackSession, SentSsid
 from repro.dot11.capabilities import Security
@@ -77,7 +77,7 @@ class RogueAp:
         self.channel = validate_channel(channel)
         self.sim: Optional[Simulation] = None
         self.outages: Optional[OutageSchedule] = None
-        self._sent_keys: Dict[Tuple[str, str], str] = {}
+        self._sent_keys: Dict[SentSsid, str] = {}
         self._lineage = None
 
     # -- Station protocol ------------------------------------------------------
@@ -272,27 +272,30 @@ class RogueAp:
     def _count_sent(self, metas: Sequence[SentSsid]) -> None:
         """Metric bookkeeping for one outgoing response burst.
 
-        Increments are batched per (provenance, bucket) group — one dict
-        update per group instead of one per SSID — with the flat metric
-        keys cached across bursts.  Totals are identical to per-SSID
-        increments, and so is counter insertion order (a group first
-        appears exactly when its first SSID would have)."""
+        Each ``(ssid, origin, bucket)`` maps to one flat
+        ``attacker.ssids_sent`` key for the attacker's lifetime (both
+        :meth:`provenance_of` implementations are fixed per SSID and
+        origin), so a burst costs one dict lookup per SSID and one
+        counter update per distinct key.  Totals are identical to
+        per-SSID increments, and so is counter insertion order (a key
+        first appears exactly when its first SSID would have)."""
         metrics = self.metrics
         if metrics is None:
             return
         metrics.inc("attacker.responses_sent", len(metas))
-        grouped: Dict[Tuple[str, str], int] = {}
-        for ssid, origin, bucket in metas:
-            group = (self.provenance_of(ssid, origin), bucket)
-            grouped[group] = grouped.get(group, 0) + 1
         keys = self._sent_keys
-        for group, count in grouped.items():
-            key = keys.get(group)
+        grouped: Dict[str, int] = {}
+        for meta in metas:
+            key = keys.get(meta)
             if key is None:
-                key = keys[group] = metric_key(
+                ssid, origin, bucket = meta
+                key = keys[meta] = metric_key(
                     "attacker.ssids_sent",
-                    {"provenance": group[0], "bucket": group[1]},
+                    {"provenance": self.provenance_of(ssid, origin),
+                     "bucket": bucket},
                 )
+            grouped[key] = grouped.get(key, 0) + 1
+        for key, count in grouped.items():
             metrics.inc_key(key, count)
         metrics.observe(
             "attacker.burst_size", len(metas), buckets=BURST_SIZE_BUCKETS

@@ -78,7 +78,11 @@ class ProbeRequest(Frame):
 
 
 class ProbeResponse(Frame):
-    """AP (or evil twin) reply advertising one SSID."""
+    """AP (or evil twin) reply advertising one SSID.
+
+    Its ``__init__`` fills the base slots itself: an attacker builds one
+    response per SSID of each 40-SSID burst, and the ``super()`` call
+    was about 40 % of building one."""
 
     __slots__ = ("ssid", "security", "channel")
 
@@ -92,7 +96,8 @@ class ProbeResponse(Frame):
         security: Security = Security.OPEN,
         channel: int = 6,
     ):
-        super().__init__(src, dst)
+        self.src = src
+        self.dst = dst
         self.ssid = ssid
         self.security = security
         self.channel = channel

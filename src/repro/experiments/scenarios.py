@@ -24,6 +24,7 @@ from repro.devices.profiles import DEFAULT_SCAN_PROFILE, ScanProfile
 from repro.dot11.mac import random_ap_mac, random_client_mac
 from repro.dot11.medium import Medium
 from repro.dot11.timing import DEFAULT_SCAN_TIMING, ScanTiming
+from repro.experiments.calibration import mean_group_size
 from repro.faults.outages import OutageSchedule
 from repro.faults.plan import FaultPlan
 from repro.mobility.arrivals import ArrivalProcess
@@ -35,6 +36,7 @@ from repro.population.groups import GroupModel
 from repro.population.pnl import PnlModel, VenueContext
 from repro.population.synthesis import PersonFactory
 from repro.sim.simulation import Simulation
+from repro.util.rng import choice_cdf
 from repro.wigle.database import WigleDatabase
 
 PHONE_TX_RANGE_M = 45.0
@@ -105,6 +107,7 @@ class ScenarioConfig:
             raise ValueError(
                 "camped_share must be a probability, got %r" % self.camped_share
             )
+        choice_cdf(self.group_probs, "group_probs")  # raises naming the field
 
 
 class ScenarioBuild:
@@ -255,7 +258,7 @@ def build_scenario(
             sim.add_entity(phone)
 
     groups_per_min = config.people_per_min / max(
-        1e-9, _mean_group_size(config.group_probs)
+        1e-9, mean_group_size(config.group_probs)
     )
     arrivals = ArrivalProcess(
         groups_per_min,
@@ -268,7 +271,3 @@ def build_scenario(
     build.attacker = attacker
     return build
 
-
-def _mean_group_size(probs: Sequence[float]) -> float:
-    total = sum(probs)
-    return sum((i + 1) * p for i, p in enumerate(probs)) / total

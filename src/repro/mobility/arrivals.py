@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.sim.simulation import Simulation
+from repro.util.rng import choice_cdf, draw_index
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,16 @@ class ArrivalProcess:
     ``rate_per_min`` may be a float (homogeneous) or a callable of
     simulation time returning groups/minute (thinning is applied with
     ``max_rate_per_min`` as the envelope).
+
+    Each accepted arrival draws its group size as ``1 +
+    bisect_right(cdf, rng.random())`` over the cdf that
+    ``Generator.choice(k, p=p)`` builds itself, so the sizes are the
+    ``choice`` draws bit for bit without its per-call validation; bad
+    ``group_size_probs`` (NaN, infinite, negative, all zero) fail here.
+    The same rule holds across the population layer
+    (:mod:`repro.population`): one ``rng.random(n)`` block equals n
+    scalar ``rng.random()`` calls, while bounded-integer, Poisson and
+    early-exit draws stay per item.
     """
 
     def __init__(
@@ -66,10 +75,7 @@ class ArrivalProcess:
         self._const_rate = None if callable(rate_per_min) else float(rate_per_min)
         if self._const_rate is not None and self._const_rate < 0:
             raise ValueError("rate must be non-negative")
-        probs = np.asarray(group_size_probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0 or (probs < 0).any():
-            raise ValueError("group_size_probs must be non-negative")
-        self._group_probs = probs / probs.sum()
+        self._size_cdf = choice_cdf(group_size_probs, "group_size_probs")
         self.spawn = spawn
         self.stop_at = stop_at
         if self._rate is not None and max_rate_per_min <= 0:
@@ -104,9 +110,7 @@ class ArrivalProcess:
         if self._rate is not None:
             accept = self._rng.random() < self._rate_now() / self._max_rate
         if accept:
-            size = 1 + int(
-                self._rng.choice(len(self._group_probs), p=self._group_probs)
-            )
+            size = 1 + draw_index(self._size_cdf, self._rng)
             self.groups_spawned += 1
             self.people_spawned += size
             self.spawn(size, self.sim.now)

@@ -30,17 +30,12 @@ or off (asserted in ``tests/test_shard_golden.py``).
 
 from __future__ import annotations
 
+import json
 import pathlib
 import time as _time
-from typing import Callable, Dict, List, Optional, Union
+from typing import IO, Callable, Dict, List, Optional, Union
 
-from repro.obs.records import (
-    ChromeTrace,
-    read_jsonl,
-    rotate,
-    telemetry_dir,
-    write_jsonl,
-)
+from repro.obs.records import ChromeTrace, read_jsonl, rotate, telemetry_dir
 from repro.util.settings import resolve_bool_env
 
 EPOCH_TRACE_ENV = "REPRO_EPOCH_TRACE"
@@ -65,7 +60,11 @@ class EpochTracer:
 
     The shard calls :meth:`record` once per phase, after the phase ran
     and its outboxes are assembled.  The first record rotates a previous
-    run's file away, so epoch counts are never inflated by stale runs.
+    run's file away, so epoch counts are never inflated by stale runs,
+    and opens the one append handle every record goes through.  Each
+    record is flushed as it is written, so ``obs top``/``obs watch`` and
+    the file of a crashed process-mode shard hold every finished phase;
+    the shard's finalisation calls :meth:`close`.
     """
 
     def __init__(
@@ -81,7 +80,8 @@ class EpochTracer:
         self.epochs_total = int(epochs_total)
         self.path = epoch_file(shard_id, base_dir)
         self._clock = clock
-        self._opened = False
+        self._rotated = False
+        self._fh: Optional[IO[str]] = None
 
     def record(
         self,
@@ -97,9 +97,6 @@ class EpochTracer:
         the phase produced (summarised here, never retained).  ``extra``
         carries phase-specific fields (e.g. checkpoint ``bytes`` on
         ``"c"`` records) and never overrides the core keys."""
-        if not self._opened:
-            rotate(self.path)
-            self._opened = True
         rec = {
             "wall": self._clock(),
             "shard": self.shard_id,
@@ -115,7 +112,20 @@ class EpochTracer:
         if extra:
             for key, value in extra.items():
                 rec.setdefault(key, value)
-        write_jsonl(self.path, (rec,))
+        if self._fh is None:
+            if not self._rotated:
+                rotate(self.path)
+                self._rotated = True
+            self._fh = open(self.path, "a")
+        self._fh.write(json.dumps(rec) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later record reopens it without
+        rotating."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def maybe_epoch_tracer(

@@ -18,17 +18,12 @@ DEFAULT_MAX_EVENTS = 65_536
 class EventSink(Ring):
     """Capped, append-only store of timestamped event dicts."""
 
-    def __init__(
-        self,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        enabled: bool = True,
-    ):
-        super().__init__(max_events, enabled)
+    def __init__(self):
+        super().__init__(DEFAULT_MAX_EVENTS)
 
     def emit(self, time: float, kind: str, **fields: object) -> None:
-        """Record one event (no-op when disabled)."""
-        if self.enabled:
-            self.append({"time": time, "kind": kind, **fields})
+        """Record one event."""
+        self.append({"time": time, "kind": kind, **fields})
 
     def of_kind(self, kind: str) -> List[Dict[str, object]]:
         """Retained events of one kind, oldest first."""

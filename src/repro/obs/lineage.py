@@ -79,8 +79,9 @@ class _Pushed:
 class LineageTrace(Ring):
     """Bounded, append-only store of causal lineage records."""
 
-    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS):
-        super().__init__(max_records, resolve_bool_env(LINEAGE_ENV, False))
+    def __init__(self):
+        super().__init__(DEFAULT_MAX_RECORDS)
+        self.enabled = resolve_bool_env(LINEAGE_ENV, False)
         self._next_id = 1
         self.current: Optional[Ctx] = None
         self._frame_ctx: "OrderedDict[int, Ctx]" = OrderedDict()

@@ -44,13 +44,12 @@ TRACE_EVENT_REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
 
 class Ring:
     """Bounded, append-only record store: the oldest record is evicted
-    first and counted in ``dropped``.  ``enabled`` is the recorder's
-    on/off switch; the ring itself never reads it."""
+    first and counted in ``dropped``.  The capacity is each recorder's
+    fixed constant; nothing else sets it."""
 
-    def __init__(self, max_records: int, enabled: bool = True):
+    def __init__(self, max_records: int):
         if max_records < 1:
             raise ValueError("ring capacity must be >= 1, got %r" % max_records)
-        self.enabled = bool(enabled)
         self.max_records = max_records
         self._ring: deque = deque(maxlen=max_records)
         self.dropped = 0

@@ -16,9 +16,9 @@ pipeline stage for every accepted event:
   running the decision callback.
 
 Spans are plain dicts stamped with ``perf_counter`` readings, kept in a
-ring of 200 000 records (the ``max_records`` argument; the
-``reqtrace.dropped`` gauge counts evictions).  Decision streams and
-differential-parity digests are bit-identical with tracing on or off.
+ring of 200 000 records (the ``reqtrace.dropped`` gauge counts
+evictions).  Decision streams and differential-parity digests are
+bit-identical with tracing on or off.
 ``RankingService.finish`` flushes the ring to ``reqtrace-<pid>.jsonl``
 in the telemetry directory; :func:`req_trace_doc` maps spans to Chrome
 trace events — an ingress track and a consumer track, with a flow
@@ -40,7 +40,7 @@ from repro.obs.records import (
     telemetry_dir,
     write_jsonl,
 )
-from repro.util.settings import parse_int_setting, resolve_bool_env
+from repro.util.settings import resolve_bool_env
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
 
@@ -59,14 +59,6 @@ def resolve_req_trace() -> bool:
     return resolve_bool_env(REQ_TRACE_ENV, False)
 
 
-def resolve_req_trace_max(value: Optional[int] = None) -> int:
-    """Ring capacity: explicit arg, else 200,000.  A non-integer or
-    sub-1 value raises a ValueError naming ``max_records``."""
-    if value is None:
-        return DEFAULT_MAX_RECORDS
-    return parse_int_setting("max_records", value, 1)
-
-
 class RequestTrace(Ring):
     """Bounded in-memory ring of per-stage spans for one service.
 
@@ -74,8 +66,8 @@ class RequestTrace(Ring):
     minimum: build one plain dict and append it to the ring.
     """
 
-    def __init__(self, max_records: Optional[int] = None):
-        super().__init__(resolve_req_trace_max(max_records))
+    def __init__(self):
+        super().__init__(DEFAULT_MAX_RECORDS)
 
     def record(
         self,

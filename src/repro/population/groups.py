@@ -63,10 +63,13 @@ def draw_group_core(
     ``GroupModel.hangout_local_factor``); ``public_pool`` is the city's
     (ssid, adoption) list for the shared-chain draws.
     """
-    core: List[NetworkProfile] = []
-    for pub in public_pool:
-        if rng.random() < pub.adoption * model.public_share_factor:
-            core.append(NetworkProfile(pub.ssid, Security.OPEN))
+    share = model.public_share_factor
+    draws = rng.random(len(public_pool)).tolist()
+    core: List[NetworkProfile] = [
+        NetworkProfile(pub.ssid, Security.OPEN)
+        for pub, u in zip(public_pool, draws)
+        if u < pub.adoption * share
+    ]
     if rng.random() < model.p_shared_home:
         home = textgen.home_router_ssid(rng)
         sec = Security.OPEN if rng.random() < 0.15 else Security.WPA2_PSK
@@ -88,4 +91,8 @@ def member_share(
     rng: np.random.Generator,
 ) -> List[NetworkProfile]:
     """The subset of the core one member actually carries."""
-    return [p for p in core if rng.random() < model.p_inherit]
+    if not core:
+        return []
+    p_inherit = model.p_inherit
+    draws = rng.random(len(core)).tolist()
+    return [p for p, u in zip(core, draws) if u < p_inherit]

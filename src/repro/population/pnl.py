@@ -19,6 +19,7 @@ from repro.city.venues import Venue
 from repro.dot11.capabilities import NetworkProfile, Security
 from repro.population.person import OsFamily
 from repro.util import textgen
+from repro.util.rng import choice_cdf, draw_index
 
 CARRIER_SSIDS: Dict[str, float] = {
     "PCCW1x": 0.35,
@@ -97,7 +98,15 @@ class BuiltPnl:
 
 class PnlBuilder:
     """Draws one person's PNL from the model. Stateless across calls
-    except for the RNG it consumes."""
+    except for the RNG it consumes.
+
+    Everything that is fixed for a run is built once here: the pools
+    with their thresholds, one validated :class:`NetworkProfile` per
+    pool entry (profiles are frozen, so people share them), the carrier
+    cdf and the set of public SSIDs. Each pool of independent
+    keep-or-drop draws takes one ``rng.random(n)`` block, which holds
+    exactly the doubles of n scalar calls (see :mod:`repro.population`).
+    """
 
     def __init__(self, city: City, context: VenueContext, model: PnlModel,
                  rng: np.random.Generator):
@@ -105,11 +114,38 @@ class PnlBuilder:
         self.context = context
         self.model = model
         self.rng = rng
-        # Pre-extract the pools so per-person work stays O(pool size).
-        self._public = [(p.ssid, p.adoption) for p in city.public_pool]
-        self._secured_public = city.secured_public_ssids()
+        open_ = Security.OPEN
+        self._public = [
+            (NetworkProfile(p.ssid, open_), p.adoption) for p in city.public_pool
+        ]
+        affinity = context.venue.local_affinity
+        neighbour_p = affinity * model.neighbour_affinity_factor
+        self._local = [
+            (NetworkProfile(ssid, open_), affinity)
+            for ssid in context.venue.wifi_ssids
+        ] + [
+            (NetworkProfile(ssid, open_), neighbour_p)
+            for ssid in context.neighbour_open_ssids
+        ]
+        self._secured_public = [
+            (
+                NetworkProfile(spec.name, spec.security),
+                spec.adoption
+                * city.config.adoption_scale
+                * model.secured_public_scale,
+            )
+            for spec in city.chains
+            if not spec.security.is_open
+        ]
         self._shops = city.open_shop_ssids
-        self._venue_ssids = list(context.venue.wifi_ssids)
+        self._carriers = [NetworkProfile(name, open_) for name in CARRIER_SSIDS]
+        self._carrier_cdf = choice_cdf(
+            list(CARRIER_SSIDS.values()), "CARRIER_SSIDS"
+        )
+        self._public_ssids = frozenset(
+            [profile.ssid for profile, _ in self._public]
+            + list(context.venue.wifi_ssids)
+        )
 
     # -- pieces ------------------------------------------------------------
 
@@ -126,24 +162,15 @@ class PnlBuilder:
         return ssid, NetworkProfile(ssid, sec)
 
     def _public_draws(self, scale: float = 1.0) -> List[NetworkProfile]:
-        out: List[NetworkProfile] = []
-        draws = self.rng.random(len(self._public))
-        for (ssid, adoption), u in zip(self._public, draws):
-            if u < adoption * scale:
-                out.append(NetworkProfile(ssid, Security.OPEN))
-        return out
+        draws = self.rng.random(len(self._public)).tolist()
+        return [
+            profile
+            for (profile, adoption), u in zip(self._public, draws)
+            if u < adoption * scale
+        ]
 
     def _local_draws(self) -> List[NetworkProfile]:
-        out: List[NetworkProfile] = []
-        affinity = self.context.venue.local_affinity
-        for ssid in self._venue_ssids:
-            if self.rng.random() < affinity:
-                out.append(NetworkProfile(ssid, Security.OPEN))
-        neighbour_p = affinity * self.model.neighbour_affinity_factor
-        for ssid in self.context.neighbour_open_ssids:
-            if self.rng.random() < neighbour_p:
-                out.append(NetworkProfile(ssid, Security.OPEN))
-        return out
+        return _kept(self._local, self.rng)
 
     def _long_tail(self) -> List[NetworkProfile]:
         if not self._shops:
@@ -160,21 +187,10 @@ class PnlBuilder:
             return []
         if self.rng.random() >= self.model.p_ios_carrier:
             return []
-        names = list(CARRIER_SSIDS)
-        shares = np.array([CARRIER_SSIDS[n] for n in names])
-        pick = names[int(self.rng.choice(len(names), p=shares / shares.sum()))]
-        return [NetworkProfile(pick, Security.OPEN)]
+        return [self._carriers[draw_index(self._carrier_cdf, self.rng)]]
 
     def _secured_public_draws(self) -> List[NetworkProfile]:
-        out = []
-        for spec in self.city.chains:
-            if spec.security.is_open:
-                continue
-            p = spec.adoption * self.city.config.adoption_scale
-            p *= self.model.secured_public_scale
-            if self.rng.random() < p:
-                out.append(NetworkProfile(spec.name, spec.security))
-        return out
+        return _kept(self._secured_public, self.rng)
 
     # -- assembly -----------------------------------------------------------
 
@@ -222,8 +238,7 @@ class PnlBuilder:
         ``max_direct_probes`` distinct SSIDs, carriers never.
         """
         m = self.model
-        public = {ssid for ssid, _adoption in self._public}
-        public.update(self._venue_ssids)
+        public = self._public_ssids
         chosen: List[str] = []
         if home_ssid in pnl and self.rng.random() < m.direct_probe_home_weight:
             chosen.append(home_ssid)
@@ -249,3 +264,11 @@ class PnlBuilder:
             # An unsafe phone probes *something*; default to home.
             chosen.append(home_ssid if home_ssid in pnl else next(iter(pnl)))
         return tuple(chosen[: m.max_direct_probes])
+
+
+def _kept(pool: Sequence[Tuple[NetworkProfile, float]],
+          rng: np.random.Generator) -> List[NetworkProfile]:
+    """The profiles of ``pool`` whose draw falls below their probability,
+    with one block draw for the whole pool."""
+    draws = rng.random(len(pool)).tolist()
+    return [profile for (profile, p), u in zip(pool, draws) if u < p]

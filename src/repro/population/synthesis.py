@@ -37,37 +37,39 @@ class PersonFactory:
         self._builder = PnlBuilder(city, context, self.pnl_model, rng)
         self._next_person_id = 0
         self._next_group_id = 0
+        pm, gm = self.pnl_model, self.group_model
+        # With core draws at adoption*psf and inheritance p_i, a member's
+        # personal draw must shrink so the marginal stays at `adoption`:
+        # 1-(1-x*a)(1-p_i*psf*a) = a  =>  x = 1 - p_i*psf  (to first order).
+        self._member_public_scale = max(
+            0.0, 1.0 - gm.p_inherit * gm.public_share_factor
+        )
+        # Direct-probing firmware survives on old Androids; conditioning
+        # on OS keeps the overall unsafe share at p_unsafe while keeping
+        # carrier SSIDs (iOS-only) out of direct probes, as the paper
+        # observes they cannot be learned that way.
+        self._p_unsafe_android = pm.p_unsafe / max(1e-9, 1.0 - pm.ios_share)
+        self._p_local = min(
+            gm.max_hangout_local,
+            context.venue.local_affinity * gm.hangout_local_factor,
+        )
 
     def _draw_os(self) -> OsFamily:
         if self.rng.random() < self.pnl_model.ios_share:
             return OsFamily.IOS
         return OsFamily.ANDROID
 
-    # With core draws at adoption*psf and inheritance p_i, a member's
-    # personal draw must shrink so the marginal stays at `adoption`:
-    # 1-(1-x*a)(1-p_i*psf*a) = a  =>  x = 1 - p_i*psf  (to first order).
-    def _personal_public_scale(self) -> float:
-        gm = self.group_model
-        return max(0.0, 1.0 - gm.p_inherit * gm.public_share_factor)
-
     def make_person(self, group_id: int = -1, group_core=()) -> PersonSpec:
         """One person, optionally inheriting a group core."""
         os_family = self._draw_os()
         shared = member_share(group_core, self.group_model, self.rng)
-        personal_scale = 1.0 if group_id < 0 else self._personal_public_scale()
+        personal_scale = 1.0 if group_id < 0 else self._member_public_scale
         built = self._builder.build(
             os_family, extra=shared, public_personal_scale=personal_scale
         )
-        # Direct-probing firmware survives on old Androids; conditioning
-        # on OS keeps the overall unsafe share at p_unsafe while keeping
-        # carrier SSIDs (iOS-only) out of direct probes, as the paper
-        # observes they cannot be learned that way.
-        p_unsafe_android = self.pnl_model.p_unsafe / max(
-            1e-9, 1.0 - self.pnl_model.ios_share
-        )
         unsafe = (
             os_family is OsFamily.ANDROID
-            and self.rng.random() < p_unsafe_android
+            and self.rng.random() < self._p_unsafe_android
         )
         direct: tuple = ()
         if unsafe:
@@ -93,17 +95,12 @@ class PersonFactory:
             return [self.make_person()]
         group_id = self._next_group_id
         self._next_group_id += 1
-        gm = self.group_model
-        p_local = min(
-            gm.max_hangout_local,
-            self.context.venue.local_affinity * gm.hangout_local_factor,
-        )
         core = draw_group_core(
-            gm,
+            self.group_model,
             self.city.open_shop_ssids,
             self.rng,
             local_shop_ssids=self.context.neighbour_open_ssids,
-            p_local=p_local,
+            p_local=self._p_local,
             public_pool=self.city.public_pool,
         )
         return [self.make_person(group_id, core) for _ in range(size)]

@@ -430,6 +430,8 @@ class ShardRuntime:
 
     def finalize(self, collect_states: bool = True) -> dict:
         """Close out the run: totals, gauges, and the picklable result."""
+        if self.tracer is not None:
+            self.tracer.close()
         batch = self.walkers
         own = self.owned
         probed = int(np.count_nonzero(batch.probes[own]))

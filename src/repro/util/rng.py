@@ -13,7 +13,9 @@ Python versions and platforms (unlike ``hash()``).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+import math
+from bisect import bisect_right
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -27,6 +29,34 @@ def derive_seed(master_seed: int, name: str) -> int:
     payload = f"{master_seed}:{name}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def choice_cdf(probs: Sequence[float], name: str) -> List[float]:
+    """The cdf that ``Generator.choice(len(probs), p=probs / sum(probs))``
+    searches, as a list: normalised, cumulated and divided by its last
+    element, as numpy does.  :func:`draw_index` over it takes the same
+    double from the stream and returns the same index as that call.
+
+    Raises ValueError naming ``name`` unless ``probs`` is a non-empty,
+    finite, non-negative vector with a positive sum: over a NaN cdf a
+    bisection would pick the last index without complaint.
+    """
+    p = np.asarray(probs, dtype=float)
+    total = float(p.sum()) if p.ndim == 1 and p.size else math.nan
+    if not (np.isfinite(p).all() and (p >= 0).all() and 0 < total < math.inf):
+        raise ValueError(
+            "%s must be a non-empty vector of finite, non-negative "
+            "probabilities, not all zero; got %r" % (name, p.tolist())
+        )
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_index(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """One index drawn over a :func:`choice_cdf` cdf: bit for bit the
+    ``Generator.choice`` draw, without its per-call validation."""
+    return bisect_right(cdf, rng.random())
 
 
 class RngRegistry:

@@ -85,6 +85,24 @@ class TestTracerFiles:
         assert records[0]["epoch"] == 0
         assert path.with_name(path.name + ".old").exists()
 
+    def test_one_handle_flushed_per_record(self, tmp_path):
+        tracer = self._tracer(tmp_path)
+        tracer.record(0, "a", 0.1, 0.0, {}, {})
+        handle = tracer._fh
+        # A reader sees each record while the tracer still holds the file.
+        assert len(read_epoch_records(tracer.path)) == 1
+        tracer.record(0, "b", 0.1, 0.0, {}, {})
+        assert tracer._fh is handle
+        assert len(read_epoch_records(tracer.path)) == 2
+        tracer.close()
+        assert handle.closed
+        # A record after close appends again; it does not rotate.
+        tracer.record(1, "a", 0.1, 0.0, {}, {})
+        tracer.close()
+        assert [r["phase"] for r in read_epoch_records(tracer.path)] == [
+            "a", "b", "a"]
+        assert not tracer.path.with_name(tracer.path.name + ".old").exists()
+
     def test_torn_lines_skipped(self, tmp_path):
         tracer = self._tracer(tmp_path)
         tracer.record(0, "a", 0.1, 0.0, {}, {})

@@ -201,5 +201,15 @@ class TestArrivalProcess:
             ArrivalProcess(-1.0, lambda s, t: None)
 
     def test_bad_group_probs_rejected(self):
-        with pytest.raises(ValueError):
-            ArrivalProcess(1.0, lambda s, t: None, group_size_probs=(-0.5, 1.5))
+        # All-zero and NaN weights fail here, not at the first accepted
+        # arrival: a NaN weight passes a sign check, and a bisection over
+        # a NaN cdf would draw the largest group without complaint.
+        for probs in (
+            (-0.5, 1.5),
+            (0.0, 0.0, 0.0, 0.0),
+            (float("nan"), 0.5, 0.5),
+            (0.5, float("inf")),
+            (),
+        ):
+            with pytest.raises(ValueError, match="group_size_probs"):
+                ArrivalProcess(1.0, lambda s, t: None, group_size_probs=probs)

@@ -16,7 +16,7 @@ from repro.analysis.observability import (
 )
 from repro.obs.artifacts import artifact_path
 from repro.obs.events import EventSink
-from repro.obs.records import read_jsonl, write_jsonl
+from repro.obs.records import Ring, read_jsonl, write_jsonl
 from repro.obs.registry import (
     FixedHistogram,
     MetricsRegistry,
@@ -155,17 +155,13 @@ class TestMergeSemantics:
 
 class TestEventSink:
     def test_ring_drops_oldest_and_counts(self):
-        sink = EventSink(max_events=3)
+        # The sink is a Ring of DEFAULT_MAX_EVENTS; eviction is the ring's.
+        ring = Ring(3)
         for i in range(5):
-            sink.emit(float(i), "e", i=i)
-        assert len(sink) == 3
-        assert sink.dropped == 2
-        assert [e["i"] for e in sink] == [2, 3, 4]
-
-    def test_disabled_is_noop(self):
-        sink = EventSink(enabled=False)
-        sink.emit(0.0, "e")
-        assert len(sink) == 0 and sink.dropped == 0
+            ring.append({"i": i})
+        assert len(ring) == 3
+        assert ring.dropped == 2
+        assert [e["i"] for e in ring] == [2, 3, 4]
 
     def test_jsonl_round_trip(self, tmp_path):
         sink = EventSink()

@@ -8,7 +8,7 @@ the main obs tests skip over.
 import pytest
 
 from repro.obs.events import EventSink
-from repro.obs.records import read_jsonl, write_jsonl
+from repro.obs.records import Ring, read_jsonl, write_jsonl
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.spans import Span, span
 from repro.sim.simulation import Simulation
@@ -72,39 +72,39 @@ class TestSpanEdges:
 
 
 class TestEventSinkEdges:
+    """The sink keeps its events in a :class:`Ring` of fixed capacity;
+    the capacity edges are the ring's, so they are tested on it."""
+
     def test_fill_to_exactly_cap(self):
-        sink = EventSink(max_events=4)
+        ring = Ring(4)
         for i in range(4):
-            sink.emit(float(i), "e")
-        assert len(sink) == 4
-        assert sink.dropped == 0
-        assert [e["time"] for e in sink.records()] == [0.0, 1.0, 2.0, 3.0]
+            ring.append(float(i))
+        assert len(ring) == 4
+        assert ring.dropped == 0
+        assert ring.records() == [0.0, 1.0, 2.0, 3.0]
 
     def test_one_past_cap_evicts_oldest(self):
-        sink = EventSink(max_events=4)
+        ring = Ring(4)
         for i in range(5):
-            sink.emit(float(i), "e")
-        assert len(sink) == 4
-        assert sink.dropped == 1
-        assert [e["time"] for e in sink.records()] == [1.0, 2.0, 3.0, 4.0]
+            ring.append(float(i))
+        assert len(ring) == 4
+        assert ring.dropped == 1
+        assert ring.records() == [1.0, 2.0, 3.0, 4.0]
 
     def test_cap_of_one(self):
-        sink = EventSink(max_events=1)
-        sink.emit(0.0, "a")
-        sink.emit(1.0, "b")
-        assert len(sink) == 1
-        assert sink.records()[0]["kind"] == "b"
-        assert sink.dropped == 1
+        ring = Ring(1)
+        ring.append("a")
+        ring.append("b")
+        assert len(ring) == 1
+        assert ring.records() == ["b"]
+        assert ring.dropped == 1
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
-            EventSink(max_events=0)
-
-    def test_disabled_sink_drops_silently(self):
-        sink = EventSink(enabled=False)
-        sink.emit(0.0, "e")
-        assert len(sink) == 0
-        assert sink.dropped == 0
+            Ring(0)
+        # The sink's capacity is fixed: it takes no argument.
+        with pytest.raises(TypeError):
+            EventSink(max_events=4)
 
     def test_write_jsonl_empty_sink(self, tmp_path):
         sink = EventSink()

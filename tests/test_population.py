@@ -1,13 +1,60 @@
 """Tests for population synthesis (repro.population)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.dot11.capabilities import NetworkProfile, Security
+from repro.experiments.calibration import (
+    GROUP_PROBS_BASE,
+    GROUP_PROBS_RUSH,
+    default_city,
+)
+from repro.experiments.runner import shared_wigle
+from repro.mobility.arrivals import ArrivalProcess
 from repro.population.groups import GroupModel, draw_group_core, member_share
 from repro.population.person import OsFamily, PersonSpec
 from repro.population.pnl import CARRIER_SSIDS, VenueContext
 from repro.population.synthesis import PersonFactory
+from repro.sim.simulation import Simulation
+
+CROWD_DIGEST = (
+    "8fb82ef30606bbf5ee7f27154e876583c14dd769536f075d9cf07eca23b1e472"
+)
+"""``crowd_digest()``, recorded when every per-visitor draw was still a
+scalar ``rng.random()`` call and the group size came from
+``Generator.choice``.  A change to how a visitor is drawn must leave it
+alone."""
+
+CROWD_VENUES = ("University Canteen", "Central Subway Passage")
+CROWD_SIZES = (1, 2, 1, 3, 1, 4, 2, 1)
+
+
+def crowd_digest() -> str:
+    """SHA-256 over 300 people per venue of ``default_city()``: each
+    person's group id, OS, unsafe flag, direct-probe SSIDs and PNL
+    entries (SSID and security, in insertion order), then the exact bits
+    of the population stream's next draw."""
+    city, wigle = default_city(), shared_wigle()
+    h = hashlib.sha256()
+    for seed, name in enumerate(CROWD_VENUES):
+        venue = city.venue(name)
+        near = wigle.nearest_free_ssids(venue.region.center, 50)
+        neighbours = [s for s in near if s not in venue.wifi_ssids][:40]
+        factory = PersonFactory(
+            city, VenueContext(venue, neighbours), np.random.default_rng(seed)
+        )
+        for size in CROWD_SIZES * 20:
+            for p in factory.make_group(size):
+                h.update(("%d|%s|%d|%s\n" % (
+                    p.group_id, p.os_family.name, p.unsafe,
+                    "|".join(p.direct_probe_ssids),
+                )).encode())
+                for ssid, profile in p.pnl.items():
+                    h.update(("%s|%s\n" % (ssid, profile.security.name)).encode())
+        h.update(factory.rng.random().hex().encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +142,33 @@ class TestCalibratedMarginals:
             ]
         )
         assert 0.2 < rate < 0.5
+
+
+class TestPinned:
+    def test_crowd_pinned_bit_for_bit(self):
+        assert crowd_digest() == CROWD_DIGEST
+
+    @pytest.mark.parametrize("probs", [GROUP_PROBS_BASE, GROUP_PROBS_RUSH])
+    def test_arrival_sizes_match_generator_choice(self, probs):
+        sizes = []
+        sim = Simulation(seed=3)
+        arrivals = ArrivalProcess(
+            120.0, lambda size, now: sizes.append(size),
+            group_size_probs=probs,
+        )
+        sim.add_entity(arrivals)
+        sim.run(600.0)
+        assert len(sizes) > 1000
+        # Replay the arrivals stream: a gap, then (size, gap) per group.
+        rng = Simulation(seed=3).rngs.stream("arrivals")
+        p = np.asarray(probs, dtype=float)
+        p = p / p.sum()
+        rng.exponential(0.5)
+        expected = []
+        for _ in sizes:
+            expected.append(1 + int(rng.choice(len(p), p=p)))
+            rng.exponential(0.5)
+        assert sizes == expected
 
 
 class TestGroups:

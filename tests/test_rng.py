@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import RngRegistry, choice_cdf, derive_seed, draw_index
 
 
 class TestDeriveSeed:
@@ -70,3 +70,27 @@ class TestRngRegistry:
 
     def test_seed_property(self):
         assert RngRegistry(99).seed == 99
+
+
+class TestChoiceCdf:
+    @pytest.mark.parametrize("probs", [
+        (0.62, 0.24, 0.10, 0.04),
+        (0.35, 0.25, 0.20, 0.20),
+        (0.0, 2.0, 0.0, 1.0),
+        (1.0,),
+    ])
+    def test_draw_index_is_generator_choice(self, probs):
+        """The bisection takes the double ``Generator.choice`` takes and
+        returns its index, zero weights included."""
+        cdf = choice_cdf(probs, "probs")
+        p = np.asarray(probs, dtype=float)
+        p = p / p.sum()
+        ours, numpys = np.random.default_rng(9), np.random.default_rng(9)
+        assert [draw_index(cdf, ours) for _ in range(3000)] == [
+            int(numpys.choice(len(p), p=p)) for _ in range(3000)
+        ]
+        assert ours.random() == numpys.random()
+
+    def test_bad_weights_name_the_argument(self):
+        with pytest.raises(ValueError, match="weights"):
+            choice_cdf((0.0, float("nan")), "weights")

@@ -175,3 +175,14 @@ class TestConfigValidation:
     def test_bad_camped_share_rejected(self):
         with pytest.raises(ValueError):
             self._config(camped_share=1.5)
+
+    @pytest.mark.parametrize("probs", [
+        (0.0, 0.0, 0.0, 0.0),
+        (0.6, float("nan"), 0.4),
+        (-0.5, 1.5),
+    ])
+    def test_bad_group_probs_rejected(self, probs):
+        # All-zero weights used to fail inside build_scenario with a
+        # bare ZeroDivisionError from the mean group size.
+        with pytest.raises(ValueError, match="group_probs"):
+            self._config(group_probs=probs)
